@@ -287,87 +287,6 @@ void print_simd_sweep(std::ostream& os,
   os << "\n";
 }
 
-void print_settle_sweep(std::ostream& os,
-                        const std::vector<std::string>& benchmarks,
-                        int num_seeds) {
-  using Clock = std::chrono::steady_clock;
-  std::vector<std::uint64_t> seeds;
-  seeds.reserve(num_seeds);
-  for (int s = 0; s < num_seeds; ++s) seeds.push_back(100 + s);
-
-  std::vector<SimdMode> modes;
-  for (const SimdMode mode : all_simd_modes())
-    if (mode != SimdMode::kAuto && simd_mode_supported(mode))
-      modes.push_back(mode);
-
-  os << "Settle engine sweep: coalesced " << num_seeds
-     << "-seed Monte-Carlo sweep per SIMD backend under each settle "
-        "strategy (single-threaded; event is the reference column; the "
-        "engines are bit-identical, so 'identical' must be yes)\n";
-
-  AsciiTable t({"Benchmark", "simd", "lanes", "event (ms)", "level (ms)",
-                "auto (ms)", "level vs event", "identical"});
-  for (const auto& name : benchmarks) {
-    flow::Job base = job(name, flow::BinderSpec{"hlpower"});
-    for (const SimdMode mode : modes) {
-      base.simd = mode;
-      SettleSweepRow row;
-      row.benchmark = name;
-      row.mode = mode;
-      row.lanes = simd_lanes(mode);
-
-      std::vector<flow::JobResult> reference;
-      for (const SettleMode settle :
-           {SettleMode::kEvent, SettleMode::kLevel, SettleMode::kAuto}) {
-        base.settle = settle;
-        const auto jobs = flow::ExperimentRunner::grid({name}, {base.binder},
-                                                       seeds, {}, base);
-        flow::ExperimentRunner runner(1, {}, &sa_cache());
-        runner.set_coalescing(true);
-        const auto t0 = Clock::now();
-        const auto results = runner.run(jobs);
-        const double secs =
-            std::chrono::duration<double>(Clock::now() - t0).count();
-
-        if (settle == SettleMode::kEvent) {
-          row.event_s = secs;
-          reference = results;
-          // The reference column vouches for itself: a failed event sweep
-          // must not let the other engines print "yes" against garbage.
-          row.identical = true;
-          for (const auto& r : results) row.identical = row.identical && r.ok;
-        } else {
-          (settle == SettleMode::kLevel ? row.level_s : row.auto_s) = secs;
-          row.identical =
-              row.identical && results.size() == reference.size();
-          for (std::size_t i = 0; row.identical && i < results.size(); ++i) {
-            const auto& a = reference[i];
-            const auto& b = results[i];
-            row.identical =
-                a.ok && b.ok &&
-                a.outcome.flow.sim.toggles == b.outcome.flow.sim.toggles &&
-                a.outcome.flow.sim.functional_transitions ==
-                    b.outcome.flow.sim.functional_transitions &&
-                a.outcome.flow.report.dynamic_power_mw ==
-                    b.outcome.flow.report.dynamic_power_mw;
-          }
-        }
-      }
-      t.row()
-          .add(row.benchmark)
-          .add(simd_mode_name(row.mode))
-          .add(row.lanes)
-          .add(row.event_s * 1e3, 1)
-          .add(row.level_s * 1e3, 1)
-          .add(row.auto_s * 1e3, 1)
-          .add(row.level_speedup(), 2)
-          .add(row.identical ? "yes" : "NO");
-    }
-  }
-  t.print(os);
-  os << "\n";
-}
-
 WorkerSweepReport worker_sweep(const std::string& name,
                                const flow::BinderSpec& spec, int num_seeds,
                                int parallelism) {

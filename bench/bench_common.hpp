@@ -135,32 +135,6 @@ void print_simd_sweep(std::ostream& os,
                       const std::vector<std::string>& benchmarks,
                       int num_seeds);
 
-/// One event-vs-level comparison cell: a coalesced `num_seeds`-seed sweep
-/// of one benchmark pinned to one SIMD backend and one settle engine.
-struct SettleSweepRow {
-  std::string benchmark;
-  SimdMode mode = SimdMode::kU64;
-  int lanes = 64;
-  double event_s = 0.0;
-  double level_s = 0.0;
-  double auto_s = 0.0;
-  bool identical = false;  // level and auto match event bit for bit
-  double level_speedup() const {
-    return level_s > 0.0 ? event_s / level_s : 0.0;
-  }
-};
-
-/// Run a coalesced seed sweep per supported SIMD backend under each
-/// settle engine (HLP_SETTLE=event / level / auto) and print the
-/// comparison table with level's speedup over event per width. The
-/// engines are bit-identical by construction, so `identical` must read
-/// "yes" everywhere; only wall-clock may differ — this is the measured
-/// evidence that the levelized wavefront wins on wide full-word sweeps
-/// and that auto's calibration never picks a losing engine.
-void print_settle_sweep(std::ostream& os,
-                        const std::vector<std::string>& benchmarks,
-                        int num_seeds);
-
 /// One workers-vs-threads comparison of a Monte-Carlo seed sweep: the
 /// same `num_seeds`-seed (benchmark, binder) grid run once through the
 /// in-process ExperimentRunner with `parallelism` threads and once

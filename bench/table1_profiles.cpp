@@ -55,12 +55,6 @@ int main(int argc, char** argv) {
   // measures width scaling rather than word utilisation; bit-identity is
   // checked against the u64 row.
   hlp::bench::print_simd_sweep(std::cout, {"wang", "pr"}, 512);
-  // The settle-engine axis: the same 512-seed full-word sweep per backend
-  // under HLP_SETTLE=event / level / auto. The engines are bit-identical;
-  // the table is the measured evidence that the levelized wavefront wins
-  // on wide full-word settles and that auto's calibration probe never
-  // picks a losing engine.
-  hlp::bench::print_settle_sweep(std::cout, {"wang", "pr"}, 512);
   // The process-level axis: the same coalesced sweep through HLP_WORKERS
   // (default 2) hlp_worker processes vs the same number of in-process
   // threads, bit-identity checked — the distributed CI leg's artifact.

@@ -19,7 +19,8 @@
 //     --vectors N           simulation vectors (default 200)
 //     --width N             datapath bits (default 8)
 //     --seed N              simulation stimulus seed (default 42)
-//     --timings             print per-stage pipeline wall clock
+//     --timings             print per-stage pipeline wall clock (one
+//                           `stages:` line per design)
 //     --vhdl <file> --verilog <file> --blif <file> --dot <file>
 #include <fstream>
 #include <iostream>
@@ -192,6 +193,13 @@ flow::Job make_job(const Options& o, const std::string& design) {
   return job;
 }
 
+void print_stages(const flow::PipelineOutcome& out) {
+  std::cout << "stages:";
+  for (const auto& t : out.timings)
+    std::cout << " " << t.name << "=" << fmt_fixed(t.seconds * 1e3, 1) << "ms";
+  std::cout << "\n";
+}
+
 void print_result(const Options& o, flow::ExperimentRunner& runner,
                   const flow::JobResult& res) {
   flow::FlowContext& ctx = runner.context_for(res.job);
@@ -219,13 +227,7 @@ void print_result(const Options& o, flow::ExperimentRunner& runner,
             << out.flow.report.dynamic_power_mw << " mW dynamic, toggle "
             << out.flow.report.toggle_rate_mps << " M/s, glitch fraction "
             << out.flow.report.glitch_fraction << "\n";
-  if (o.timings) {
-    std::cout << "stages:";
-    for (const auto& t : out.timings)
-      std::cout << " " << t.name << "=" << fmt_fixed(t.seconds * 1e3, 1)
-                << "ms";
-    std::cout << "\n";
-  }
+  if (o.timings) print_stages(out);
 }
 
 void write_artifacts(const Options& o, flow::ExperimentRunner& runner,
@@ -326,6 +328,12 @@ int main(int argc, char** argv) {
               << "', scheduler '" << o.scheduler << "', " << o.jobs
               << " worker(s)\n";
     t.print(std::cout);
+    if (o.timings)
+      for (const auto& res : results)
+        if (res.ok) {
+          std::cout << res.job.benchmark << " ";
+          print_stages(res.outcome);
+        }
     return failures ? 1 : 0;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";

@@ -19,7 +19,7 @@
 //           slower than a static split on the same units and strictly
 //           better under skew.
 //
-// Parsing is strict, like HLP_SETTLE: unset/empty falls back, anything
+// Parsing is strict, like HLP_SIMD: unset/empty falls back, anything
 // else must be one of the names above or the sweep dies loudly. Every
 // mode is supported on every build, so there is no resolve/downgrade
 // axis.
@@ -44,7 +44,7 @@ const char* dispatch_mode_name(DispatchMode mode);
 DispatchMode parse_dispatch_mode(const std::string& value);
 
 /// HLP_DISPATCH env override, else `fallback`. Unset/empty falls back;
-/// garbage throws (strict, like settle_mode_from_env).
+/// garbage throws (strict, like simd_mode_from_env).
 DispatchMode dispatch_mode_from_env(DispatchMode fallback = DispatchMode::kAuto);
 
 /// The mode a runner spec resolves to: an explicit spec wins, kAuto

@@ -14,7 +14,6 @@
 #include "cdfg/benchmarks.hpp"
 #include "common/error.hpp"
 #include "common/strings.hpp"
-#include "sim/settle_mode.hpp"
 #include "sim/simd_mode.hpp"
 #include "store/artifact_store.hpp"
 
@@ -77,7 +76,7 @@ std::string group_key(const Job& job) {
       << job.binder.alpha << '|' << job.binder.beta_add << '|'
       << job.binder.beta_mult << '|' << job.binder.refine << '|'
       << job.num_vectors << '|' << static_cast<int>(job.sim_engine) << '|'
-      << static_cast<int>(job.simd) << '|' << static_cast<int>(job.settle);
+      << static_cast<int>(job.simd);
   return key.str();
 }
 
@@ -88,7 +87,6 @@ RunSpec spec_for(const Job& job) {
   spec.seed = job.seed;
   spec.sim_engine = job.sim_engine;
   spec.simd = job.simd;
-  spec.settle = job.settle;
   spec.sa = job.sa;
   return spec;
 }
@@ -170,10 +168,9 @@ store::ArtifactKey ExperimentRunner::artifact_key_for(const Job& job) {
   key.scope = ctx.store_scope(context_key(job));
   key.binding = ctx.binding_hash(spec.binder, spec.map, spec.timing);
   // Mode tags exactly as Pipeline::make_cursor records them: SA resolved
-  // (it changes values), settle/simd as requested (they cannot change the
-  // cached artifacts).
+  // (it changes values), simd as requested (it cannot change the cached
+  // artifacts).
   key.sa = sa_mode_name(ctx.sa_cache().mode());
-  key.settle = settle_mode_name(spec.settle);
   key.simd = simd_mode_name(spec.simd);
   return key;
 }

@@ -77,16 +77,9 @@ struct Job {
   /// groups are chunked to this width (jobs with different `simd` never
   /// share a chunk).
   SimdMode simd = SimdMode::kAuto;
-  /// Settle strategy for the batched engine (RunSpec::settle): kAuto
-  /// defers to HLP_SETTLE and then self-calibrates per simulator
-  /// instance; event/level force one engine. Bit-identical either way;
-  /// part of the coalescing key (jobs with different `settle` never share
-  /// a run_batch) and of the distributed manifest, so worker processes
-  /// resolve exactly like the parent.
-  SettleMode settle = SettleMode::kAuto;
   /// SA backend (RunSpec::sa): an absent value defers to HLP_SA_MODE at
-  /// context construction (unset environment = estimate). Unlike `simd` /
-  /// `settle` the mode changes VALUES, so it is resolved once per runner
+  /// context construction (unset environment = estimate). Unlike `simd`
+  /// the mode changes VALUES, so it is resolved once per runner
   /// process and pinned: it keys the context (different modes never share
   /// a FlowContext or SaCache), joins the coalescing group key, and rides
   /// the distributed manifest pre-resolved (`sa=`) so workers run exactly
@@ -164,8 +157,8 @@ class ExperimentRunner {
   /// The exact ArtifactKey the standard pipeline would probe/publish for
   /// this job's bind-fus..time span: the context's store scope (runner
   /// key + CDFG digest), binding_hash under the default map/timing
-  /// parameters, the RESOLVED SA mode and the REQUESTED settle/simd modes
-  /// — mirroring Pipeline::make_cursor. Needs no store configured (the
+  /// parameters, the RESOLVED SA mode and the REQUESTED simd mode —
+  /// mirroring Pipeline::make_cursor. Needs no store configured (the
   /// explorer diffs steps with it; `hlp_store gc --keep-manifest` derives
   /// live addresses from it); resolving rc may run the context's probe
   /// schedule.

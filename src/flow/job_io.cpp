@@ -273,10 +273,9 @@ void save_manifest(std::ostream& os, const std::vector<ManifestJob>& jobs) {
        << " latency_slack=" << j.sched_spec.latency_slack
        << " engine=" << engine_name(j.sim_engine)
        << " simd=" << simd_mode_name(j.simd)
-       << " settle=" << settle_mode_name(j.settle)
        // The SA mode is serialised RESOLVED (the parent's environment
-       // applies here, once): unlike simd/settle it changes values, so a
-       // worker must never re-consult its own HLP_SA_MODE.
+       // applies here, once): unlike simd it changes values, so a worker
+       // must never re-consult its own HLP_SA_MODE.
        << " sa=" << sa_mode_name(effective_sa_mode(j.sa))
        << " label=" << encode_token(j.label) << "\n";
   }
@@ -314,7 +313,6 @@ std::vector<ManifestJob> load_manifest(std::istream& is) {
     j.sched_spec.latency_slack = f.i("latency_slack");
     j.sim_engine = parse_engine(f.at("engine"));
     j.simd = parse_simd_mode(f.at("simd"));
-    j.settle = parse_settle_mode(f.at("settle"));
     j.sa = parse_sa_mode(f.at("sa"));
     j.label = f.s("label");
     out.push_back(std::move(mj));

@@ -36,7 +36,7 @@ std::shared_ptr<const StageCache::Entry> StageCache::find(
   auto entry = find(key);  // counts the memory hit/miss either way
   if (entry || !store_) return entry;
   entry = store_->find(
-      store::ArtifactKey{store_scope_, key, tags.sa, tags.settle, tags.simd});
+      store::ArtifactKey{store_scope_, key, tags.sa, tags.simd});
   if (entry) {
     ++disk_hits_;
     std::lock_guard<std::mutex> lock(mu_);
@@ -59,7 +59,7 @@ void StageCache::insert(const std::string& key, const StoreTags& tags,
   // memory cache already accepted the entry.
   if (store_)
     store_->publish(
-        store::ArtifactKey{store_scope_, key, tags.sa, tags.settle, tags.simd},
+        store::ArtifactKey{store_scope_, key, tags.sa, tags.simd},
         *holder);
   std::lock_guard<std::mutex> lock(mu_);
   entries_.emplace(key, std::move(holder));
@@ -115,8 +115,7 @@ void stage_map(PipelineState& st) {
 }
 
 void stage_time(PipelineState& st) {
-  // The levelized arrival sweep (levelize.hpp) shares its wavefront
-  // structure with the levelized settle and is bit-identical to
+  // The levelized arrival sweep (levelize.hpp) is bit-identical to
   // clock_period_ns, so StageCache entries and distributed same_outcome
   // comparisons are unaffected by the swap.
   st.out.flow.clock_period_ns =
@@ -138,12 +137,8 @@ void stage_simulate(PipelineState& st) {
   const SimdMode simd = st.spec.sim_engine == SimEngine::kBatched
                             ? effective_simd_mode(st.spec.simd, frames.size())
                             : SimdMode::kU64;
-  // Settle strategy resolves the same way as the width: explicit spec
-  // wins, kAuto consults HLP_SETTLE and then self-calibrates per
-  // simulator instance. Bit-identical either way.
-  const SettleMode settle = effective_settle_mode(st.spec.settle);
   st.out.flow.sim = simulate_frames(st.out.flow.mapped.lut_netlist, frames,
-                                    st.spec.sim_engine, simd, settle);
+                                    st.spec.sim_engine, simd);
 }
 
 // The span of stages whose artifacts a StageCache entry carries. Stages
@@ -249,11 +244,10 @@ Pipeline::CacheCursor Pipeline::make_cursor(FlowContext& ctx,
   if (cursor.enabled) {
     cursor.key = ctx.binding_hash(spec.binder, spec.map, spec.timing);
     // Mode tags for the persistent store, mirroring the runner's group
-    // key: the SA backend resolved (it changes values), settle/simd as
-    // REQUESTED (they cannot change the cached artifacts, so two hosts
-    // resolving kAuto differently must still share entries).
+    // key: the SA backend resolved (it changes values), simd as REQUESTED
+    // (it cannot change the cached artifacts, so two hosts resolving kAuto
+    // differently must still share entries).
     cursor.tags.sa = sa_mode_name(ctx.sa_cache().mode());
-    cursor.tags.settle = settle_mode_name(spec.settle);
     cursor.tags.simd = simd_mode_name(spec.simd);
   }
   return cursor;
@@ -329,7 +323,6 @@ std::vector<PipelineOutcome> Pipeline::run_batch(
   // pays full word cost on lanes that can never fill.
   const SimdMode simd =
       batched ? effective_simd_mode(spec.simd, seeds.size()) : SimdMode::kU64;
-  const SettleMode settle = effective_settle_mode(spec.settle);
   const std::size_t chunk_lanes = static_cast<std::size_t>(simd_lanes(simd));
   const auto t0 = Clock::now();
   std::vector<CycleSimStats> sims(seeds.size());
@@ -344,7 +337,7 @@ std::vector<PipelineOutcome> Pipeline::run_batch(
             random_samples(spec.num_vectors, ctx.cdfg().num_inputs(),
                            ctx.width(), seeds[g0 + i]);
       chunk = simulate_seed_chunk(st.out.flow.mapped.lut_netlist, st.datapath,
-                                  lane_samples, simd, settle);
+                                  lane_samples, simd);
     } else {
       std::vector<std::vector<std::vector<char>>> runs(count);
       for (std::size_t i = 0; i < count; ++i) {

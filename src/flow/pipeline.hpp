@@ -68,22 +68,14 @@ struct RunSpec {
   /// changes how many stimulus lanes one netlist traversal settles (64
   /// for u64, up to 512 for avx512).
   SimdMode simd = SimdMode::kAuto;
-  /// Unit-delay settle strategy of the batched engine (ignored for
-  /// kScalar). kAuto defers to the HLP_SETTLE env var and then lets each
-  /// simulator instance calibrate: the first settles are timed alternately
-  /// under the event-driven and levelized engines and the faster one is
-  /// locked in for the rest of the batch. Explicit modes win over the env
-  /// var. Every strategy is bit-identical — like `simd`, this knob only
-  /// moves wall-clock (see docs/architecture.md).
-  SettleMode settle = SettleMode::kAuto;
   /// Requested SA backend (power/sa_mode.hpp). The cache actually used
   /// belongs to the CONTEXT, so this field is a pin, not a selector: a
   /// concrete value makes run()/run_batch() verify the context's SaCache
   /// runs that mode (throwing on mismatch — catching a sweep whose specs
   /// and contexts were resolved under different HLP_SA_MODE values), an
-  /// absent value accepts whatever the context resolved. Unlike `simd` /
-  /// `settle` this knob changes VALUES, which is why it pins rather than
-  /// switches per run.
+  /// absent value accepts whatever the context resolved. Unlike `simd`
+  /// this knob changes VALUES, which is why it pins rather than switches
+  /// per run.
   std::optional<SaMode> sa;
   /// Consult the context's StageCache for the bind-fus..time artifacts
   /// (hits skip those stages; results are identical either way). Ignored —
@@ -99,15 +91,14 @@ struct RunSpec {
 /// bind-fus straight to simulate. Thread-safe; concurrent misses on one
 /// key both compute (value-identical by determinism) and the first insert
 /// wins.
-/// The sa/settle/simd mode tags of one cached artifact, mirroring the
+/// The sa/simd mode tags of one cached artifact, mirroring the
 /// ExperimentRunner group-key axes: the resolved SA backend name plus the
-/// *requested* settle and simd mode names. Only meaningful when a
-/// persistent ArtifactStore is bound — the in-memory map keys on
-/// binding_hash() alone (which already encodes the SA mode; settle/simd
-/// cannot change the bind-fus..time artifacts).
+/// *requested* simd mode name. Only meaningful when a persistent
+/// ArtifactStore is bound — the in-memory map keys on binding_hash() alone
+/// (which already encodes the SA mode; simd cannot change the
+/// bind-fus..time artifacts).
 struct StoreTags {
   std::string sa;
-  std::string settle;
   std::string simd;
 };
 

@@ -4,25 +4,25 @@ namespace hlp::flow {
 
 std::vector<CycleSimStats> simulate_seed_chunk(
     const Netlist& n, const Datapath& dp, const LaneSamples& lane_samples,
-    SimdMode simd, SettleMode settle) {
+    SimdMode simd) {
   switch (resolve_simd_mode(simd)) {
     case SimdMode::kU64:
-      return simulate_seed_chunk_t<std::uint64_t>(n, dp, lane_samples, settle);
+      return simulate_seed_chunk_t<std::uint64_t>(n, dp, lane_samples);
     case SimdMode::kX2:
-      return simulate_seed_chunk_t<SimdX2>(n, dp, lane_samples, settle);
+      return simulate_seed_chunk_t<SimdX2>(n, dp, lane_samples);
     case SimdMode::kX4:
-      return simulate_seed_chunk_t<SimdX4>(n, dp, lane_samples, settle);
+      return simulate_seed_chunk_t<SimdX4>(n, dp, lane_samples);
     case SimdMode::kX8:
-      return simulate_seed_chunk_t<SimdX8>(n, dp, lane_samples, settle);
+      return simulate_seed_chunk_t<SimdX8>(n, dp, lane_samples);
     case SimdMode::kAvx2:
 #if defined(HLP_HAVE_AVX2)
-      return detail::simulate_seed_chunk_avx2(n, dp, lane_samples, settle);
+      return detail::simulate_seed_chunk_avx2(n, dp, lane_samples);
 #else
       break;
 #endif
     case SimdMode::kAvx512:
 #if defined(HLP_HAVE_AVX512)
-      return detail::simulate_seed_chunk_avx512(n, dp, lane_samples, settle);
+      return detail::simulate_seed_chunk_avx512(n, dp, lane_samples);
 #else
       break;
 #endif

@@ -32,21 +32,17 @@ using LaneSamples = std::vector<std::vector<std::vector<std::uint64_t>>>;
 
 /// Evaluate one chunk of stimulus seeds, `simd` lanes per word; chunk size
 /// must fit one word of the chosen backend. Returns one CycleSimStats per
-/// lane, bit-identical to per-seed scalar simulation of the same stimulus
-/// under every settle strategy (settle_mode.hpp).
+/// lane, bit-identical to per-seed scalar simulation of the same stimulus.
 std::vector<CycleSimStats> simulate_seed_chunk(const Netlist& n,
                                                const Datapath& dp,
                                                const LaneSamples& lane_samples,
-                                               SimdMode simd,
-                                               SettleMode settle =
-                                                   SettleMode::kAuto);
+                                               SimdMode simd);
 
 /// Word-generic implementation (instantiated per backend; call
 /// simulate_seed_chunk for the runtime-dispatched entry).
 template <typename W>
 std::vector<CycleSimStats> simulate_seed_chunk_t(
-    const Netlist& n, const Datapath& dp, const LaneSamples& lane_samples,
-    SettleMode settle = SettleMode::kEvent) {
+    const Netlist& n, const Datapath& dp, const LaneSamples& lane_samples) {
   using T = WordTraits<W>;
   const int lanes = static_cast<int>(lane_samples.size());
   HLP_REQUIRE(lanes >= 1 && lanes <= T::kLanes,
@@ -58,7 +54,7 @@ std::vector<CycleSimStats> simulate_seed_chunk_t(
   const std::size_t num_samples = lane_samples.front().size();
   const std::size_t num_inputs = dp.data_input_pos.size();
 
-  BitSimulatorT<W> sim(n, settle);
+  BitSimulatorT<W> sim(n);
   // Reset to the all-zero-source settled state in every lane.
   for (NetId pi : pis) sim.stage_source(pi, T::zero());
   for (const auto& l : latches) sim.stage_source(l.q, T::zero());
@@ -124,11 +120,9 @@ namespace detail {
 /// Per-ISA entries, defined in seed_chunk_avx2.cpp / seed_chunk_avx512.cpp
 /// when the toolchain supports the flag (HLP_HAVE_AVX2 / HLP_HAVE_AVX512).
 std::vector<CycleSimStats> simulate_seed_chunk_avx2(
-    const Netlist& n, const Datapath& dp, const LaneSamples& lane_samples,
-    SettleMode settle);
+    const Netlist& n, const Datapath& dp, const LaneSamples& lane_samples);
 std::vector<CycleSimStats> simulate_seed_chunk_avx512(
-    const Netlist& n, const Datapath& dp, const LaneSamples& lane_samples,
-    SettleMode settle);
+    const Netlist& n, const Datapath& dp, const LaneSamples& lane_samples);
 
 }  // namespace detail
 

@@ -8,9 +8,8 @@
 namespace hlp::flow::detail {
 
 std::vector<CycleSimStats> simulate_seed_chunk_avx512(
-    const Netlist& n, const Datapath& dp, const LaneSamples& lane_samples,
-    SettleMode settle) {
-  return simulate_seed_chunk_t<AvxWord512>(n, dp, lane_samples, settle);
+    const Netlist& n, const Datapath& dp, const LaneSamples& lane_samples) {
+  return simulate_seed_chunk_t<AvxWord512>(n, dp, lane_samples);
 }
 
 }  // namespace hlp::flow::detail

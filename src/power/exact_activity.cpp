@@ -142,7 +142,7 @@ class Bdd {
 };
 
 /// Shannon expansion of a truth table into a BDD over xs[0..k). Row
-/// semantics match BitSimulatorT::eval_packed's cofactor fold: bit j of a
+/// semantics match BitSimulatorT::eval_gate's cofactor fold: bit j of a
 /// row index is the value of input j, so input k-1 selects between the
 /// low and high halves of the table.
 int build_from_tt(Bdd& m, std::uint64_t tt, const std::vector<int>& xs,
@@ -157,7 +157,7 @@ int build_from_tt(Bdd& m, std::uint64_t tt, const std::vector<int>& xs,
   return m.ite(xs[k - 1], hi, lo);
 }
 
-/// One gate function over input BDDs, mirroring eval_packed's classified
+/// One gate function over input BDDs, mirroring eval_gate's classified
 /// semantics exactly: the inv flag applies to the specialised ops but NOT
 /// to the Shannon fallbacks, whose (support-reduced) truth tables are
 /// already complete.

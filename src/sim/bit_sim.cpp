@@ -204,25 +204,25 @@ void check_frame_arity(const Netlist& n,
 
 CycleSimStats simulate_frames_batched(
     const Netlist& n, const std::vector<std::vector<char>>& frames,
-    SimdMode simd, SettleMode settle) {
+    SimdMode simd) {
   switch (resolve_simd_mode(simd)) {
     case SimdMode::kU64:
-      return simulate_frames_batched_t<std::uint64_t>(n, frames, settle);
+      return simulate_frames_batched_t<std::uint64_t>(n, frames);
     case SimdMode::kX2:
-      return simulate_frames_batched_t<SimdX2>(n, frames, settle);
+      return simulate_frames_batched_t<SimdX2>(n, frames);
     case SimdMode::kX4:
-      return simulate_frames_batched_t<SimdX4>(n, frames, settle);
+      return simulate_frames_batched_t<SimdX4>(n, frames);
     case SimdMode::kX8:
-      return simulate_frames_batched_t<SimdX8>(n, frames, settle);
+      return simulate_frames_batched_t<SimdX8>(n, frames);
     case SimdMode::kAvx2:
 #if defined(HLP_HAVE_AVX2)
-      return detail::simulate_frames_batched_avx2(n, frames, settle);
+      return detail::simulate_frames_batched_avx2(n, frames);
 #else
       break;
 #endif
     case SimdMode::kAvx512:
 #if defined(HLP_HAVE_AVX512)
-      return detail::simulate_frames_batched_avx512(n, frames, settle);
+      return detail::simulate_frames_batched_avx512(n, frames);
 #else
       break;
 #endif
@@ -234,34 +234,33 @@ CycleSimStats simulate_frames_batched(
 
 CycleSimStats simulate_frames(const Netlist& n,
                               const std::vector<std::vector<char>>& frames,
-                              SimEngine engine, SimdMode simd,
-                              SettleMode settle) {
+                              SimEngine engine, SimdMode simd) {
   return engine == SimEngine::kScalar
              ? simulate_frames(n, frames)
-             : simulate_frames_batched(n, frames, simd, settle);
+             : simulate_frames_batched(n, frames, simd);
 }
 
 std::vector<CycleSimStats> simulate_batch(
     const Netlist& n, const std::vector<std::vector<std::vector<char>>>& runs,
-    SimdMode simd, SettleMode settle) {
+    SimdMode simd) {
   switch (resolve_simd_mode(simd)) {
     case SimdMode::kU64:
-      return simulate_batch_t<std::uint64_t>(n, runs, settle);
+      return simulate_batch_t<std::uint64_t>(n, runs);
     case SimdMode::kX2:
-      return simulate_batch_t<SimdX2>(n, runs, settle);
+      return simulate_batch_t<SimdX2>(n, runs);
     case SimdMode::kX4:
-      return simulate_batch_t<SimdX4>(n, runs, settle);
+      return simulate_batch_t<SimdX4>(n, runs);
     case SimdMode::kX8:
-      return simulate_batch_t<SimdX8>(n, runs, settle);
+      return simulate_batch_t<SimdX8>(n, runs);
     case SimdMode::kAvx2:
 #if defined(HLP_HAVE_AVX2)
-      return detail::simulate_batch_avx2(n, runs, settle);
+      return detail::simulate_batch_avx2(n, runs);
 #else
       break;
 #endif
     case SimdMode::kAvx512:
 #if defined(HLP_HAVE_AVX512)
-      return detail::simulate_batch_avx512(n, runs, settle);
+      return detail::simulate_batch_avx512(n, runs);
 #else
       break;
 #endif
@@ -273,9 +272,9 @@ std::vector<CycleSimStats> simulate_batch(
 
 std::vector<CycleSimStats> simulate_runs(
     const Netlist& n, const std::vector<std::vector<std::vector<char>>>& runs,
-    SimEngine engine, SimdMode simd, SettleMode settle) {
+    SimEngine engine, SimdMode simd) {
   if (engine == SimEngine::kBatched)
-    return simulate_batch(n, runs, simd, settle);
+    return simulate_batch(n, runs, simd);
   std::vector<CycleSimStats> results;
   results.reserve(runs.size());
   for (const auto& run : runs) results.push_back(simulate_frames(n, run));
@@ -284,8 +283,7 @@ std::vector<CycleSimStats> simulate_runs(
 
 std::vector<CycleSimStats> simulate_batch(
     const std::vector<const Netlist*>& netlists,
-    const std::vector<std::vector<char>>& frames, SimdMode simd,
-    SettleMode settle) {
+    const std::vector<std::vector<char>>& frames, SimdMode simd) {
   for (const Netlist* n : netlists) {
     HLP_REQUIRE(n != nullptr, "null netlist in shared-stimulus batch");
     HLP_REQUIRE(n->inputs().size() == netlists.front()->inputs().size(),
@@ -294,7 +292,7 @@ std::vector<CycleSimStats> simulate_batch(
   std::vector<CycleSimStats> results;
   results.reserve(netlists.size());
   for (const Netlist* n : netlists)
-    results.push_back(simulate_frames_batched(*n, frames, simd, settle));
+    results.push_back(simulate_frames_batched(*n, frames, simd));
   return results;
 }
 

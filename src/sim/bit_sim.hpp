@@ -46,7 +46,6 @@
 #include "netlist/netlist.hpp"
 #include "sim/bit_sim_engine.hpp"
 #include "sim/schedule_sim.hpp"
-#include "sim/settle_mode.hpp"
 #include "sim/simd_mode.hpp"
 
 namespace hlp {
@@ -72,39 +71,34 @@ using LaneCounters = LaneCountersT<std::uint64_t>;
 /// u64 backend, up to 512 under HLP_SIMD/avx512). `frames[t]` holds one
 /// bit per primary input in netlist input order. `simd` must resolve
 /// (resolve_simd_mode) — kAuto picks the widest CPU-supported backend.
-/// `settle` picks the unit-delay settle strategy (settle_mode.hpp);
-/// every choice is bit-identical, kAuto self-calibrates per netlist.
 CycleSimStats simulate_frames_batched(
     const Netlist& n, const std::vector<std::vector<char>>& frames,
-    SimdMode simd = SimdMode::kU64, SettleMode settle = SettleMode::kAuto);
+    SimdMode simd = SimdMode::kU64);
 
 /// Dispatch helper: scalar reference path or the batched engine at the
-/// requested word width / settle strategy (both ignored for kScalar).
+/// requested word width (ignored for kScalar).
 CycleSimStats simulate_frames(const Netlist& n,
                               const std::vector<std::vector<char>>& frames,
                               SimEngine engine,
-                              SimdMode simd = SimdMode::kU64,
-                              SettleMode settle = SettleMode::kAuto);
+                              SimdMode simd = SimdMode::kU64);
 
 /// Many independent stimulus sequences through one netlist, one run per
 /// lane (64 per word for u64, up to 512 under avx512). Returns one
 /// CycleSimStats per run, bit-identical to running simulate_frames(n,
-/// runs[i]) separately at any width and settle strategy. Run lengths may
-/// differ.
+/// runs[i]) separately at any width. Run lengths may differ.
 std::vector<CycleSimStats> simulate_batch(
     const Netlist& n, const std::vector<std::vector<std::vector<char>>>& runs,
-    SimdMode simd = SimdMode::kU64, SettleMode settle = SettleMode::kAuto);
+    SimdMode simd = SimdMode::kU64);
 
 /// Group-dispatch helper for the seed-coalescing experiment path: many
 /// stimulus sequences through one netlist under either engine. The scalar
 /// reference loops simulate_frames per run; the batched engine rides
 /// simulate_batch's multi-run lanes at the requested word width. Results
-/// are bit-identical across engines, widths and settle strategies, and to
-/// per-run simulate_frames calls.
+/// are bit-identical across engines and widths, and to per-run
+/// simulate_frames calls.
 std::vector<CycleSimStats> simulate_runs(
     const Netlist& n, const std::vector<std::vector<std::vector<char>>>& runs,
-    SimEngine engine, SimdMode simd = SimdMode::kU64,
-    SettleMode settle = SettleMode::kAuto);
+    SimEngine engine, SimdMode simd = SimdMode::kU64);
 
 /// Many bindings' netlists sharing one stimulus (the paper's controlled
 /// comparison): each netlist is evaluated with the batched single-run path
@@ -113,6 +107,6 @@ std::vector<CycleSimStats> simulate_runs(
 std::vector<CycleSimStats> simulate_batch(
     const std::vector<const Netlist*>& netlists,
     const std::vector<std::vector<char>>& frames,
-    SimdMode simd = SimdMode::kU64, SettleMode settle = SettleMode::kAuto);
+    SimdMode simd = SimdMode::kU64);
 
 }  // namespace hlp

@@ -14,16 +14,14 @@
 namespace hlp::detail {
 
 CycleSimStats simulate_frames_batched_avx2(
-    const Netlist& n, const std::vector<std::vector<char>>& frames,
-    SettleMode settle) {
-  return simulate_frames_batched_t<AvxWord256>(n, frames, settle);
+    const Netlist& n, const std::vector<std::vector<char>>& frames) {
+  return simulate_frames_batched_t<AvxWord256>(n, frames);
 }
 
 std::vector<CycleSimStats> simulate_batch_avx2(
     const Netlist& n,
-    const std::vector<std::vector<std::vector<char>>>& runs,
-    SettleMode settle) {
-  return simulate_batch_t<AvxWord256>(n, runs, settle);
+    const std::vector<std::vector<std::vector<char>>>& runs) {
+  return simulate_batch_t<AvxWord256>(n, runs);
 }
 
 }  // namespace hlp::detail

@@ -14,16 +14,14 @@
 namespace hlp::detail {
 
 CycleSimStats simulate_frames_batched_avx512(
-    const Netlist& n, const std::vector<std::vector<char>>& frames,
-    SettleMode settle) {
-  return simulate_frames_batched_t<AvxWord512>(n, frames, settle);
+    const Netlist& n, const std::vector<std::vector<char>>& frames) {
+  return simulate_frames_batched_t<AvxWord512>(n, frames);
 }
 
 std::vector<CycleSimStats> simulate_batch_avx512(
     const Netlist& n,
-    const std::vector<std::vector<std::vector<char>>>& runs,
-    SettleMode settle) {
-  return simulate_batch_t<AvxWord512>(n, runs, settle);
+    const std::vector<std::vector<std::vector<char>>>& runs) {
+  return simulate_batch_t<AvxWord512>(n, runs);
 }
 
 }  // namespace hlp::detail

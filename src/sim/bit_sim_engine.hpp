@@ -15,14 +15,12 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <vector>
 
 #include "common/error.hpp"
 #include "netlist/netlist.hpp"
 #include "sim/schedule_sim.hpp"
-#include "sim/settle_mode.hpp"
 #include "sim/simd_word.hpp"
 
 namespace hlp {
@@ -43,10 +41,8 @@ enum GateOp : std::uint8_t {
 
 /// Everything one gate evaluation reads, in one 32-byte record (the settle
 /// loop is memory-bound; scattering this over parallel arrays costs
-/// several cache lines per eval). Inputs are support-reduced. Records are
-/// position-independent — `idx` carries the plan gate index, so reordered
-/// copies (the levelized sweep's level-major layout) still reach the
-/// k > 4 CSR side tables.
+/// several cache lines per eval). Inputs are support-reduced. `idx`
+/// carries the plan gate index, the key into the k > 4 CSR side tables.
 struct PackedGate {
   std::uint8_t op = kOpShannon;
   std::uint8_t inv = 0;  // final inversion flag
@@ -77,22 +73,6 @@ struct GatePlan {
 /// netlist). Defined in bit_sim.cpp — word-independent, compiled once at
 /// baseline ISA.
 GatePlan build_gate_plan(const Netlist& n);
-
-/// The plan's gates ranked by logic level over their support-reduced
-/// inputs and laid out level-major: level l occupies the contiguous index
-/// range [level_start[l], level_start[l + 1]). level_start has
-/// max_level + 2 entries (sources sit at level 0, so level_start[0] ==
-/// level_start[1] == 0 and level_start[max_level + 1] == gates.size()).
-/// Word-independent like GatePlan; built lazily by the first levelized
-/// settle and shared conceptually with the timing sweep (levelize.hpp).
-struct Levelization {
-  std::vector<PackedGate> gates;
-  std::vector<int> level_start;
-  int max_level = 0;
-};
-
-/// Rank and reorder a plan's gates level-major. Defined in levelize.cpp.
-Levelization build_levelization(const GatePlan& plan);
 
 /// Scalar zero-delay evaluator for the frames path's latch-state
 /// recurrence (phase 1). Word-independent; defined in bit_sim.cpp.
@@ -166,22 +146,14 @@ class BitSimulatorT {
   /// Simulation lanes per word — the batch granularity of this engine.
   static constexpr int kLanes = T::kLanes;
 
-  /// `settle` picks the unit-delay strategy (settle_mode.hpp): kEvent and
-  /// kLevel are the two concrete engines, kAuto times the first settles
-  /// under each and locks in the winner — all three are bit-identical, so
-  /// the knob only moves wall-clock.
-  explicit BitSimulatorT(const Netlist& n,
-                         SettleMode settle = SettleMode::kEvent)
-      : netlist_(&n), plan_(detail::build_gate_plan(n)), mode_(settle) {
+  explicit BitSimulatorT(const Netlist& n)
+      : netlist_(&n), plan_(detail::build_gate_plan(n)) {
     value_.assign(plan_.num_nets, T::zero());
     staged_.assign(plan_.num_nets, T::zero());
     staged_dirty_.assign(plan_.num_nets, 0);
     gate_queued_.assign(plan_.gates.size(), 0);
     staged_nets_.reserve(plan_.num_nets);
   }
-
-  /// The strategy currently in effect (kAuto until the probe locks in).
-  SettleMode settle_mode() const { return mode_; }
 
   const Netlist& netlist() const { return *netlist_; }
   int num_nets() const { return static_cast<int>(value_.size()); }
@@ -229,7 +201,7 @@ class BitSimulatorT {
   int settle(std::vector<std::uint64_t>* toggles_total,
              std::vector<std::vector<std::uint64_t>>* per_lane = nullptr) {
     if (per_lane) {
-      return settle_dispatch([&](NetId net, const W& diff) {
+      return settle_events([&](NetId net, const W& diff) {
         if (toggles_total)
           (*toggles_total)[net] +=
               static_cast<std::uint64_t>(T::popcount(diff));
@@ -237,11 +209,11 @@ class BitSimulatorT {
       });
     }
     if (toggles_total) {
-      return settle_dispatch([&](NetId net, const W& diff) {
+      return settle_events([&](NetId net, const W& diff) {
         (*toggles_total)[net] += static_cast<std::uint64_t>(T::popcount(diff));
       });
     }
-    return settle_dispatch([](NetId, const W&) {});
+    return settle_events([](NetId, const W&) {});
   }
 
   /// Unit-delay settle specialised for the multi-run batch path: per-net
@@ -254,7 +226,7 @@ class BitSimulatorT {
   /// touched entries afterwards).
   int settle_batch(LaneCountersT<W>& toggles, std::vector<NetId>& touched,
                    std::vector<char>& touched_flag, std::vector<W>& before) {
-    return settle_dispatch([&](NetId net, const W& diff) {
+    return settle_events([&](NetId net, const W& diff) {
       toggles.add(net, diff);
       if (!touched_flag[net]) {
         touched_flag[net] = 1;
@@ -275,12 +247,8 @@ class BitSimulatorT {
   /// paths compute the identical boolean function, so values — and
   /// therefore event schedules and glitch counts — are bit-identical to
   /// the reference at every word width.
-  W eval_gate(int gi) const { return eval_packed(plan_.gates[gi]); }
-
-  /// Same, from a packed record directly — the levelized sweep walks its
-  /// own level-major copy of the records, so evaluation must not assume
-  /// the record sits at its plan position (g.idx carries that).
-  W eval_packed(const detail::PackedGate& g) const {
+  W eval_gate(int gi) const {
+    const detail::PackedGate& g = plan_.gates[gi];
     // Datapaths are register files plus steering logic, so muxes dominate
     // every mapped netlist we simulate (~80-90% of gates): give them a
     // predicted direct branch instead of the switch's indirect jump.
@@ -347,28 +315,10 @@ class BitSimulatorT {
   }
 
  private:
-  /// Route one unit-delay settle through the configured strategy. Both
-  /// engines produce the identical change-event sequence per net (see the
-  /// equivalence argument at settle_levelized), so kAuto may time the
-  /// first kProbeSettles calls alternately under each and lock in the
-  /// winner without ever perturbing a result.
-  template <typename OnChange>
-  int settle_dispatch(OnChange&& on_change) {
-    if (mode_ == SettleMode::kEvent) return settle_events(on_change);
-    if (mode_ == SettleMode::kLevel) return settle_levelized(on_change);
-    const int which = probe_calls_ & 1;
-    ++probe_calls_;
-    const auto t0 = std::chrono::steady_clock::now();
-    const int steps =
-        which ? settle_levelized(on_change) : settle_events(on_change);
-    const auto t1 = std::chrono::steady_clock::now();
-    probe_ns_[which] += std::chrono::duration<double, std::nano>(t1 - t0).count();
-    if (probe_calls_ >= kProbeSettles)
-      mode_ = probe_ns_[1] < probe_ns_[0] ? SettleMode::kLevel
-                                          : SettleMode::kEvent;
-    return steps;
-  }
-
+  /// The event-driven unit-delay settle behind settle() and
+  /// settle_batch(): step t re-evaluates only the fanout of the nets that
+  /// changed at step t-1, and `on_change(net, diff)` fires once per net
+  /// change with the word of lanes that flipped.
   template <typename OnChange>
   int settle_events(OnChange&& on_change) {
     changed_.clear();
@@ -421,70 +371,6 @@ class BitSimulatorT {
     return steps;
   }
 
-  /// Levelized wavefront settle: no dirty tracking, no fanout queue —
-  /// unit-delay step t evaluates the contiguous level-major suffix of
-  /// gates at level >= t (lower levels are provably quiescent by then)
-  /// and commits in place.
-  ///
-  /// Why this is bit-identical to settle_events: the event engine
-  /// computes the Jacobi unit-delay trajectory — every gate's time-t
-  /// output is its function over time-(t-1) operand words — skipping only
-  /// gates whose operands did not change (their re-evaluation would be a
-  /// no-op). This sweep computes the same trajectory a different way.
-  /// Walking the suffix in DESCENDING level order with in-place commit
-  /// means a gate's operands (all at strictly lower levels, per the
-  /// support-reduced ranking) are still uncommitted time-(t-1) words when
-  /// it reads them; same-level gates never feed each other. Skipping
-  /// levels < t is sound by induction: sources commit at step 0, and a
-  /// level-l gate's operands all hold their final values after step l-1,
-  /// so its output is final after step l. Change events therefore fire
-  /// for exactly the same (net, diff, step) triples in both engines —
-  /// toggle counts, glitch splits and step counts all match. Like the
-  /// event engine, this assumes settles start from a gate-consistent
-  /// state (every caller quiesces or zero-delay-settles first; the frames
-  /// path's shifted-lane init is lane-wise a settled state, so it
-  /// qualifies too).
-  template <typename OnChange>
-  int settle_levelized(OnChange&& on_change) {
-    if (!lev_built_) {
-      lev_ = detail::build_levelization(plan_);
-      lev_built_ = true;
-    }
-    bool any = false;
-    for (const NetId net : staged_nets_) {
-      staged_dirty_[net] = 0;
-      const W diff = value_[net] ^ staged_[net];
-      if (T::any(diff)) {
-        value_[net] = staged_[net];
-        on_change(net, diff);
-        any = true;
-      }
-    }
-    staged_nets_.clear();
-    if (!any) return 0;
-    const int num_gates = static_cast<int>(lev_.gates.size());
-    int steps = 0;
-    for (int t = 1;; ++t) {
-      ++steps;
-      bool changed = false;
-      const int lo = lev_.level_start[std::min(t, lev_.max_level + 1)];
-      for (int i = num_gates - 1; i >= lo; --i) {
-        const detail::PackedGate& g = lev_.gates[i];
-        const W nw = eval_packed(g);
-        const W diff = value_[g.out] ^ nw;
-        if (T::any(diff)) {
-          value_[g.out] = nw;
-          on_change(g.out, diff);
-          changed = true;
-        }
-      }
-      // The final step evaluates without finding a change (or, past
-      // max_level, evaluates nothing) — the event engine counts that
-      // quiescence-detection step too, so the returned counts agree.
-      if (!changed) return steps;
-    }
-  }
-
   const Netlist* netlist_;
   detail::GatePlan plan_;
 
@@ -497,16 +383,6 @@ class BitSimulatorT {
   std::vector<int> dirty_gates_;
   std::vector<W> new_words_;
   std::vector<NetId> changed_, next_changed_;
-
-  // Settle strategy. The levelization is built on first levelized settle
-  // (kEvent instances never pay for it); the kAuto probe times the first
-  // kProbeSettles calls alternately under each engine, then locks mode_.
-  SettleMode mode_;
-  detail::Levelization lev_;
-  bool lev_built_ = false;
-  static constexpr int kProbeSettles = 8;
-  int probe_calls_ = 0;
-  double probe_ns_[2] = {0.0, 0.0};  // [0] event, [1] level
 };
 
 /// Word-generic simulate_frames_batched: ONE stimulus sequence, kLanes
@@ -518,8 +394,7 @@ class BitSimulatorT {
 /// included. Bit-identical to the scalar path at every width.
 template <typename W>
 CycleSimStats simulate_frames_batched_t(
-    const Netlist& n, const std::vector<std::vector<char>>& frames,
-    SettleMode settle = SettleMode::kEvent) {
+    const Netlist& n, const std::vector<std::vector<char>>& frames) {
   using T = WordTraits<W>;
   constexpr int kLanes = T::kLanes;
   detail::check_frame_arity(n, frames);
@@ -530,7 +405,7 @@ CycleSimStats simulate_frames_batched_t(
   const std::size_t num_frames = frames.size();
   if (num_frames == 0) return stats;
 
-  BitSimulatorT<W> sim(n, settle);
+  BitSimulatorT<W> sim(n);
   // Initial settled state s0 (all sources 0): one zero-delay word pass
   // with every lane identical, then read lane 0.
   sim.settle_zero_delay();
@@ -635,8 +510,7 @@ CycleSimStats simulate_frames_batched_t(
 /// simulation at every width.
 template <typename W>
 std::vector<CycleSimStats> simulate_batch_t(
-    const Netlist& n, const std::vector<std::vector<std::vector<char>>>& runs,
-    SettleMode settle = SettleMode::kEvent) {
+    const Netlist& n, const std::vector<std::vector<std::vector<char>>>& runs) {
   using T = WordTraits<W>;
   constexpr int kLanes = T::kLanes;
   const int num_nets = n.num_nets();
@@ -644,7 +518,7 @@ std::vector<CycleSimStats> simulate_batch_t(
   std::vector<CycleSimStats> results(runs.size());
   if (runs.empty()) return results;
 
-  BitSimulatorT<W> sim(n, settle);
+  BitSimulatorT<W> sim(n);
   const auto& pis = n.inputs();
   const auto& latches = n.latches();
 

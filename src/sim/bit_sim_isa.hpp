@@ -13,22 +13,17 @@
 
 #include "netlist/netlist.hpp"
 #include "sim/schedule_sim.hpp"
-#include "sim/settle_mode.hpp"
 
 namespace hlp::detail {
 
 CycleSimStats simulate_frames_batched_avx2(
-    const Netlist& n, const std::vector<std::vector<char>>& frames,
-    SettleMode settle);
+    const Netlist& n, const std::vector<std::vector<char>>& frames);
 std::vector<CycleSimStats> simulate_batch_avx2(
-    const Netlist& n, const std::vector<std::vector<std::vector<char>>>& runs,
-    SettleMode settle);
+    const Netlist& n, const std::vector<std::vector<std::vector<char>>>& runs);
 
 CycleSimStats simulate_frames_batched_avx512(
-    const Netlist& n, const std::vector<std::vector<char>>& frames,
-    SettleMode settle);
+    const Netlist& n, const std::vector<std::vector<char>>& frames);
 std::vector<CycleSimStats> simulate_batch_avx512(
-    const Netlist& n, const std::vector<std::vector<std::vector<char>>>& runs,
-    SettleMode settle);
+    const Netlist& n, const std::vector<std::vector<std::vector<char>>>& runs);
 
 }  // namespace hlp::detail

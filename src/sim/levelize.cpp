@@ -1,51 +1,10 @@
 #include "sim/levelize.hpp"
 
-#include <algorithm>
 #include <vector>
 
 #include "common/error.hpp"
-#include "sim/bit_sim_engine.hpp"
 
 namespace hlp {
-
-namespace detail {
-
-Levelization build_levelization(const GatePlan& plan) {
-  const int num_gates = static_cast<int>(plan.gates.size());
-  // Rank over the *support-reduced* inputs (the CSR list covers every
-  // gate, not just k > 4): the settle only ever reads those, so a net a
-  // gate's function provably ignores must not inflate its level.
-  std::vector<int> net_level(plan.num_nets, 0);
-  std::vector<int> gate_level(num_gates, 1);
-  int max_level = 0;
-  for (const int gi : plan.topo) {
-    const PackedGate& g = plan.gates[gi];
-    const int base = plan.in_start[gi];
-    int lv = 0;
-    for (int j = 0; j < g.k; ++j)
-      lv = std::max(lv, net_level[plan.in_nets[base + j]]);
-    gate_level[gi] = lv + 1;
-    net_level[g.out] = lv + 1;
-    max_level = std::max(max_level, lv + 1);
-  }
-
-  // Counting sort into level-major order; within a level the original
-  // gate order is kept, so the layout is deterministic.
-  Levelization lev;
-  lev.max_level = max_level;
-  std::vector<int> count(max_level + 2, 0);
-  for (int gi = 0; gi < num_gates; ++gi) ++count[gate_level[gi]];
-  lev.level_start.assign(max_level + 2, 0);
-  for (int l = 1; l <= max_level + 1; ++l)
-    lev.level_start[l] = lev.level_start[l - 1] + count[l - 1];
-  lev.gates.resize(num_gates);
-  std::vector<int> cursor(lev.level_start);
-  for (int gi = 0; gi < num_gates; ++gi)
-    lev.gates[cursor[gate_level[gi]]++] = plan.gates[gi];
-  return lev;
-}
-
-}  // namespace detail
 
 int levelized_logic_depth(const Netlist& n) {
   const auto& gates = n.gates();

@@ -1,20 +1,7 @@
-// Levelized views of a mapped netlist.
+// Levelized static timing of a mapped netlist.
 //
-// The simulation side: build_gate_plan (bit_sim_engine.hpp) classifies
-// gates once per netlist; detail::build_levelization (declared next to
-// GatePlan, defined in levelize.cpp) ranks those packed records by logic
-// level — level(gate) = 1 + max level over its *support-reduced* inputs,
-// sources at level 0 — and lays each level's 32-byte records out
-// contiguously. The wavefront settle (BitSimulatorT::settle_levelized)
-// sweeps those records with no dirty tracking at all: at unit-delay step
-// t only gates of level >= t can still change, so the step-t sweep is the
-// contiguous suffix starting at level t, walked in descending-level order
-// so every gate reads pure time-(t-1) operands. See docs/architecture.md
-// for the equivalence argument with the event-driven settle.
-//
-// The timing side below is the same structure applied to the scalar
-// `time` stage: instead of one max-reduction over net_levels(), the
-// critical path falls out of a per-level arrival sweep — process the
+// The `time` stage's critical path falls out of a per-level arrival
+// sweep instead of one max-reduction over net_levels(): process the
 // level-t wavefront, arrival(out) = 1 + max arrival(in), repeat until the
 // frontier empties. It is bit-identical to clock_period_ns (same integer
 // depth through the same double expression), which StageCache and the

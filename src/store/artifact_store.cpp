@@ -23,6 +23,10 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr const char* kMagic = "hlp-artifact";
+// Bump whenever the key or payload layout changes: an object written in an
+// older layout is then rejected by its version line (and recomputed)
+// instead of failing on whichever field moved.
+constexpr const char* kVersion = "v2";
 
 // FNV-1a 64: the content address of a key and the payload checksum. Not
 // cryptographic — the store defends against crashes and bit rot, not
@@ -440,7 +444,7 @@ bool staging_dir_is_stale(const fs::path& dir) {
 std::string ArtifactKey::full() const {
   // Newline-joined (no component may contain one: scopes and binding
   // hashes are single-line by construction, mode names are identifiers).
-  return scope + '\n' + binding + '\n' + sa + '\n' + settle + '\n' + simd;
+  return scope + '\n' + binding + '\n' + sa + '\n' + simd;
 }
 
 std::string ArtifactStore::content_address(const ArtifactKey& key) {
@@ -459,11 +463,10 @@ std::string ArtifactStore::serialize(const ArtifactKey& key,
   const std::size_t lines =
       static_cast<std::size_t>(std::count(body.begin(), body.end(), '\n'));
   std::ostringstream os;
-  os << kMagic << " v1\n";
+  os << kMagic << ' ' << kVersion << '\n';
   os << "scope " << flow::encode_token(key.scope) << '\n';
   os << "binding " << flow::encode_token(key.binding) << '\n';
   os << "sa " << flow::encode_token(key.sa) << '\n';
-  os << "settle " << flow::encode_token(key.settle) << '\n';
   os << "simd " << flow::encode_token(key.simd) << '\n';
   os << "payload " << lines << '\n';
   os << body;
@@ -478,8 +481,9 @@ LoadedArtifact ArtifactStore::parse(const std::string& bytes,
   {
     const auto tok = r.expect(kMagic);
     require_fields(tok, 2, what);
-    HLP_REQUIRE(tok[1] == "v1", "artifact " << what << ": unsupported version '"
-                                            << tok[1] << "'");
+    HLP_REQUIRE(tok[1] == kVersion, "artifact " << what
+                                                << ": unsupported version '"
+                                                << tok[1] << "'");
   }
   LoadedArtifact art;
   auto tag = [&](const char* head) {
@@ -490,7 +494,6 @@ LoadedArtifact ArtifactStore::parse(const std::string& bytes,
   art.key.scope = tag("scope");
   art.key.binding = tag("binding");
   art.key.sa = tag("sa");
-  art.key.settle = tag("settle");
   art.key.simd = tag("simd");
   const auto counted = r.expect("payload");
   require_fields(counted, 2, what);
@@ -560,7 +563,6 @@ std::shared_ptr<const ArtifactStore::Entry> ArtifactStore::load_strict(
                                           << "'");
   };
   tag_check("sa", art.key.sa, key.sa);
-  tag_check("settle", art.key.settle, key.settle);
   tag_check("simd", art.key.simd, key.simd);
   return std::make_shared<const Entry>(std::move(art.entry));
 }

@@ -13,14 +13,14 @@
 //   binding  — FlowContext::binding_hash() verbatim (scheduler, resolved
 //              rc, width, reg_seed, SA mode, binder knobs in hexfloat,
 //              map + timing parameters);
-//   sa/settle/simd — the mode tags of the runner's group keys: the
-//              resolved SA backend and the *requested* settle/simd modes,
-//              recorded so a warm hit can prove it was produced under the
-//              same configuration axes the runner groups by.
+//   sa/simd  — the mode tags of the runner's group keys: the resolved SA
+//              backend and the *requested* simd mode, recorded so a warm
+//              hit can prove it was produced under the same configuration
+//              axes the runner groups by.
 //
 // One entry = one file, `objects/<fnv1a64(key)>.art`, in a line-oriented
 // text format that follows the flow/job_io conventions: hexfloat doubles
-// (bit-exact round trips), percent-escaped strings, a `hlp-artifact v1`
+// (bit-exact round trips), percent-escaped strings, a `hlp-artifact v2`
 // magic header and an `end hlp-artifact <count>` footer so truncation is
 // detectable, plus an FNV-1a checksum over the payload so bit flips are
 // too. Unlike the job wire format the payload carries the FULL mapped and
@@ -67,7 +67,6 @@ struct ArtifactKey {
   std::string scope;    // context identity (runner key + CDFG digest)
   std::string binding;  // FlowContext::binding_hash()
   std::string sa;       // resolved SA mode name (sa_mode_name)
-  std::string settle;   // requested settle mode name (settle_mode_name)
   std::string simd;     // requested simd mode name (simd_mode_name)
 
   std::string full() const;

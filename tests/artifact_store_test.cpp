@@ -100,7 +100,7 @@ ArtifactStore::Entry make_entry(double clock = 1.5) {
 
 ArtifactKey make_key(const std::string& binding = "binder|0x1p-1|4",
                      const std::string& sa = "estimate") {
-  return {"pr|list|2x2|4|42|gcafe", binding, sa, "auto", "auto"};
+  return {"pr|list|2x2|4|42|gcafe", binding, sa, "auto"};
 }
 
 void expect_entry_eq(const ArtifactStore::Entry& a,
@@ -315,6 +315,30 @@ TEST_F(ArtifactStoreFaults, TamperedModeTagIsRejected) {
   }
   store_->publish(key_, make_entry());
   EXPECT_EQ(read_file(path_), blob_);
+}
+
+TEST_F(ArtifactStoreFaults, VersionOneObjectsAreRejectedByVersion) {
+  // A v1 object (the format before the settle tag left the key) planted at
+  // this key's address: it must fail on its version line, not on the
+  // settle line the v2 parser no longer expects.
+  std::string v1 = blob_;
+  const std::string header = "hlp-artifact v2\n";
+  ASSERT_EQ(v1.rfind(header, 0), 0u);
+  v1.replace(0, header.size(), "hlp-artifact v1\n");
+  const std::string sa_line = "sa " + key_.sa + "\n";
+  const std::size_t sa_at = v1.find(sa_line);
+  ASSERT_NE(sa_at, std::string::npos);
+  v1.insert(sa_at + sa_line.size(), "settle auto\n");
+  write_file(path_, v1);
+  try {
+    store_->load_strict(key_);
+    FAIL() << "strict load of a v1 artifact did not throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version 'v1'"),
+              std::string::npos)
+        << e.what();
+  }
+  expect_rejected_then_repaired("version-1");
 }
 
 TEST_F(ArtifactStoreFaults, StrayTempFilesNeverBecomeEntries) {

@@ -117,7 +117,6 @@ TEST(JobIo, ManifestRoundTripIsExact) {
   a.job.sched_spec = {5, 3};
   a.job.sim_engine = SimEngine::kScalar;
   a.job.simd = SimdMode::kX4;
-  a.job.settle = SettleMode::kLevel;
   a.job.sa = SaMode::kExact;
   a.job.label = "label with spaces & %";
   jobs.push_back(a);
@@ -147,7 +146,6 @@ TEST(JobIo, ManifestRoundTripIsExact) {
   EXPECT_EQ(j.sched_spec.latency_slack, 3);
   EXPECT_EQ(j.sim_engine, SimEngine::kScalar);
   EXPECT_EQ(j.simd, SimdMode::kX4);
-  EXPECT_EQ(j.settle, SettleMode::kLevel);
   ASSERT_TRUE(j.sa.has_value());
   EXPECT_EQ(*j.sa, SaMode::kExact);
   EXPECT_EQ(j.label, "label with spaces & %");
@@ -386,39 +384,6 @@ TEST(Distributed, StreamStaticAndThreadedAgreeOnRandomGrid) {
     // Streaming reports the full seed-group size the threaded runner
     // would, not the chunk the worker happened to see.
     EXPECT_EQ(got_stream[i].group_size, want[i].group_size) << "job " << i;
-  }
-}
-
-TEST(Distributed, WorkersInheritSettleModeAndStayBitIdentical) {
-  // Jobs pinned to the levelized engine must carry that mode through the
-  // manifest into the worker processes — and because the two settle
-  // engines are bit-identical, a levelized distributed run must match an
-  // event-driven in-process run on every bit.
-  std::vector<std::uint64_t> seeds;
-  for (std::uint64_t s = 0; s < 9; ++s) seeds.push_back(700 + s);
-  flow::Job base = small_job("pr");
-  base.settle = SettleMode::kLevel;
-  const auto jobs = flow::ExperimentRunner::grid(
-      {"pr", "wang"}, {flow::BinderSpec{"hlpower"}}, seeds, {}, base);
-
-  flow::Job event_base = small_job("pr");
-  event_base.settle = SettleMode::kEvent;
-  const auto event_jobs = flow::ExperimentRunner::grid(
-      {"pr", "wang"}, {flow::BinderSpec{"hlpower"}}, seeds, {}, event_base);
-  flow::ExperimentRunner threaded(2);
-  const auto want = threaded.run(event_jobs);
-
-  flow::DistributedRunner dist(2, 2);
-  const auto got = dist.run(jobs);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_TRUE(got[i].ok) << got[i].error;
-    // The worker echoes the job back through the results file: the settle
-    // mode it actually ran with, not a default.
-    EXPECT_EQ(got[i].job.settle, SettleMode::kLevel) << "job " << i;
-    EXPECT_TRUE(flow::same_outcome(want[i], got[i]))
-        << "job " << i << " diverged between levelized workers and the "
-        << "event-driven threaded runner";
   }
 }
 

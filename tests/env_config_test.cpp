@@ -1,8 +1,8 @@
 // Dedicated coverage for the strict env-var parsers: HLP_JOBS
 // (flow::jobs_from_env), HLP_VECTORS (vectors_from_env), HLP_COALESCE
 // (flow::coalesce_from_env), HLP_SIMD (simd_mode_from_env /
-// resolve_simd_mode), HLP_SETTLE (settle_mode_from_env), HLP_DISPATCH
-// (dispatch_mode_from_env / resolve_dispatch_mode), HLP_SA_MODE
+// resolve_simd_mode), HLP_DISPATCH (dispatch_mode_from_env /
+// resolve_dispatch_mode), HLP_SA_MODE
 // (sa_mode_from_env / effective_sa_mode), HLP_EXACT_BUDGET
 // (exact_budget_from_env) and HLP_STORE (flow::store_dir_from_env plus
 // the runner's artifact-store wiring).
@@ -23,7 +23,6 @@
 #include "power/sa_mode.hpp"
 #include "rtl/flow.hpp"
 #include "store/artifact_store.hpp"
-#include "sim/settle_mode.hpp"
 #include "sim/simd_mode.hpp"
 
 namespace hlp {
@@ -273,63 +272,6 @@ TEST(EnvConfig, SimdEffectiveModePrefersExplicitOverEnv) {
             resolve_simd_mode(SimdMode::kAuto));
 }
 
-TEST(EnvConfig, SettleUnsetAndEmptyFallBack) {
-  ScopedUnsetEnv env("HLP_SETTLE");
-  EXPECT_EQ(settle_mode_from_env(), SettleMode::kAuto);
-  EXPECT_EQ(settle_mode_from_env(SettleMode::kLevel), SettleMode::kLevel);
-  env.set("");
-  EXPECT_EQ(settle_mode_from_env(SettleMode::kEvent), SettleMode::kEvent);
-}
-
-TEST(EnvConfig, SettleParsesEveryKnownMode) {
-  ScopedUnsetEnv env("HLP_SETTLE");
-  for (const SettleMode mode : all_settle_modes()) {
-    env.set(settle_mode_name(mode));
-    EXPECT_EQ(settle_mode_from_env(SettleMode::kEvent), mode)
-        << settle_mode_name(mode);
-  }
-}
-
-TEST(EnvConfig, SettleRejectsGarbage) {
-  ScopedUnsetEnv env("HLP_SETTLE");
-  // Strictly the lowercase canonical names: no case folding, no aliases,
-  // no trailing junk.
-  for (const char* bad : {"LEVEL", "Event", "levelized", "event-driven",
-                          "wavefront", "0", "1", "level ", " event", "both"}) {
-    env.set(bad);
-    EXPECT_THROW(settle_mode_from_env(), Error) << "input '" << bad << "'";
-  }
-}
-
-TEST(EnvConfig, SettleErrorNamesTheVariableAndValue) {
-  ScopedUnsetEnv env("HLP_SETTLE");
-  env.set("banana");
-  try {
-    settle_mode_from_env();
-    FAIL() << "expected throw";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("HLP_SETTLE"), std::string::npos);
-    EXPECT_NE(what.find("banana"), std::string::npos);
-    EXPECT_NE(what.find("level"), std::string::npos);  // lists accepted set
-  }
-}
-
-TEST(EnvConfig, SettleEffectiveModePrefersExplicitOverEnv) {
-  ScopedUnsetEnv env("HLP_SETTLE");
-  // Explicit spec wins even when the env var is set...
-  env.set("level");
-  EXPECT_EQ(effective_settle_mode(SettleMode::kEvent), SettleMode::kEvent);
-  // ...and kAuto defers to the env var.
-  EXPECT_EQ(effective_settle_mode(SettleMode::kAuto), SettleMode::kLevel);
-  env.set("event");
-  EXPECT_EQ(effective_settle_mode(SettleMode::kAuto), SettleMode::kEvent);
-  // With nothing set, kAuto stays kAuto: the engine calibrates at runtime
-  // (both engines are bit-identical, so any pick is sound).
-  ScopedUnsetEnv unset("HLP_SETTLE");
-  EXPECT_EQ(effective_settle_mode(SettleMode::kAuto), SettleMode::kAuto);
-}
-
 TEST(EnvConfig, DispatchUnsetAndEmptyFallBack) {
   ScopedUnsetEnv env("HLP_DISPATCH");
   EXPECT_EQ(flow::dispatch_mode_from_env(), flow::DispatchMode::kAuto);
@@ -433,7 +375,7 @@ TEST(EnvConfig, SaModeParsesEveryKnownMode) {
 TEST(EnvConfig, SaModeRejectsGarbage) {
   ScopedUnsetEnv env("HLP_SA_MODE");
   // Strictly the lowercase canonical names: no case folding, no aliases,
-  // no trailing junk, and — unlike HLP_SIMD/HLP_SETTLE — no "auto": the
+  // no trailing junk, and — unlike HLP_SIMD/HLP_DISPATCH — no "auto": the
   // modes return *different values*, so a deferred pick has no meaning.
   for (const char* bad : {"ESTIMATE", "Sim", "Exact", "simulate", "estimated",
                           "bdd", "mc", "auto", "exact ", " sim", "0", "1"}) {
