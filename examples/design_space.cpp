@@ -120,16 +120,13 @@ int main(int argc, char** argv) {
             << " hits / " << best_ctx.stage_cache().misses() << " misses\n";
 
   // Third phase: the same Monte-Carlo grid sharded across HLP_WORKERS
-  // (default 2) hlp_worker processes, dispatched per HLP_DISPATCH
-  // (auto = work-stealing stream when the run distributes). Every
-  // algorithm is deterministic, so the sharded results must agree bit
-  // for bit with the in-process sweep above — verified here, timed for
+  // (default 2) hlp_worker processes that pull work units as they finish.
+  // Every algorithm is deterministic, so the sharded results must agree
+  // bit for bit with the in-process sweep above — verified here, timed for
   // the workers-vs-threads view.
   try {
     const int workers_n = flow::workers_from_env(2);
     flow::DistributedRunner dist(workers_n, 1);
-    const flow::DispatchMode mode =
-        flow::resolve_dispatch_mode(dist.dispatch(), workers_n);
     const auto t0 = std::chrono::steady_clock::now();
     const auto sharded = dist.run(mc_jobs);
     const double secs =
@@ -138,8 +135,7 @@ int main(int argc, char** argv) {
     bool identical = sharded.size() == mc.size();
     for (std::size_t i = 0; identical && i < sharded.size(); ++i)
       identical = flow::same_outcome(mc[i], sharded[i]);
-    std::cout << "Distributed re-run: " << workers_n << " worker processes ("
-              << flow::dispatch_mode_name(mode) << " dispatch), "
+    std::cout << "Distributed re-run: " << workers_n << " worker processes, "
               << sharded.size() << " jobs in " << secs * 1e3 << " ms — "
               << (identical ? "bit-identical to the in-process sweep"
                             : "MISMATCH vs the in-process sweep")

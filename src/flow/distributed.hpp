@@ -2,53 +2,42 @@
 // *processes* (fork/exec of the hlp_worker binary), the scaling layer
 // above the in-process thread pool and the SIMD-saturated engine.
 //
-// Two dispatch strategies (HLP_DISPATCH / set_dispatch, bit-identical —
-// the knob only changes scheduling and wall-clock):
+// Work-stealing dispatch: the parent decomposes the grid into work units
+// (plan_units — whole seed-coalescing chunks, so coalescing and lane-aware
+// SIMD sizing are preserved), fork/execs long-lived hlp_worker processes,
+// and hands out one unit at a time over stdin/stdout (framed records,
+// src/flow/job_io.hpp). A worker that finishes pulls the next unit, so
+// fast workers naturally steal the tail and stragglers stop gating the
+// grid. Timeouts are per-unit: a slow or dead worker costs one unit, which
+// is requeued (bounded retries) onto a replacement before its jobs report
+// an error. Workers keep their FlowContexts, StageCaches and SA tables
+// warm across units and flush their SA shard once at exit.
 //
-//  static  The parent splits the grid into contiguous slices, writes each
-//          slice as a manifest file (src/flow/job_io.hpp), and fork/execs
-//          one batch-mode hlp_worker per slice. The run waits on the
-//          slowest slice.
-//  stream  Work-stealing: the parent decomposes the grid into work units
-//          (plan_units — whole seed-coalescing chunks, so coalescing and
-//          lane-aware SIMD sizing are preserved), fork/execs long-lived
-//          `hlp_worker --serve` processes, and hands out one unit at a
-//          time over stdin/stdout (framed protocol-v2 records). A worker
-//          that finishes pulls the next unit, so fast workers naturally
-//          steal the tail and stragglers stop gating the grid. Timeouts
-//          are per-unit: a slow or dead worker costs one unit, which is
-//          requeued (bounded retries) onto a replacement before its jobs
-//          report an error. Workers keep their FlowContexts, StageCaches
-//          and SA tables warm across units and flush their SA shard once
-//          at exit.
-//
-// Either way the parent
+// The parent
 //  - places results back by grid index, so the returned vector is in job
-//    order regardless of sharding or completion order (deterministic
+//    order regardless of which worker ran which unit (deterministic
 //    merge), and
 //  - merges every cleanly-exited worker's SA shard into its own tables
 //    with SaCache::merge_from (conflict = assert-equal; entries are
 //    deterministic), persisting the union when a warm-start path is set.
 //
 // Every library algorithm is deterministic, so a distributed run is
-// bit-identical to a threaded in-process run of the same grid under both
-// dispatch modes (tests/distributed_test.cpp; job_io.hpp's same_outcome
-// is the equality). Worker failures never throw out of run(): a nonzero
-// exit, a death by signal, a timeout or truncated/unparseable output is
-// reported through JobResult::error — on every job of the worker's slice
-// (static) or of the exhausted unit (stream), with the tail of the
-// worker's captured log — mirroring the per-job failure capture of the
-// in-process runner.
+// bit-identical to a threaded in-process run of the same grid
+// (tests/distributed_test.cpp; job_io.hpp's same_outcome is the equality).
+// Worker failures never throw out of run(): a nonzero exit, a death by
+// signal, a timeout or a truncated/unparseable frame is reported through
+// JobResult::error on every job of the exhausted unit, with the tail of
+// the worker's captured log — mirroring the per-job failure capture of
+// the in-process runner.
 //
-// The same manifest/results files — and the serve loop over any byte
-// stream — work over ssh/scp: multi-machine sharding is a transport
-// change, not a format change (docs/distributed.md).
+// The worker's serve loop runs over any byte stream, so multi-machine
+// sharding (e.g. over ssh) is a transport change, not a format change
+// (docs/distributed.md).
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "flow/dispatch_mode.hpp"
 #include "flow/experiment.hpp"
 
 namespace hlp::flow {
@@ -90,28 +79,19 @@ class DistributedRunner {
   void set_worker_binary(std::string path) { worker_binary_ = std::move(path); }
   const std::string& worker_binary() const { return worker_binary_; }
 
-  /// Dispatch strategy. kAuto (the default) defers to HLP_DISPATCH and
-  /// then picks stream for any run that actually distributes (>= 2
-  /// workers); kStatic pins the contiguous-slice oracle, kStream the
-  /// work-stealing queue. Resolved at run() via resolve_dispatch_mode.
-  void set_dispatch(DispatchMode mode) { dispatch_ = mode; }
-  DispatchMode dispatch() const { return dispatch_; }
-
-  /// Kill workers still running after this many seconds and report the
-  /// timeout on their jobs. 0 (default) = no timeout. In static dispatch
-  /// the deadline covers a worker's whole slice; in streaming dispatch it
-  /// is per *unit* — a unit past the deadline gets its worker killed and
-  /// is requeued (kMaxUnitAttempts total tries) before erroring out.
+  /// Per-unit deadline in seconds. 0 (default) = no timeout. A unit past
+  /// the deadline gets its worker killed and is requeued
+  /// (kMaxUnitAttempts total tries) before its jobs report the timeout.
   void set_timeout(double seconds) { timeout_s_ = seconds; }
   double timeout() const { return timeout_s_; }
 
-  /// Times a unit may be handed out in streaming dispatch before its jobs
-  /// report a per-job error (first try + one retry).
+  /// Times a unit may be handed out before its jobs report a per-job error
+  /// (first try + one retry).
   static constexpr int kMaxUnitAttempts = 2;
 
-  /// Directory for manifests/results/logs. Default: a fresh mkdtemp under
-  /// the system temp dir, removed after run() (set_keep_files keeps it
-  /// for debugging). A caller-provided directory is never removed.
+  /// Directory for worker logs and SA shards. Default: a fresh mkdtemp
+  /// under the system temp dir, removed after run() (set_keep_files keeps
+  /// it for debugging). A caller-provided directory is never removed.
   void set_work_dir(std::string dir) { work_dir_ = std::move(dir); }
   void set_keep_files(bool keep) { keep_files_ = keep; }
 
@@ -138,11 +118,11 @@ class DistributedRunner {
   ExperimentRunner& local() { return local_; }
 
  private:
-  struct RunSetup;  // resolved binary + work dir shared by both dispatchers
-  std::vector<JobResult> run_static(const std::vector<Job>& jobs,
-                                    const RunSetup& setup);
+  /// The work-stealing loop behind run(): `worker_bin` is the resolved,
+  /// executable worker binary and `dir` the run's work directory.
   std::vector<JobResult> run_stream(const std::vector<Job>& jobs,
-                                    const RunSetup& setup);
+                                    const std::string& worker_bin,
+                                    const std::string& dir);
 
   int workers_;
   int threads_per_worker_;
@@ -150,7 +130,6 @@ class DistributedRunner {
   std::string work_dir_;
   double timeout_s_ = 0.0;
   bool keep_files_ = false;
-  DispatchMode dispatch_ = DispatchMode::kAuto;
   ExperimentRunner local_;
 };
 

@@ -115,11 +115,11 @@ struct WorkUnit {
 };
 
 /// The unit decomposition ExperimentRunner::run executes — and the quantum
-/// the DistributedRunner's streaming dispatch hands to workers: jobs are
-/// grouped by everything except the stimulus seed, and each group is
-/// chunked to its resolved word width. Keeping whole chunks intact across
-/// any executor preserves seed coalescing and lane-aware SIMD sizing, so
-/// every dispatch strategy runs bit-identical pipeline invocations.
+/// the DistributedRunner hands to its workers: jobs are grouped by
+/// everything except the stimulus seed, and each group is chunked to its
+/// resolved word width. Keeping whole chunks intact across any executor
+/// preserves seed coalescing and lane-aware SIMD sizing, so threads and
+/// worker processes run bit-identical pipeline invocations.
 /// `coalesce` off (or a single job) degrades to one singleton unit per job.
 std::vector<WorkUnit> plan_units(const std::vector<Job>& jobs, bool coalesce);
 

@@ -285,9 +285,10 @@ void save_manifest(std::ostream& os, const std::vector<ManifestJob>& jobs) {
 std::vector<ManifestJob> load_manifest(std::istream& is) {
   const std::string what = "manifest";
   LineReader r(is, what);
+  // No reserve(n): the count is untrusted input, and an oversized one must
+  // fail as a truncated frame, not as an allocation failure.
   const std::size_t n = read_header(r, kManifestMagic, what);
   std::vector<ManifestJob> out;
-  out.reserve(n);
   for (std::size_t k = 0; k < n; ++k) {
     const auto toks = tokens_of(r.next_line());
     HLP_REQUIRE(!toks.empty() && toks[0] == "job",
@@ -319,15 +320,6 @@ std::vector<ManifestJob> load_manifest(std::istream& is) {
   }
   check_footer(tokens_of(r.next_line()), kManifestMagic, n, what);
   return out;
-}
-
-void save_manifest_file(const std::string& path,
-                        const std::vector<ManifestJob>& jobs) {
-  std::ofstream f(path);
-  HLP_REQUIRE(f.good(), "cannot open '" << path << "' for writing");
-  save_manifest(f, jobs);
-  f.flush();
-  HLP_REQUIRE(f.good(), "write to '" << path << "' failed");
 }
 
 std::vector<ManifestJob> load_manifest_file(const std::string& path) {
@@ -398,8 +390,7 @@ std::vector<ManifestResult> load_results(std::istream& is) {
   const std::string what = "results file";
   LineReader r(is, what);
   const std::size_t n = read_header(r, kResultsMagic, what);
-  std::vector<ManifestResult> out;
-  out.reserve(n);
+  std::vector<ManifestResult> out;  // no reserve(n): see load_manifest
   for (std::size_t k = 0; k < n; ++k) {
     auto toks = tokens_of(r.next_line());
     HLP_REQUIRE(!toks.empty() && toks[0] == "result",
@@ -523,8 +514,7 @@ void save_results_file(const std::string& path,
     HLP_REQUIRE(f.good(), "write to '" << tmp << "' failed");
   }
   // Atomic publish: a results file either exists complete or not at all,
-  // so a parent never reads a half-written file from a live worker (a
-  // *killed* worker leaves no results file, which the parent reports).
+  // so a reader never sees a half-written file.
   HLP_REQUIRE(std::rename(tmp.c_str(), path.c_str()) == 0,
               "cannot move '" << tmp << "' to '" << path << "'");
 }
@@ -535,7 +525,7 @@ std::vector<ManifestResult> load_results_file(const std::string& path) {
   return load_results(f);
 }
 
-// ---- streaming protocol v2 ----------------------------------------------
+// ---- unit frames ---------------------------------------------------------
 
 namespace {
 

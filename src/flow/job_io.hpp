@@ -1,11 +1,13 @@
 // Text serialization of the ExperimentRunner job model — the wire format
 // of the distributed runner (docs/distributed.md).
 //
-// A DistributedRunner parent writes each worker's job slice as a
-// *manifest* file; the hlp_worker process loads it, runs the jobs through
-// the ordinary in-process ExperimentRunner, and writes a *results* file
-// back. Both are line-oriented text so a manifest can be shipped to
-// another machine (ssh/scp) and a results file diffed by eye.
+// Jobs travel as a *manifest* and outcomes come back as *results*: a
+// DistributedRunner parent sends each work unit to an hlp_worker process
+// as a manifest wrapped in a request frame, and the worker answers with
+// the unit's results wrapped in a response frame. Both are line-oriented
+// text, so the frames can cross any byte stream (a pipe, ssh) and be
+// diffed by eye. `hlp_store gc --keep-manifest` reads a manifest file, and
+// the repository benchmark keeps its expected outcomes as results files.
 //
 // Properties the distributed protocol depends on:
 //  - Round trips are exact. Doubles are serialised in hexfloat (parsed
@@ -13,12 +15,14 @@
 //    distributed==threaded property test compares results to the last
 //    bit. Strings (benchmark names, labels, error messages) are
 //    percent-escaped and may contain any byte.
-//  - Truncation is detectable. Both files end in an `end <magic> <count>`
-//    footer; a file cut short by a crashed or killed worker fails to load
-//    with a clear error instead of silently dropping records.
+//  - Truncation is detectable. Both formats end in an `end <magic>
+//    <count>` footer; a frame cut short by a crashed or killed worker
+//    fails to load with a clear error instead of silently dropping
+//    records. The declared count is untrusted: an oversized one fails the
+//    same way.
 //  - Records carry the job's index in the parent's grid, so the parent
 //    merges worker outputs deterministically (stable job order) no matter
-//    how the grid was sharded or which worker finished first.
+//    which worker ran which unit or which finished first.
 //
 // One outcome field is intentionally NOT carried: the mapped LUT netlist
 // structure (FlowResult::mapped.lut_netlist), which is a large
@@ -57,14 +61,12 @@ std::string decode_token(const std::string& s);
 /// Manifest: "manifest v1" header, one `job` line per entry, `end` footer.
 void save_manifest(std::ostream& os, const std::vector<ManifestJob>& jobs);
 std::vector<ManifestJob> load_manifest(std::istream& is);
-void save_manifest_file(const std::string& path,
-                        const std::vector<ManifestJob>& jobs);
 std::vector<ManifestJob> load_manifest_file(const std::string& path);
 
 /// Results: "results v1" header, one multi-line `result..endresult` record
 /// per entry, `end` footer. Load is strict: a missing footer, an
 /// unterminated record or a malformed line throws hlp::Error naming the
-/// defect (this is how a parent detects a worker that died mid-write).
+/// defect (this is how a parent detects a worker that died mid-frame).
 void save_results(std::ostream& os, const std::vector<ManifestResult>& results);
 std::vector<ManifestResult> load_results(std::istream& is);
 /// File variant writes `path` atomically (write "<path>.tmp", rename), so
@@ -73,10 +75,10 @@ void save_results_file(const std::string& path,
                        const std::vector<ManifestResult>& results);
 std::vector<ManifestResult> load_results_file(const std::string& path);
 
-/// ---- streaming protocol v2 (HLP_DISPATCH=stream) ------------------------
+/// ---- unit frames ---------------------------------------------------------
 ///
-/// In streaming dispatch the parent and a long-lived `hlp_worker --serve`
-/// process exchange framed per-unit records over stdin/stdout. A request
+/// The DistributedRunner parent and a long-lived hlp_worker process
+/// exchange framed per-unit records over stdin/stdout. A request
 /// frame wraps one work unit (a whole seed-coalescing chunk) in the v1
 /// manifest format; a response frame wraps the unit's results in the v1
 /// results format. Both reuse the hexfloat / percent-escape / footer

@@ -1,13 +1,11 @@
 // Tests for the distributed runner stack (src/flow/job_io, distributed,
-// tools/hlp_worker): wire-format round trips (v1 files and v2 streaming
-// frames) are exact and truncation-detecting, a multi-process run is
-// bit-identical to the in-process threaded runner on a randomized job
-// grid under BOTH dispatch modes, worker failures (nonzero exit, death
-// by signal, invalid frames, truncated output, per-unit timeout)
-// propagate into per-job errors — with bounded requeue first in
-// streaming dispatch — and SA-table shards merge into a shared
-// warm-start file, staying warm across units inside one serve-mode
-// worker.
+// tools/hlp_worker): wire-format round trips (manifest/results records
+// and the unit frames that wrap them) are exact and truncation-detecting,
+// a multi-process run is bit-identical to the in-process threaded runner
+// on a randomized job grid, worker failures (nonzero exit, death by
+// signal, invalid frames, per-unit timeout) propagate into per-job errors
+// after a bounded requeue, and SA-table shards merge into a shared
+// warm-start file, staying warm across units inside one worker.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -18,8 +16,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -50,7 +50,7 @@ flow::Job small_job(const std::string& benchmark) {
 
 // The randomized acceptance grid: benchmarks x binders (all four
 // registered families, refinement included) x a non-multiple-of-64 seed
-// count, shuffled so worker slices cut across coalescing groups.
+// count, shuffled so work units interleave across the grid.
 std::vector<flow::Job> property_grid() {
   flow::BinderSpec hlp_half{"hlpower"};
   flow::BinderSpec lopass{"lopass"};
@@ -251,6 +251,19 @@ TEST(JobIo, TruncatedAndCorruptResultsRejected) {
 
   std::istringstream not_results("hlp-manifest v1\ncount 0\n");
   EXPECT_THROW(flow::load_results(not_results), Error);
+
+  // The declared count is untrusted: an oversized one is a truncated
+  // input, never an attempt to allocate for it.
+  std::string oversized = full;
+  oversized.replace(oversized.find("count 1\n"), 8,
+                    "count 4611686018427387904\n");
+  std::istringstream huge(oversized);
+  EXPECT_THROW(flow::load_results(huge), Error);
+  std::istringstream huge_empty("hlp-results v1\ncount 4611686018427387904\n");
+  EXPECT_THROW(flow::load_results(huge_empty), Error);
+  std::istringstream huge_response(
+      "unitdone 3\nhlp-results v1\ncount 4611686018427387904\n");
+  EXPECT_THROW(flow::load_unit_response(huge_response), Error);
 }
 
 TEST(JobIo, UnitRequestFrameRoundTripQuitAndTruncation) {
@@ -295,6 +308,17 @@ TEST(JobIo, UnitRequestFrameRoundTripQuitAndTruncation) {
   wrong.replace(wrong.rfind("endunit 9"), 9, "endunit 8");
   std::istringstream wrong_in(wrong);
   EXPECT_THROW(flow::load_unit_request(wrong_in), Error);
+
+  // An oversized declared count fails as a truncated frame, for the
+  // request and for a bare manifest alike.
+  std::string oversized = full;
+  oversized.replace(oversized.find("count 1\n"), 8,
+                    "count 4611686018427387904\n");
+  std::istringstream huge(oversized);
+  EXPECT_THROW(flow::load_unit_request(huge), Error);
+  std::istringstream huge_manifest(
+      "hlp-manifest v1\ncount 4611686018427387904\n");
+  EXPECT_THROW(flow::load_manifest(huge_manifest), Error);
 }
 
 TEST(JobIo, UnitResponseFrameRoundTripAndTruncation) {
@@ -333,8 +357,8 @@ TEST(Distributed, BitIdenticalToThreadedRunnerOnRandomGrid) {
   const auto want = threaded.run(jobs);
 
   // HLP_WORKERS can raise the worker count (the CI distributed leg pins
-  // it to 2); the slices then cut the shuffled grid at different points,
-  // which must not change a single bit of any result.
+  // it to 2); which worker pulls which unit must not change a single bit
+  // of any result.
   flow::DistributedRunner dist(flow::workers_from_env(2), 2);
   const auto got = dist.run(jobs);
 
@@ -346,74 +370,49 @@ TEST(Distributed, BitIdenticalToThreadedRunnerOnRandomGrid) {
         << jobs[i].binder.name << " seed " << jobs[i].seed
         << ") diverged; distributed error: '" << got[i].error << "'";
     EXPECT_EQ(got[i].job.seed, jobs[i].seed);
+    // Workers report the full seed-group size the threaded runner would,
+    // not the chunk a worker happened to see.
+    EXPECT_EQ(got[i].group_size, want[i].group_size) << "job " << i;
     failed_jobs += got[i].ok ? 0 : 1;
   }
   // Exactly the bad-benchmark job fails, identically on both sides.
   EXPECT_EQ(failed_jobs, 1u);
 }
 
-TEST(Distributed, StreamStaticAndThreadedAgreeOnRandomGrid) {
-  // The dispatch knob only changes scheduling: on the same randomized
-  // 100+ job grid, work-stealing streaming, contiguous static slices and
-  // the in-process threaded runner must agree on every bit of every
-  // result, no matter which worker pulled which unit.
-  const std::vector<flow::Job> jobs = property_grid();
-
-  flow::ExperimentRunner threaded(3);
-  const auto want = threaded.run(jobs);
-
-  flow::DistributedRunner stat(2, 2);
-  stat.set_dispatch(flow::DispatchMode::kStatic);
-  const auto got_static = stat.run(jobs);
-
-  flow::DistributedRunner stream(2, 2);
-  stream.set_dispatch(flow::DispatchMode::kStream);
-  const auto got_stream = stream.run(jobs);
-
-  ASSERT_EQ(got_static.size(), want.size());
-  ASSERT_EQ(got_stream.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_TRUE(flow::same_outcome(want[i], got_static[i]))
-        << "job " << i << " diverged threaded vs static; static error: '"
-        << got_static[i].error << "'";
-    EXPECT_TRUE(flow::same_outcome(want[i], got_stream[i]))
-        << "job " << i << " (" << jobs[i].benchmark << "/"
-        << jobs[i].binder.name << " seed " << jobs[i].seed
-        << ") diverged threaded vs stream; stream error: '"
-        << got_stream[i].error << "'";
-    // Streaming reports the full seed-group size the threaded runner
-    // would, not the chunk the worker happened to see.
-    EXPECT_EQ(got_stream[i].group_size, want[i].group_size) << "job " << i;
-  }
-}
-
 TEST(Distributed, WorkersInheritSaModeAndStayBitIdentical) {
-  // Jobs pinned to the exact SA backend ride the manifest's `sa=` field
-  // into the workers. The backend changes binding VALUES, so the only
-  // valid reference is an in-process run of the SAME mode — which must
-  // match on every bit (the exact engine is deterministic), proving the
-  // workers ran the parent's backend and not their environment's default.
+  // Jobs pinned to the simulated SA backend — the default in no
+  // environment, the exact-mode CI leg included — ride the manifest's
+  // `sa=` field into the workers. The backend changes binding VALUES, so
+  // the only valid reference is an in-process run of the SAME mode, which
+  // must match on every bit, proving the workers ran the parent's backend
+  // and not their environment's default.
   std::vector<std::uint64_t> seeds;
   for (std::uint64_t s = 0; s < 5; ++s) seeds.push_back(900 + s);
   flow::Job base = small_job("pr");
-  base.sa = SaMode::kExact;
+  base.sa = SaMode::kSimulated;
   const auto jobs = flow::ExperimentRunner::grid(
       {"pr"}, {flow::BinderSpec{"hlpower"}}, seeds, {}, base);
 
   flow::ExperimentRunner threaded(2);
   const auto want = threaded.run(jobs);
+  // The pin is observable on this grid: the estimate backend (the
+  // ordinary default) yields a different outcome for every job.
+  std::vector<flow::Job> estimated = jobs;
+  for (flow::Job& j : estimated) j.sa = SaMode::kEstimated;
+  const auto other = threaded.run(estimated);
   flow::DistributedRunner dist(2, 2);
   const auto got = dist.run(jobs);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_TRUE(got[i].ok) << got[i].error;
+    EXPECT_FALSE(flow::same_outcome(want[i], other[i])) << "job " << i;
     // The worker echoes the job back: the mode it actually ran with.
     ASSERT_TRUE(got[i].job.sa.has_value()) << "job " << i;
-    EXPECT_EQ(*got[i].job.sa, SaMode::kExact) << "job " << i;
+    EXPECT_EQ(*got[i].job.sa, SaMode::kSimulated) << "job " << i;
     EXPECT_TRUE(flow::same_outcome(want[i], got[i]))
         << "job " << i
-        << " diverged between exact-mode workers and the exact-mode "
-        << "threaded runner";
+        << " diverged between sim-mode workers and the sim-mode threaded "
+        << "runner";
   }
 }
 
@@ -441,84 +440,15 @@ TEST(Distributed, SingleJobGridDoesNotSpawn) {
 
 // ---- worker failure propagation ------------------------------------------
 
-std::vector<flow::JobResult> run_with_fake_worker(
-    const std::string& script, double timeout = 0.0,
-    flow::DispatchMode dispatch = flow::DispatchMode::kAuto) {
+std::vector<flow::JobResult> run_with_fake_worker(const std::string& script,
+                                                 double timeout = 0.0) {
   flow::DistributedRunner dist(2, 1);
-  dist.set_dispatch(dispatch);
   dist.set_worker_binary(script);
   if (timeout > 0.0) dist.set_timeout(timeout);
   return dist.run({small_job("pr"), small_job("wang"), small_job("pr")});
 }
 
-TEST(Distributed, NonzeroExitPropagatesToEveryJobOfTheSlice) {
-  const std::string script = write_fake_worker(
-      "worker_exit3.sh", "echo doom from the worker >&2\nexit 3");
-  const auto got = run_with_fake_worker(script);
-  ASSERT_EQ(got.size(), 3u);
-  for (const auto& r : got) {
-    EXPECT_FALSE(r.ok);
-    EXPECT_NE(r.error.find("exited with status 3"), std::string::npos)
-        << r.error;
-    // The worker's captured stderr rides along for debuggability.
-    EXPECT_NE(r.error.find("doom from the worker"), std::string::npos)
-        << r.error;
-  }
-}
-
-TEST(Distributed, KilledWorkerPropagatesSignal) {
-  const std::string script =
-      write_fake_worker("worker_kill9.sh", "kill -9 $$");
-  const auto got = run_with_fake_worker(script);
-  ASSERT_EQ(got.size(), 3u);
-  for (const auto& r : got) {
-    EXPECT_FALSE(r.ok);
-    EXPECT_NE(r.error.find("killed by signal 9"), std::string::npos)
-        << r.error;
-  }
-}
-
-TEST(Distributed, TruncatedResultsFilePropagates) {
-  // A worker that exits 0 but leaves a results file with no records and
-  // no footer — e.g. one that died in a way the OS reported as success.
-  // This is a batch-protocol (v1 results file) defect, so the test pins
-  // static dispatch; the streaming analogue is the truncated-frame and
-  // invalid-response coverage below.
-  const std::string script = write_fake_worker(
-      "worker_truncate.sh",
-      "out=\"\"\n"
-      "while [ $# -gt 0 ]; do\n"
-      "  if [ \"$1\" = \"--results\" ]; then out=\"$2\"; fi\n"
-      "  shift\n"
-      "done\n"
-      "printf 'hlp-results v1\\ncount 2\\n' > \"$out\"\n"
-      "exit 0");
-  const auto got =
-      run_with_fake_worker(script, 0.0, flow::DispatchMode::kStatic);
-  ASSERT_EQ(got.size(), 3u);
-  for (const auto& r : got) {
-    EXPECT_FALSE(r.ok);
-    EXPECT_NE(r.error.find("unreadable results"), std::string::npos)
-        << r.error;
-  }
-}
-
-TEST(Distributed, HungWorkerTimesOutAndIsKilled) {
-  const std::string script = write_fake_worker("worker_hang.sh", "sleep 30");
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto got = run_with_fake_worker(script, 0.3);
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  ASSERT_EQ(got.size(), 3u);
-  for (const auto& r : got) {
-    EXPECT_FALSE(r.ok);
-    EXPECT_NE(r.error.find("timed out"), std::string::npos) << r.error;
-  }
-  EXPECT_LT(elapsed, 10.0) << "workers were not killed at the deadline";
-}
-
-// ---- streaming-dispatch fault handling -----------------------------------
+// ---- worker fault handling -----------------------------------------------
 
 TEST(Distributed, StreamCrashRequeuesThenNamesUnitAndAttempts) {
   // Every spawn dies mid-stream: each unit is retried on a replacement
@@ -526,8 +456,7 @@ TEST(Distributed, StreamCrashRequeuesThenNamesUnitAndAttempts) {
   // count and the worker's captured stderr.
   const std::string script = write_fake_worker(
       "stream_exit3.sh", "echo doom from the worker >&2\nexit 3");
-  const auto got =
-      run_with_fake_worker(script, 0.0, flow::DispatchMode::kStream);
+  const auto got = run_with_fake_worker(script);
   ASSERT_EQ(got.size(), 3u);
   for (const auto& r : got) {
     EXPECT_FALSE(r.ok);
@@ -544,8 +473,7 @@ TEST(Distributed, StreamCrashRequeuesThenNamesUnitAndAttempts) {
 TEST(Distributed, StreamKill9RequeuesThenPropagatesSignal) {
   const std::string script =
       write_fake_worker("stream_kill9.sh", "kill -9 $$");
-  const auto got =
-      run_with_fake_worker(script, 0.0, flow::DispatchMode::kStream);
+  const auto got = run_with_fake_worker(script);
   ASSERT_EQ(got.size(), 3u);
   for (const auto& r : got) {
     EXPECT_FALSE(r.ok);
@@ -564,8 +492,7 @@ TEST(Distributed, StreamInvalidResponseFrameKillsAndRetries) {
       "printf 'unitdone 0\\nendunit 0\\n'\n"
       "sleep 30");
   const auto t0 = std::chrono::steady_clock::now();
-  const auto got =
-      run_with_fake_worker(script, 0.0, flow::DispatchMode::kStream);
+  const auto got = run_with_fake_worker(script);
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -584,8 +511,7 @@ TEST(Distributed, StreamHungUnitTimesOutPerUnit) {
   const std::string script =
       write_fake_worker("stream_hang.sh", "sleep 30");
   const auto t0 = std::chrono::steady_clock::now();
-  const auto got =
-      run_with_fake_worker(script, 0.3, flow::DispatchMode::kStream);
+  const auto got = run_with_fake_worker(script, 0.3);
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -627,7 +553,6 @@ TEST(Distributed, StreamRequeueRecoversOnHealthyReplacement) {
   const auto want = threaded.run(jobs);
 
   flow::DistributedRunner dist(2, 1);
-  dist.set_dispatch(flow::DispatchMode::kStream);
   dist.set_worker_binary(script);
   const auto got = dist.run(jobs);
   ASSERT_EQ(got.size(), want.size());
@@ -663,7 +588,7 @@ TEST(Distributed, ServeLoopStaysWarmAcrossUnitsAndFlushesSaOnce) {
     ::close(to_child[1]);
     ::close(from_child[0]);
     ::close(from_child[1]);
-    ::execl(bin.c_str(), bin.c_str(), "--serve", "--sa-out", prefix.c_str(),
+    ::execl(bin.c_str(), bin.c_str(), "--sa-out", prefix.c_str(),
             "--coalesce", "1", static_cast<char*>(nullptr));
     _exit(127);
   }
@@ -744,6 +669,28 @@ TEST(Distributed, ServeLoopStaysWarmAcrossUnitsAndFlushesSaOnce) {
   SaCache reloaded(kWidth, MapParams{}, sa_mode);
   reloaded.load_file(shard);
   EXPECT_GT(reloaded.size(), 0u);
+}
+
+TEST(Distributed, WorkerRejectsUnknownFlagsWithUsage) {
+  // Bad usage exits 2 with the usage text before any unit is read; stdin
+  // is /dev/null, so a worker that started serving would exit 0 instead.
+  const std::string bin = real_worker_binary();
+  ASSERT_EQ(::access(bin.c_str(), X_OK), 0)
+      << "hlp_worker not built next to the test binary";
+  const std::string log = ::testing::TempDir() + "/worker_usage.log";
+  for (const char* args :
+       {"--results r", "--sa-out p --bogus 1", "--jobs 0",
+        "--coalesce"}) {
+    const int rc = std::system(("'" + bin + "' " + args +
+                                " </dev/null >/dev/null 2>'" + log + "'")
+                                   .c_str());
+    ASSERT_TRUE(WIFEXITED(rc)) << args;
+    EXPECT_EQ(WEXITSTATUS(rc), 2) << args;
+    std::ifstream f(log);
+    const std::string err((std::istreambuf_iterator<char>(f)),
+                          std::istreambuf_iterator<char>());
+    EXPECT_NE(err.find("usage: hlp_worker"), std::string::npos) << err;
+  }
 }
 
 // ---- SA-table shard merging through the distributed path -----------------

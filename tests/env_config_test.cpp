@@ -1,8 +1,7 @@
 // Dedicated coverage for the strict env-var parsers: HLP_JOBS
 // (flow::jobs_from_env), HLP_VECTORS (vectors_from_env), HLP_COALESCE
 // (flow::coalesce_from_env), HLP_SIMD (simd_mode_from_env /
-// resolve_simd_mode), HLP_DISPATCH (dispatch_mode_from_env /
-// resolve_dispatch_mode), HLP_SA_MODE
+// resolve_simd_mode), HLP_SA_MODE
 // (sa_mode_from_env / effective_sa_mode), HLP_EXACT_BUDGET
 // (exact_budget_from_env) and HLP_STORE (flow::store_dir_from_env plus
 // the runner's artifact-store wiring).
@@ -18,7 +17,6 @@
 #include <string>
 
 #include "common/error.hpp"
-#include "flow/dispatch_mode.hpp"
 #include "flow/experiment.hpp"
 #include "power/sa_mode.hpp"
 #include "rtl/flow.hpp"
@@ -272,89 +270,6 @@ TEST(EnvConfig, SimdEffectiveModePrefersExplicitOverEnv) {
             resolve_simd_mode(SimdMode::kAuto));
 }
 
-TEST(EnvConfig, DispatchUnsetAndEmptyFallBack) {
-  ScopedUnsetEnv env("HLP_DISPATCH");
-  EXPECT_EQ(flow::dispatch_mode_from_env(), flow::DispatchMode::kAuto);
-  EXPECT_EQ(flow::dispatch_mode_from_env(flow::DispatchMode::kStream),
-            flow::DispatchMode::kStream);
-  env.set("");
-  EXPECT_EQ(flow::dispatch_mode_from_env(flow::DispatchMode::kStatic),
-            flow::DispatchMode::kStatic);
-}
-
-TEST(EnvConfig, DispatchParsesEveryKnownMode) {
-  ScopedUnsetEnv env("HLP_DISPATCH");
-  for (const flow::DispatchMode mode : flow::all_dispatch_modes()) {
-    env.set(flow::dispatch_mode_name(mode));
-    EXPECT_EQ(flow::dispatch_mode_from_env(flow::DispatchMode::kStatic), mode)
-        << flow::dispatch_mode_name(mode);
-  }
-}
-
-TEST(EnvConfig, DispatchRejectsGarbage) {
-  ScopedUnsetEnv env("HLP_DISPATCH");
-  // Strictly the lowercase canonical names: no case folding, no aliases,
-  // no trailing junk.
-  for (const char* bad : {"STATIC", "Stream", "steal", "work-stealing",
-                          "dynamic", "0", "1", "stream ", " static", "both"}) {
-    env.set(bad);
-    EXPECT_THROW(flow::dispatch_mode_from_env(), Error)
-        << "input '" << bad << "'";
-  }
-}
-
-TEST(EnvConfig, DispatchErrorNamesTheVariableAndValue) {
-  ScopedUnsetEnv env("HLP_DISPATCH");
-  env.set("banana");
-  try {
-    flow::dispatch_mode_from_env();
-    FAIL() << "expected throw";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("HLP_DISPATCH"), std::string::npos);
-    EXPECT_NE(what.find("banana"), std::string::npos);
-    EXPECT_NE(what.find("stream"), std::string::npos);  // lists accepted set
-  }
-}
-
-TEST(EnvConfig, DispatchEffectiveModePrefersExplicitOverEnv) {
-  ScopedUnsetEnv env("HLP_DISPATCH");
-  // Explicit spec wins even when the env var is set...
-  env.set("stream");
-  EXPECT_EQ(flow::effective_dispatch_mode(flow::DispatchMode::kStatic),
-            flow::DispatchMode::kStatic);
-  // ...and kAuto defers to the env var.
-  EXPECT_EQ(flow::effective_dispatch_mode(flow::DispatchMode::kAuto),
-            flow::DispatchMode::kStream);
-  env.set("static");
-  EXPECT_EQ(flow::effective_dispatch_mode(flow::DispatchMode::kAuto),
-            flow::DispatchMode::kStatic);
-  // With nothing set, kAuto stays kAuto until a worker count resolves it.
-  ScopedUnsetEnv unset("HLP_DISPATCH");
-  EXPECT_EQ(flow::effective_dispatch_mode(flow::DispatchMode::kAuto),
-            flow::DispatchMode::kAuto);
-}
-
-TEST(EnvConfig, DispatchAutoResolvesByWorkerCount) {
-  ScopedUnsetEnv env("HLP_DISPATCH");
-  // Unresolved auto picks stream whenever the run actually distributes.
-  EXPECT_EQ(flow::resolve_dispatch_mode(flow::DispatchMode::kAuto, 1),
-            flow::DispatchMode::kStatic);
-  EXPECT_EQ(flow::resolve_dispatch_mode(flow::DispatchMode::kAuto, 2),
-            flow::DispatchMode::kStream);
-  EXPECT_EQ(flow::resolve_dispatch_mode(flow::DispatchMode::kAuto, 8),
-            flow::DispatchMode::kStream);
-  // An explicit mode (argument or env) pins the choice at any count.
-  EXPECT_EQ(flow::resolve_dispatch_mode(flow::DispatchMode::kStatic, 8),
-            flow::DispatchMode::kStatic);
-  env.set("static");
-  EXPECT_EQ(flow::resolve_dispatch_mode(flow::DispatchMode::kAuto, 8),
-            flow::DispatchMode::kStatic);
-  env.set("stream");
-  EXPECT_EQ(flow::resolve_dispatch_mode(flow::DispatchMode::kAuto, 1),
-            flow::DispatchMode::kStream);
-}
-
 TEST(EnvConfig, SaModeUnsetAndEmptyFallBack) {
   ScopedUnsetEnv env("HLP_SA_MODE");
   EXPECT_EQ(sa_mode_from_env(), SaMode::kEstimated);
@@ -375,7 +290,7 @@ TEST(EnvConfig, SaModeParsesEveryKnownMode) {
 TEST(EnvConfig, SaModeRejectsGarbage) {
   ScopedUnsetEnv env("HLP_SA_MODE");
   // Strictly the lowercase canonical names: no case folding, no aliases,
-  // no trailing junk, and — unlike HLP_SIMD/HLP_DISPATCH — no "auto": the
+  // no trailing junk, and — unlike HLP_SIMD — no "auto": the
   // modes return *different values*, so a deferred pick has no meaning.
   for (const char* bad : {"ESTIMATE", "Sim", "Exact", "simulate", "estimated",
                           "bdd", "mc", "auto", "exact ", " sim", "0", "1"}) {

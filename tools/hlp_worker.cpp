@@ -1,34 +1,25 @@
 // hlp_worker — the worker-process half of the distributed runner
 // (src/flow/distributed.hpp, docs/distributed.md).
 //
-//   hlp_worker --manifest <file> --results <file>     (batch, protocol v1)
-//              [--sa-out <prefix>] [--sa-in <prefix>]
-//              [--jobs <n>] [--coalesce 0|1] [--store <dir>]
-//   hlp_worker --serve                                (stream, protocol v2)
-//              [--sa-out <prefix>] [--sa-in <prefix>]
+//   hlp_worker [--sa-out <prefix>] [--sa-in <prefix>]
 //              [--jobs <n>] [--coalesce 0|1] [--store <dir>]
 //
-// Batch mode (HLP_DISPATCH=static): loads a job-slice manifest, runs it
-// through the ordinary in-process ExperimentRunner (seed coalescing and
-// word-parallel simulation included), and writes the results file
-// *atomically* (write to "<file>.tmp", rename) so the parent either sees
-// a complete file or none at all.
+// A long-lived loop that reads framed unit requests from stdin and writes
+// framed unit responses to stdout (flow/job_io.hpp) until a `quit` line or
+// EOF. Each unit runs through the ordinary in-process ExperimentRunner
+// (seed coalescing and word-parallel simulation included). One runner
+// lives for the whole session, so FlowContexts, StageCaches and SA tables
+// stay warm across units — later units of the same design reuse the
+// schedule/binding/map artifacts the first one computed. Stdout belongs to
+// the protocol; diagnostics go to stderr.
 //
-// Serve mode (HLP_DISPATCH=stream): a long-lived loop that reads framed
-// unit requests from stdin and writes framed unit responses to stdout
-// (flow/job_io.hpp, protocol v2) until a `quit` line or EOF. One
-// ExperimentRunner lives for the whole session, so FlowContexts,
-// StageCaches and SA tables stay warm across units — later units of the
-// same design reuse the schedule/binding/map artifacts the first one
-// computed. Stdout belongs to the protocol; diagnostics go to stderr.
-//
-// Either way, the switching-activity tables the work produced are
-// persisted to "<sa-out prefix>.w<width>[.<mode>]" (atomically; in serve
-// mode once, at exit; see flow::sa_cache_file_suffix) for the parent to
-// merge with SaCache::merge_from; "--sa-in" preloads tables from a shared
-// warm-start prefix first, so a worker starts as warm as the parent. The
-// SA mode itself arrives pre-resolved in each manifest row (`sa=`), so a
-// worker's own HLP_SA_MODE never influences which backend runs.
+// The switching-activity tables the session produced are persisted once,
+// at exit, to "<sa-out prefix>.w<width>[.<mode>]" (atomically; see
+// flow::sa_cache_file_suffix) for the parent to merge with
+// SaCache::merge_from; "--sa-in" preloads tables from a shared warm-start
+// prefix first, so a worker starts as warm as the parent. The SA mode
+// itself arrives pre-resolved in each request row (`sa=`), so a worker's
+// own HLP_SA_MODE never influences which backend runs.
 //
 // "--store <dir>" points the worker at the fleet's shared artifact store
 // (src/store/artifact_store.hpp): stage artifacts computed here persist
@@ -37,22 +28,19 @@
 // with the flag's value (absent flag = no store), so a fleet behaves the
 // same whatever environment its workers inherit.
 //
-// Exit status: 0 when the work ran — including jobs that failed, which
-// report through their serialized JobResult::error, exactly like the
-// in-process runner — nonzero only for infrastructure errors (bad usage,
-// unreadable manifest, unwritable results, a broken protocol stream),
-// with the reason on stderr. The DistributedRunner parent turns a nonzero
-// exit, a signal death, a timeout or truncated output into per-job (batch:
-// per-slice; serve: per-unit, with bounded requeue first) errors.
+// Exit status: 0 when the session ended with `quit` or EOF — including
+// jobs that failed, which report through their serialized
+// JobResult::error, exactly like the in-process runner; 2 for bad usage
+// (an unknown flag or a bad value); 1 for a broken protocol stream or an
+// unwritable SA shard, with the reason on stderr. The DistributedRunner
+// parent turns a nonzero exit, a signal death, a timeout or a truncated
+// frame into per-unit errors, after a bounded requeue.
 //
-// The binary is deliberately transport-agnostic: the parent runs it via
-// fork/exec on one machine, but the same manifest/results contract works
-// over ssh/scp — and the serve loop over any byte stream — for
-// multi-machine sharding.
+// The serve loop runs over any byte stream, so the same binary works over
+// ssh for multi-machine sharding.
 #include <cerrno>
 #include <climits>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <set>
@@ -61,31 +49,22 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "flow/distributed.hpp"
 #include "flow/experiment.hpp"
 #include "flow/job_io.hpp"
 
 namespace {
 
 struct Options {
-  std::string manifest;
-  std::string results;
   std::string sa_out;
   std::string sa_in;
   std::string store;
   int jobs = 1;
   bool coalesce = true;
-  bool serve = false;
 };
 
 [[noreturn]] void usage(const std::string& why) {
   std::cerr << "hlp_worker: " << why << "\n"
-            << "usage: hlp_worker --manifest <file> --results <file>\n"
-            << "                  [--sa-out <prefix>] [--sa-in <prefix>]\n"
-            << "                  [--jobs <n>] [--coalesce 0|1] "
-               "[--store <dir>]\n"
-            << "   or: hlp_worker --serve [--sa-out <prefix>] "
-               "[--sa-in <prefix>]\n"
+            << "usage: hlp_worker [--sa-out <prefix>] [--sa-in <prefix>]\n"
             << "                  [--jobs <n>] [--coalesce 0|1] "
                "[--store <dir>]\n";
   std::exit(2);
@@ -95,17 +74,9 @@ Options parse_args(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
-    if (flag == "--serve") {
-      opt.serve = true;
-      continue;
-    }
     if (i + 1 >= argc) usage("flag '" + flag + "' needs a value");
     const std::string value = argv[++i];
-    if (flag == "--manifest") {
-      opt.manifest = value;
-    } else if (flag == "--results") {
-      opt.results = value;
-    } else if (flag == "--sa-out") {
+    if (flag == "--sa-out") {
       opt.sa_out = value;
     } else if (flag == "--sa-in") {
       opt.sa_in = value;
@@ -126,19 +97,12 @@ Options parse_args(int argc, char** argv) {
       usage("unknown flag '" + flag + "'");
     }
   }
-  if (opt.serve) {
-    if (!opt.manifest.empty() || !opt.results.empty())
-      usage("--serve takes units over stdin, not --manifest/--results");
-  } else {
-    if (opt.manifest.empty()) usage("--manifest is required");
-    if (opt.results.empty()) usage("--results is required");
-  }
   return opt;
 }
 
 // Preload the shared warm-start table for every (width, SA mode) pair in
 // `jobs` that has not been preloaded yet. The mode arrives pre-resolved in
-// the manifest (`sa=`), so the worker opens exactly the table the parent
+// each request row (`sa=`), so the worker opens exactly the table the parent
 // would — never consulting its own HLP_SA_MODE. Must run before the first
 // job of a pair computes anything, which is why the serve loop calls it
 // per unit.
@@ -156,45 +120,12 @@ void preload_sa(hlp::flow::ExperimentRunner& runner, const std::string& sa_in,
   }
 }
 
-int run_batch(const Options& opt) {
-  using namespace hlp;
-  const std::vector<flow::ManifestJob> slice =
-      flow::load_manifest_file(opt.manifest);
-
-  flow::ExperimentRunner runner(opt.jobs);
-  runner.set_coalescing(opt.coalesce);
-  // The store is the parent's call: always override the environment with
-  // the flag (empty = none), so a worker never opens its own HLP_STORE.
-  runner.set_store_dir(opt.store);
-  // Private SA shard out (run() persists there); shared warm start in.
-  runner.set_sa_cache_path(opt.sa_out);  // empty = no persistence
-  std::set<std::pair<int, hlp::SaMode>> preloaded;
-  preload_sa(runner, opt.sa_in, slice, preloaded);
-
-  std::vector<flow::Job> jobs;
-  jobs.reserve(slice.size());
-  for (const flow::ManifestJob& mj : slice) jobs.push_back(mj.job);
-  const std::vector<flow::JobResult> results = runner.run(jobs);
-
-  std::vector<flow::ManifestResult> out;
-  out.reserve(results.size());
-  for (std::size_t i = 0; i < results.size(); ++i)
-    out.push_back({slice[i].index, results[i]});
-  flow::save_results_file(opt.results, out);
-
-  std::size_t failed = 0;
-  for (const auto& r : results) failed += r.ok ? 0 : 1;
-  std::cout << "hlp_worker: " << results.size() << " job(s), " << failed
-            << " failed\n";
-  return 0;
-}
-
 int run_serve(const Options& opt) {
   using namespace hlp;
   flow::ExperimentRunner runner(opt.jobs);
   runner.set_coalescing(opt.coalesce);
-  // As in batch mode: the parent's --store (or none), never the worker's
-  // own HLP_STORE.
+  // The store is the parent's call: always override the environment with
+  // the flag (empty = none), so a worker never opens its own HLP_STORE.
   runner.set_store_dir(opt.store);
   // No persistence path while serving: run() must not flush the SA tables
   // after every unit (and must not inherit HLP_SA_CACHE from the parent's
@@ -244,7 +175,7 @@ int run_serve(const Options& opt) {
 int main(int argc, char** argv) {
   const Options opt = parse_args(argc, argv);
   try {
-    return opt.serve ? run_serve(opt) : run_batch(opt);
+    return run_serve(opt);
   } catch (const std::exception& e) {
     std::cerr << "hlp_worker: " << e.what() << "\n";
     return 1;
