@@ -2,13 +2,11 @@
 //
 // The paper: "this method provided us with the same results as running the
 // algorithm with dynamic SA estimation, but with a much shorter run time."
-// This bench verifies the exact-equality claim and measures the speedup,
-// plus the text-file persistence round trip.
+// This bench verifies the exact-equality claim and measures the speedup.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <iostream>
-#include <sstream>
 
 #include "bench_common.hpp"
 #include "common/strings.hpp"
@@ -54,16 +52,7 @@ void print_sacache_study() {
       std::chrono::duration<double>(Clock::now() - t1).count();
   std::cout << "bind(pr): warm cache " << fmt_fixed(warm * 1e3, 1)
             << " ms, cold cache " << fmt_fixed(cold_s * 1e3, 1) << " ms ("
-            << cold.misses() << " SA computations)\n";
-
-  // Persistence round trip.
-  std::ostringstream text;
-  cache.save(text);
-  SaCache loaded(bench_width());
-  std::istringstream in(text.str());
-  loaded.load(in);
-  std::cout << "text persistence: saved " << cache.size()
-            << " entries, reloaded " << loaded.size() << "\n\n";
+            << cold.misses() << " SA computations)\n\n";
 }
 
 // Monte-Carlo SA of the precalc table's partial datapaths: the scalar

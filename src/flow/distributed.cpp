@@ -70,15 +70,14 @@ struct StreamWorker {
   pid_t pid = -1;
   int to_child = -1;    // parent writes framed unit requests here
   int from_child = -1;  // parent reads framed unit responses here
-  std::string log, sa_prefix;
+  std::string log;
   std::string buf;          // accumulated response bytes
   long long unit = -1;      // in-flight unit index, -1 = idle
   Clock::time_point unit_start{};
   bool exited = false;
   int status = 0;
   bool quit_sent = false;
-  bool clean = false;        // exited 0 after quit: SA shard mergeable
-  std::string fail_reason;   // set before a deliberate SIGKILL
+  std::string fail_reason;  // set before a deliberate SIGKILL
 };
 
 // Ignore SIGPIPE for the lifetime of a streaming run: a write into a
@@ -148,10 +147,6 @@ void DistributedRunner::set_threads_per_worker(int n) {
   local_.set_num_threads(threads_per_worker_);
 }
 
-void DistributedRunner::set_sa_cache_path(std::string path) {
-  local_.set_sa_cache_path(std::move(path));
-}
-
 void DistributedRunner::set_coalescing(bool on) { local_.set_coalescing(on); }
 
 std::vector<JobResult> DistributedRunner::run(const std::vector<Job>& jobs) {
@@ -170,7 +165,7 @@ std::vector<JobResult> DistributedRunner::run(const std::vector<Job>& jobs) {
                                    "HLP_WORKER_BIN / set_worker_binary at "
                                    "it)");
 
-  // Work directory for the worker logs and SA shards of this run.
+  // Work directory for the worker logs of this run.
   std::string dir = work_dir_;
   const bool own_dir = dir.empty();
   if (own_dir) {
@@ -235,10 +230,7 @@ std::vector<JobResult> DistributedRunner::run_stream(
   auto spawn = [&]() -> StreamWorker& {
     fleet.emplace_back();
     StreamWorker& w = fleet.back();
-    const std::string stem =
-        dir + "/worker-" + std::to_string(fleet.size() - 1);
-    w.log = stem + ".log";
-    w.sa_prefix = stem + ".sa";
+    w.log = dir + "/worker-" + std::to_string(fleet.size() - 1) + ".log";
 
     // CLOEXEC on every pipe end: a later child must not inherit an older
     // worker's pipe, or EOF detection on that worker dies with it. The
@@ -248,17 +240,10 @@ std::vector<JobResult> DistributedRunner::run_stream(
                     ::pipe2(from_child, O_CLOEXEC) == 0,
                 "pipe2 failed: " << std::strerror(errno));
 
-    std::vector<std::string> args = {worker_bin,
-                                     "--sa-out",
-                                     w.sa_prefix,
-                                     "--jobs",
+    std::vector<std::string> args = {worker_bin, "--jobs",
                                      std::to_string(threads_per_worker_),
                                      "--coalesce",
                                      local_.coalescing() ? "1" : "0"};
-    if (!local_.sa_cache_path().empty()) {
-      args.push_back("--sa-in");
-      args.push_back(local_.sa_cache_path());
-    }
     if (!local_.store_dir().empty()) {
       // Workers share the parent's artifact store (explicit flag, never
       // their own HLP_STORE): each opens its own handle with a private
@@ -300,10 +285,9 @@ std::vector<JobResult> DistributedRunner::run_stream(
     w.to_child = w.from_child = -1;
   };
 
-  // Hand the next pending unit to an idle worker, or tell it to quit
-  // (flush its SA shard and exit) when the queue has drained. A failed
-  // write means the worker is already dying; the unit stays charged to it
-  // and the reap path requeues it.
+  // Hand the next pending unit to an idle worker, or tell it to quit when
+  // the queue has drained. A failed write means the worker is already
+  // dying; the unit stays charged to it and the reap path requeues it.
   auto assign = [&](StreamWorker& w) {
     if (queue.empty()) {
       std::ostringstream req;
@@ -455,11 +439,7 @@ std::vector<JobResult> DistributedRunner::run_stream(
             why = "worker exited with status 0 unprompted";
         }
         close_fds(w);
-        if (why.empty()) {
-          w.clean = true;  // quit honoured: SA shard is mergeable
-        } else {
-          handle_death(w, why);
-        }
+        if (!why.empty()) handle_death(w, why);
       }
     }
 
@@ -473,22 +453,6 @@ std::vector<JobResult> DistributedRunner::run_stream(
     if (!progress)
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-
-  // Merge the SA shards of workers that honoured the quit handshake
-  // (shards are written atomically at worker exit, once per session).
-  std::set<std::pair<int, SaMode>> tables;
-  for (const Job& j : jobs) tables.insert({j.width, effective_sa_mode(j.sa)});
-  for (const StreamWorker& w : fleet) {
-    if (!w.clean) continue;
-    for (const auto& [width, mode] : tables) {
-      const std::string file =
-          w.sa_prefix + sa_cache_file_suffix(width, mode);
-      if (std::error_code ec; fs::exists(file, ec) && !ec)
-        local_.sa_cache(width, mode).merge_from(file);
-    }
-  }
-  local_.persist_sa_caches();
-
   return results;
 }
 

@@ -11,15 +11,11 @@
 // grid. Timeouts are per-unit: a slow or dead worker costs one unit, which
 // is requeued (bounded retries) onto a replacement before its jobs report
 // an error. Workers keep their FlowContexts, StageCaches and SA tables
-// warm across units and flush their SA shard once at exit.
+// warm across units; the only state they share is the artifact store
+// (set_store_dir).
 //
-// The parent
-//  - places results back by grid index, so the returned vector is in job
-//    order regardless of which worker ran which unit (deterministic
-//    merge), and
-//  - merges every cleanly-exited worker's SA shard into its own tables
-//    with SaCache::merge_from (conflict = assert-equal; entries are
-//    deterministic), persisting the union when a warm-start path is set.
+// The parent places results back by grid index, so the returned vector is
+// in job order regardless of which worker ran which unit.
 //
 // Every library algorithm is deterministic, so a distributed run is
 // bit-identical to a threaded in-process run of the same grid
@@ -52,8 +48,8 @@ class DistributedRunner {
   /// `threads_per_worker` threads. workers <= 1 (the default, unless
   /// HLP_WORKERS says otherwise) degrades gracefully to the in-process
   /// threaded runner — same results, no processes spawned. The
-  /// constructor reads HLP_SA_CACHE (via the local runner) as the
-  /// warm-start default and HLP_COALESCE as the coalescing default.
+  /// constructor reads HLP_STORE and HLP_COALESCE (via the local runner)
+  /// as the store and coalescing defaults.
   ///
   /// Jobs are resolved by benchmark *name* in the worker process (the
   /// default make_paper_benchmark provider) — a custom GraphProvider
@@ -65,8 +61,7 @@ class DistributedRunner {
   /// Run the grid; results in job order (bit-identical to the in-process
   /// runner; see same_outcome). Never throws for worker failures — those
   /// land in JobResult::error — only for setup errors (unusable worker
-  /// binary / work directory) and SA-shard merge conflicts, which mean
-  /// the run's determinism contract was broken.
+  /// binary / work directory).
   std::vector<JobResult> run(const std::vector<Job>& jobs);
 
   void set_workers(int n);
@@ -89,17 +84,11 @@ class DistributedRunner {
   /// (first try + one retry).
   static constexpr int kMaxUnitAttempts = 2;
 
-  /// Directory for worker logs and SA shards. Default: a fresh mkdtemp
-  /// under the system temp dir, removed after run() (set_keep_files keeps
-  /// it for debugging). A caller-provided directory is never removed.
+  /// Directory for the worker logs. Default: a fresh mkdtemp under the
+  /// system temp dir, removed after run() (set_keep_files keeps it for
+  /// debugging). A caller-provided directory is never removed.
   void set_work_dir(std::string dir) { work_dir_ = std::move(dir); }
   void set_keep_files(bool keep) { keep_files_ = keep; }
-
-  /// Warm-start path for the merged SA tables (HLP_SA_CACHE is the
-  /// constructor default). Workers preload from it and the parent saves
-  /// the merged union back after every distributed run.
-  void set_sa_cache_path(std::string path);
-  const std::string& sa_cache_path() const { return local_.sa_cache_path(); }
 
   /// Seed-coalescing inside each worker (and the in-process fallback).
   void set_coalescing(bool on);
@@ -113,8 +102,7 @@ class DistributedRunner {
   void set_store_dir(std::string dir) { local_.set_store_dir(std::move(dir)); }
   const std::string& store_dir() const { return local_.store_dir(); }
 
-  /// The in-process runner behind the workers <= 1 fallback; also hosts
-  /// the merged SA tables (local().sa_cache(width) after a run).
+  /// The in-process runner behind the workers <= 1 fallback.
   ExperimentRunner& local() { return local_; }
 
  private:

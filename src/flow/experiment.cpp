@@ -1,12 +1,8 @@
 #include "flow/experiment.hpp"
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
-#include <climits>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <ios>
 #include <sstream>
 #include <thread>
@@ -125,16 +121,6 @@ std::vector<WorkUnit> plan_units(const std::vector<Job>& jobs, bool coalesce) {
   return units;
 }
 
-std::string sa_cache_file_suffix(int width, SaMode mode) {
-  std::string suffix = ".w" + std::to_string(width);
-  // Estimate-mode tables keep the pre-mode-axis name so caches persisted
-  // by older runs stay warm; the other modes are value-incompatible with
-  // them and get their own files.
-  if (mode != SaMode::kEstimated)
-    suffix += std::string(".") + sa_mode_name(mode);
-  return suffix;
-}
-
 ExperimentRunner::ExperimentRunner(int num_threads, GraphProvider provider,
                                    SaCache* shared_cache)
     : num_threads_(std::max(1, num_threads)),
@@ -144,18 +130,11 @@ ExperimentRunner::ExperimentRunner(int num_threads, GraphProvider provider,
                            }),
       external_cache_(shared_cache),
       coalesce_(coalesce_from_env(true)) {
-  if (const char* env = std::getenv("HLP_SA_CACHE"); env && *env != '\0')
-    sa_cache_path_ = env;
   store_dir_ = store_dir_from_env("");
   store_from_env_ = !store_dir_.empty();
 }
 
 ExperimentRunner::~ExperimentRunner() = default;
-
-void ExperimentRunner::set_sa_cache_path(std::string path) {
-  std::lock_guard<std::mutex> lock(mu_);
-  sa_cache_path_ = std::move(path);
-}
 
 void ExperimentRunner::set_result_callback(ResultCallback cb) {
   result_cb_ = std::move(cb);
@@ -202,25 +181,13 @@ store::ArtifactStore* ExperimentRunner::artifact_store() {
   return ensure_store_locked();
 }
 
-std::string ExperimentRunner::cache_file_for(int width, SaMode mode) const {
-  return sa_cache_path_ + sa_cache_file_suffix(width, mode);
-}
-
 SaCache& ExperimentRunner::sa_cache(int width, SaMode mode) {
   if (external_cache_ && external_cache_->width() == width &&
       external_cache_->mode() == mode)
     return *external_cache_;
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = caches_[{width, mode}];
-  if (!slot) {
-    slot = std::make_unique<SaCache>(width, MapParams{}, mode);
-    if (!sa_cache_path_.empty()) {
-      // Warm start: preload the persisted table when a previous run left
-      // one behind (a missing file just means a cold start).
-      const std::string file = cache_file_for(width, mode);
-      if (std::ifstream probe(file); probe.good()) slot->load_file(file);
-    }
-  }
+  if (!slot) slot = std::make_unique<SaCache>(width, MapParams{}, mode);
   return *slot;
 }
 
@@ -317,7 +284,6 @@ std::vector<JobResult> ExperimentRunner::run(const std::vector<Job>& jobs) {
       std::min<std::size_t>(num_threads_, units.size() ? units.size() : 1);
   if (workers <= 1) {
     for (const auto& unit : units) execute_unit(unit);
-    persist_sa_caches();
     return results;
   }
   std::atomic<std::size_t> next{0};
@@ -331,23 +297,7 @@ std::vector<JobResult> ExperimentRunner::run(const std::vector<Job>& jobs) {
     });
   }
   for (auto& th : pool) th.join();
-  persist_sa_caches();
   return results;
-}
-
-void ExperimentRunner::persist_sa_caches() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (sa_cache_path_.empty()) return;
-  for (const auto& [key, cache] : caches_) {
-    if (cache->size() == 0) continue;
-    // Write-then-rename so concurrent runners (and crashed runs) never
-    // observe a half-written table.
-    const std::string file = cache_file_for(key.first, key.second);
-    const std::string tmp = file + ".tmp";
-    cache->save_file(tmp);
-    HLP_REQUIRE(std::rename(tmp.c_str(), file.c_str()) == 0,
-                "cannot move '" << tmp << "' to '" << file << "'");
-  }
 }
 
 std::vector<Job> ExperimentRunner::grid(

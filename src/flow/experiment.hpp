@@ -172,21 +172,6 @@ class ExperimentRunner {
   SaCache& sa_cache(int width, SaMode mode);
   SaCache& sa_cache(int width);
 
-  /// Warm-start path for SA tables. When non-empty, every runner-owned
-  /// cache is preloaded from "<path><suffix>" if that file exists (see
-  /// sa_cache_file_suffix: ".w<width>" for estimate-mode tables — the
-  /// legacy name — and ".w<width>.<mode>" otherwise), and saved back
-  /// after each run() so repeated invocations start warm. The constructor
-  /// reads the HLP_SA_CACHE env var as the default.
-  void set_sa_cache_path(std::string path);
-  const std::string& sa_cache_path() const { return sa_cache_path_; }
-
-  /// Save every runner-owned cache to its warm-start file now (run() does
-  /// this automatically; the DistributedRunner calls it after merging
-  /// worker SA shards into this runner's tables). No-op when no path is
-  /// configured.
-  void persist_sa_caches();
-
   /// Persistent artifact-store directory. When non-empty, every context
   /// this runner creates gets its StageCache backed by one shared
   /// ArtifactStore rooted there (miss -> disk probe -> compute ->
@@ -227,7 +212,6 @@ class ExperimentRunner {
       const std::vector<ResourceConstraint>& rcs = {}, const Job& base = {});
 
  private:
-  std::string cache_file_for(int width, SaMode mode) const;
   store::ArtifactStore* ensure_store_locked();
 
   int num_threads_;
@@ -235,7 +219,6 @@ class ExperimentRunner {
   SaCache* external_cache_;
   ResultCallback result_cb_;
   bool coalesce_ = true;
-  std::string sa_cache_path_;
   std::string store_dir_;
   bool store_from_env_ = false;  // error messages name HLP_STORE then
   std::unique_ptr<store::ArtifactStore> store_;
@@ -244,12 +227,5 @@ class ExperimentRunner {
   std::map<std::string, std::unique_ptr<FlowContext>> contexts_;
   std::map<std::pair<int, SaMode>, std::unique_ptr<SaCache>> caches_;
 };
-
-/// Warm-start file suffix of one (width, mode) SA table under an
-/// HLP_SA_CACHE prefix: ".w<width>" for estimate-mode tables (the name
-/// predating the mode axis, kept so existing caches stay warm) and
-/// ".w<width>.<mode>" otherwise. Shared by the runner, the distributed
-/// shard merge and hlp_worker so every layer agrees on shard names.
-std::string sa_cache_file_suffix(int width, SaMode mode);
 
 }  // namespace hlp::flow

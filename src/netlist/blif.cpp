@@ -54,7 +54,8 @@ std::string blif_to_string(const Netlist& n) {
 
 namespace {
 
-// Expand a cover row like "1-0 1" into minterms of the truth table.
+// Expand a cover row like "1-0 1" into minterms of the truth table. The
+// row's characters were validated by read_blif's line loop.
 void apply_cover_row(const std::string& in_bits, bool out_one,
                      std::vector<char>& on_set) {
   const int k = static_cast<int>(in_bits.size());
@@ -65,8 +66,6 @@ void apply_cover_row(const std::string& in_bits, bool out_one,
       base |= 1u << j;
     else if (in_bits[j] == '-')
       dashes.push_back(j);
-    else
-      HLP_REQUIRE(in_bits[j] == '0', "bad cover character '" << in_bits[j] << "'");
   }
   for (std::uint32_t d = 0; d < (1u << dashes.size()); ++d) {
     std::uint32_t m = base;
@@ -76,10 +75,25 @@ void apply_cover_row(const std::string& in_bits, bool out_one,
   }
 }
 
+// Constructs are built after the line loop (nets may be used before they
+// are declared), so each keeps the input line it came from: every error
+// raised while building it names that line.
 struct PendingGate {
+  int line = 0;  // of the .names directive
   std::vector<std::string> ins;
   std::string out;
   std::vector<std::pair<std::string, bool>> cover;  // (input bits, out value)
+};
+
+struct PendingSubckt {
+  int line = 0;
+  std::string model;
+  std::vector<std::pair<std::string, std::string>> binds;  // (formal, actual)
+};
+
+struct PendingLatch {
+  int line = 0;
+  std::string d, q;
 };
 
 }  // namespace
@@ -88,22 +102,15 @@ Netlist read_blif(std::istream& is, const BlifLibrary& library) {
   Netlist n;
   bool saw_model = false;
   bool done = false;
-  std::vector<std::string> input_names, output_names;
-  std::vector<std::pair<std::string, std::string>> latch_dq;
+  std::vector<std::pair<std::string, int>> input_names;   // (name, line)
+  std::vector<std::pair<std::string, int>> output_names;  // (name, line)
+  std::vector<PendingLatch> latches;
   std::vector<PendingGate> pending;
-  std::vector<std::pair<std::string, std::vector<std::pair<std::string, std::string>>>>
-      subckts;  // model name, (formal, actual) pairs
+  std::vector<PendingSubckt> subckts;
 
   // Read logical lines (backslash continuation), strip comments.
   std::string line, logical;
   int line_no = 0;
-  int subckt_counter = 0;
-  auto flush_names = [&](const std::vector<std::string>& tok) {
-    PendingGate g;
-    g.out = tok.back();
-    g.ins.assign(tok.begin() + 1, tok.end() - 1);
-    pending.push_back(std::move(g));
-  };
   while (!done && std::getline(is, line)) {
     ++line_no;
     const auto hash = line.find('#');
@@ -123,26 +130,37 @@ Netlist read_blif(std::istream& is, const BlifLibrary& library) {
       n.set_name(tok[1]);
       saw_model = true;
     } else if (tok[0] == ".inputs") {
-      input_names.insert(input_names.end(), tok.begin() + 1, tok.end());
+      for (std::size_t i = 1; i < tok.size(); ++i)
+        input_names.emplace_back(tok[i], line_no);
     } else if (tok[0] == ".outputs") {
-      output_names.insert(output_names.end(), tok.begin() + 1, tok.end());
+      for (std::size_t i = 1; i < tok.size(); ++i)
+        output_names.emplace_back(tok[i], line_no);
     } else if (tok[0] == ".latch") {
       HLP_REQUIRE(tok.size() >= 3, "line " << line_no << ": .latch <d> <q> ...");
-      latch_dq.emplace_back(tok[1], tok[2]);
+      latches.push_back({line_no, tok[1], tok[2]});
     } else if (tok[0] == ".names") {
       HLP_REQUIRE(tok.size() >= 2, "line " << line_no << ": .names needs a net");
-      flush_names(tok);
+      HLP_REQUIRE(tok.size() - 2 <= static_cast<std::size_t>(kMaxTtInputs),
+                  "line " << line_no << ": .names with " << tok.size() - 2
+                          << " inputs exceeds " << kMaxTtInputs);
+      PendingGate g;
+      g.line = line_no;
+      g.out = tok.back();
+      g.ins.assign(tok.begin() + 1, tok.end() - 1);
+      pending.push_back(std::move(g));
     } else if (tok[0] == ".subckt") {
       HLP_REQUIRE(tok.size() >= 2, "line " << line_no << ": .subckt <model> ...");
-      std::vector<std::pair<std::string, std::string>> binds;
+      HLP_REQUIRE(library.contains(tok[1]), "line " << line_no << ": model '"
+                                                    << tok[1]
+                                                    << "' not in library");
+      PendingSubckt sub{line_no, tok[1], {}};
       for (std::size_t i = 2; i < tok.size(); ++i) {
         const auto eq = tok[i].find('=');
         HLP_REQUIRE(eq != std::string::npos,
                     "line " << line_no << ": bad binding '" << tok[i] << "'");
-        binds.emplace_back(tok[i].substr(0, eq), tok[i].substr(eq + 1));
+        sub.binds.emplace_back(tok[i].substr(0, eq), tok[i].substr(eq + 1));
       }
-      subckts.emplace_back(tok[1], std::move(binds));
-      ++subckt_counter;
+      subckts.push_back(std::move(sub));
     } else if (tok[0] == ".search") {
       // Search paths are satisfied by the pre-registered library; the file
       // name stem must match a registered model (checked at .subckt time).
@@ -162,36 +180,52 @@ Netlist read_blif(std::istream& is, const BlifLibrary& library) {
       } else {
         HLP_REQUIRE(tok.size() == 2 && tok[0].size() == g.ins.size(),
                     "line " << line_no << ": cover arity mismatch");
+        const auto bad = tok[0].find_first_not_of("01-");
+        HLP_REQUIRE(bad == std::string::npos,
+                    "line " << line_no << ": bad cover character '"
+                            << tok[0][bad] << "'");
         HLP_REQUIRE(tok[1] == "0" || tok[1] == "1",
                     "line " << line_no << ": cover output must be 0 or 1");
         g.cover.emplace_back(tok[0], tok[1] == "1");
       }
+      HLP_REQUIRE(g.cover.front().second == g.cover.back().second,
+                  "line " << line_no
+                          << ": mixed-phase covers are not supported");
     }
   }
   HLP_REQUIRE(saw_model, "missing .model");
 
   // Create nets: inputs first, then everything referenced.
-  for (const auto& in : input_names) n.add_input(in);
+  for (const auto& [in, line] : input_names) {
+    HLP_REQUIRE(n.find_net(in) == kNoNet,
+                "line " << line << ": input '" << in << "' declared twice");
+    n.add_input(in);
+  }
   auto net_of = [&](const std::string& name) {
     const NetId existing = n.find_net(name);
     return existing != kNoNet ? existing : n.add_net(name);
   };
+  // The net `name` as the output of a new driver declared on `line`: a net
+  // has exactly one driver (an input, a latch or a gate).
+  auto undriven_net = [&](const std::string& name, int line) {
+    const NetId net = net_of(name);
+    HLP_REQUIRE(!n.is_comb_source(net) && n.driver_gate(net) < 0,
+                "line " << line << ": net '" << name << "' already driven");
+    return net;
+  };
 
-  for (const auto& [d, q] : latch_dq) {
-    const NetId qd = net_of(q);
-    n.add_latch(qd, net_of(d));
+  for (const auto& l : latches) {
+    const NetId q = undriven_net(l.q, l.line);
+    n.add_latch(q, net_of(l.d));
   }
 
   for (const auto& g : pending) {
-    HLP_REQUIRE(static_cast<int>(g.ins.size()) <= kMaxTtInputs,
-                ".names with " << g.ins.size() << " inputs exceeds "
-                               << kMaxTtInputs);
     // Build the on-set. BLIF semantics: rows with output 1 form the on-set;
-    // a cover written in the 0-phase complements.
+    // a cover written in the 0-phase complements (the line loop rejected
+    // covers that mix both phases).
     const bool zero_phase = !g.cover.empty() && !g.cover.front().second;
     std::vector<char> on_set(1u << g.ins.size(), zero_phase ? 1 : 0);
     for (const auto& [bits, one] : g.cover) {
-      HLP_REQUIRE(one != zero_phase, "mixed-phase covers are not supported");
       if (g.ins.empty()) {
         on_set[0] = one ? 1 : 0;
       } else {
@@ -208,39 +242,42 @@ Netlist read_blif(std::istream& is, const BlifLibrary& library) {
     std::vector<NetId> ins;
     ins.reserve(g.ins.size());
     for (const auto& s : g.ins) ins.push_back(net_of(s));
-    n.add_gate(net_of(g.out), std::move(ins),
+    n.add_gate(undriven_net(g.out, g.line), std::move(ins),
                TruthTable(static_cast<int>(g.ins.size()), bits));
   }
 
   int inst = 0;
-  for (const auto& [model_name, binds] : subckts) {
-    const Netlist& model = library.get(model_name);
+  for (const auto& sub : subckts) {
+    const Netlist& model = library.get(sub.model);
     std::unordered_map<std::string, std::string> formal_to_actual;
-    for (const auto& [f, a] : binds) formal_to_actual[f] = a;
+    for (const auto& [f, a] : sub.binds) formal_to_actual[f] = a;
     std::vector<NetId> actuals;
     actuals.reserve(model.inputs().size());
     for (NetId mi : model.inputs()) {
       auto it = formal_to_actual.find(model.net_name(mi));
       HLP_REQUIRE(it != formal_to_actual.end(),
-                  "subckt " << model_name << ": input '" << model.net_name(mi)
-                            << "' unbound");
+                  "line " << sub.line << ": subckt " << sub.model
+                          << ": input '" << model.net_name(mi)
+                          << "' unbound");
       actuals.push_back(net_of(it->second));
     }
     const std::string prefix =
-        model_name + "_i" + std::to_string(inst++) + "_";
+        sub.model + "_i" + std::to_string(inst++) + "_";
     const auto outs = n.instantiate(model, actuals, prefix);
     // Connect bound outputs: formal PO name -> actual net via a buffer.
     for (std::size_t oi = 0; oi < model.outputs().size(); ++oi) {
       const std::string& formal = model.net_name(model.outputs()[oi]);
       auto it = formal_to_actual.find(formal);
       if (it == formal_to_actual.end()) continue;
-      n.add_gate(net_of(it->second), {outs[oi]}, TruthTable::buf());
+      n.add_gate(undriven_net(it->second, sub.line), {outs[oi]},
+                 TruthTable::buf());
     }
   }
 
-  for (const auto& out : output_names) {
+  for (const auto& [out, line] : output_names) {
     const NetId o = n.find_net(out);
-    HLP_REQUIRE(o != kNoNet, "output '" << out << "' never driven");
+    HLP_REQUIRE(o != kNoNet && (n.is_comb_source(o) || n.driver_gate(o) >= 0),
+                "line " << line << ": output '" << out << "' never driven");
     n.add_output(o);
   }
   n.validate();

@@ -1,15 +1,9 @@
 #include "power/sa_cache.hpp"
 
-#include <cerrno>
-#include <cstdlib>
-#include <fstream>
-#include <istream>
 #include <map>
 #include <ostream>
-#include <sstream>
 
 #include "common/error.hpp"
-#include "common/strings.hpp"
 #include "power/activity.hpp"
 #include "power/exact_activity.hpp"
 #include "rtl/partial_datapath.hpp"
@@ -24,7 +18,7 @@ SaCache::SaCache(int width, MapParams map_params, SaMode mode, int sim_vectors,
       sim_vectors_(sim_vectors),
       sim_seed_(sim_seed),
       // Resolve the budget once, here: every entry of one cache must be
-      // computed under the same budget or merges would conflict.
+      // computed under the same budget, or one table would mix accuracies.
       exact_budget_(mode == SaMode::kExact
                         ? exact_budget_from_env(kDefaultExactBudget)
                         : kDefaultExactBudget) {
@@ -120,176 +114,9 @@ void SaCache::save(std::ostream& os) const {
     os << to_string(static_cast<OpKind>(kind)) << " " << a << " " << b << " "
        << sa << "\n";
   }
-  // Footer: load() skips it as a comment; merge_from requires it, so a
-  // table cut short (crashed writer, partial copy) is detectable.
+  // Footer: the entry count, so a reader can tell a complete dump from one
+  // cut short.
   os << "# end " << snapshot.size() << "\n";
-}
-
-std::size_t SaCache::merge_from(std::istream& is, const std::string& what) {
-  // Strict numeric parsing: every defect names the shard instead of
-  // escaping as a bare std::invalid_argument from std::stoi.
-  const auto parse_long = [&what](const std::string& s,
-                                  const char* field) -> long long {
-    errno = 0;
-    char* end = nullptr;
-    const long long v = std::strtoll(s.c_str(), &end, 10);
-    HLP_REQUIRE(end != s.c_str() && *end == '\0' && errno != ERANGE,
-                what << ": bad " << field << " '" << s << "'");
-    return v;
-  };
-  const auto parse_sa = [&what](const std::string& s) -> double {
-    errno = 0;
-    char* end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    HLP_REQUIRE(end != s.c_str() && *end == '\0' && errno != ERANGE,
-                what << ": bad SA value '" << s << "'");
-    return v;
-  };
-
-  // Parse the whole file into a staging map first: a malformed or
-  // truncated shard must not leave a half-merged table behind.
-  std::map<std::uint64_t, double> staged;
-  std::string line;
-  bool saw_header = false;
-  bool saw_footer = false;
-  std::size_t lineno = 0;
-  while (std::getline(is, line)) {
-    ++lineno;
-    const auto tok = split_ws(line);
-    if (tok.empty()) continue;
-    if (tok[0] == "#") {
-      if (lineno == 1) {
-        // "# SaCache width=<w> ..." — reject a shard computed at another
-        // datapath width before looking at any entry.
-        HLP_REQUIRE(tok.size() >= 3 && tok[1] == "SaCache" &&
-                        tok[2].rfind("width=", 0) == 0,
-                    what << ": not an SaCache table (bad header '" << line
-                         << "')");
-        const long long w = parse_long(tok[2].substr(6), "header width");
-        HLP_REQUIRE(w == width_, what << ": width " << w
-                                      << " does not match this cache's width "
-                                      << width_);
-        // The SA mode changes entry *values*, so a cross-mode merge is a
-        // configuration error, rejected here before any entry is staged.
-        // Tables written before the mode tag existed are estimate-mode.
-        std::string file_mode;
-        for (std::size_t i = 3; i < tok.size(); ++i)
-          if (tok[i].rfind("mode=", 0) == 0) file_mode = tok[i].substr(5);
-        if (file_mode.empty()) {
-          HLP_REQUIRE(mode_ == SaMode::kEstimated,
-                      what << ": table carries no mode tag (legacy "
-                              "estimate-mode table) but this cache's mode is '"
-                           << sa_mode_name(mode_) << "'");
-        } else {
-          HLP_REQUIRE(file_mode == sa_mode_name(mode_),
-                      what << ": mode '" << file_mode
-                           << "' does not match this cache's mode '"
-                           << sa_mode_name(mode_) << "'");
-        }
-        saw_header = true;
-        continue;
-      }
-      if (tok.size() >= 3 && tok[1] == "end") {
-        const long long footer = parse_long(tok[2], "footer count");
-        HLP_REQUIRE(footer >= 0, what << ": bad footer count " << footer);
-        const auto declared = static_cast<std::size_t>(footer);
-        HLP_REQUIRE(declared == staged.size(),
-                    what << ": footer declares " << declared
-                         << " entries but the file carries " << staged.size());
-        saw_footer = true;
-        continue;
-      }
-      continue;  // other comments
-    }
-    HLP_REQUIRE(saw_header, what << ": missing '# SaCache' header");
-    HLP_REQUIRE(!saw_footer,
-                what << ": entries after the '# end' footer (line " << lineno
-                     << ")");
-    HLP_REQUIRE(tok.size() == 4, what << ": line " << lineno
-                                      << " needs 4 fields: '" << line << "'");
-    OpKind kind;
-    if (tok[0] == "add")
-      kind = OpKind::kAdd;
-    else if (tok[0] == "mult")
-      kind = OpKind::kMult;
-    else
-      HLP_REQUIRE(false, what << ": unknown op kind '" << tok[0] << "' (line "
-                              << lineno << ")");
-    const long long a = parse_long(tok[1], "mux size");
-    const long long b = parse_long(tok[2], "mux size");
-    HLP_REQUIRE(a >= 1 && b >= 1 && a <= 0xfffff && b <= 0xfffff,
-                what << ": mux sizes (" << tok[1] << ", " << tok[2]
-                     << ") out of range (line " << lineno << ")");
-    staged[key(kind, static_cast<int>(a), static_cast<int>(b))] =
-        parse_sa(tok[3]);
-  }
-  HLP_REQUIRE(saw_header, what << ": missing '# SaCache' header");
-  HLP_REQUIRE(saw_footer, what << ": truncated — missing '# end' footer");
-
-  std::size_t inserted = 0;
-  for (const auto& [k, sa] : staged) {
-    Shard& shard = shard_for(k);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto [it, fresh] = shard.table.emplace(k, sa);
-    if (fresh) {
-      ++inserted;
-    } else {
-      // Entries are deterministic functions of (kind, a, b) at one width
-      // and configuration, so overlapping shards must agree exactly.
-      const int kind = static_cast<int>(k >> 40);
-      const int a = static_cast<int>((k >> 20) & 0xfffff);
-      const int b = static_cast<int>(k & 0xfffff);
-      HLP_REQUIRE(it->second == sa,
-                  what << ": merge conflict on ("
-                       << to_string(static_cast<OpKind>(kind)) << ", " << a
-                       << ", " << b << "): table has " << it->second
-                       << ", shard has " << sa
-                       << " (shards of one run are deterministic and must "
-                          "agree)");
-    }
-  }
-  return inserted;
-}
-
-std::size_t SaCache::merge_from(const std::string& path) {
-  std::ifstream f(path);
-  HLP_REQUIRE(f.good(), "cannot open SA shard '" << path << "' for reading");
-  return merge_from(f, "SA shard '" + path + "'");
-}
-
-void SaCache::load(std::istream& is) {
-  std::string line;
-  while (std::getline(is, line)) {
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    const auto tok = split_ws(line);
-    if (tok.empty()) continue;
-    HLP_REQUIRE(tok.size() == 4, "SaCache line needs 4 fields: '" << line << "'");
-    OpKind kind;
-    if (tok[0] == "add")
-      kind = OpKind::kAdd;
-    else if (tok[0] == "mult")
-      kind = OpKind::kMult;
-    else
-      HLP_REQUIRE(false, "unknown op kind '" << tok[0] << "'");
-    const std::uint64_t k =
-        key(kind, std::stoi(tok[1]), std::stoi(tok[2]));
-    Shard& shard = shard_for(k);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.table[k] = std::stod(tok[3]);
-  }
-}
-
-void SaCache::save_file(const std::string& path) const {
-  std::ofstream f(path);
-  HLP_REQUIRE(f.good(), "cannot open '" << path << "' for writing");
-  save(f);
-}
-
-void SaCache::load_file(const std::string& path) {
-  std::ifstream f(path);
-  HLP_REQUIRE(f.good(), "cannot open '" << path << "' for reading");
-  load(f);
 }
 
 }  // namespace hlp

@@ -7,14 +7,16 @@
 // is then generated when HLPower is initially run."
 //
 // SaCache computes, for a key (op kind, muxA size, muxB size), the SA of
-// the 4-LUT-mapped partial datapath, memoises it, and can persist/reload
-// the table as text. Three SA backends are supported (power/sa_mode.hpp):
-// the paper's analytic glitch-aware estimator (kEstimated, the default),
-// Monte-Carlo unit-delay simulation through the bit-parallel batch engine
-// (kSimulated), and analytic per-cone BDD densities with a budgeted
-// Monte-Carlo fallback (kExact, power/exact_activity.hpp). Because the
-// backends produce different values, persisted tables are tagged with
-// their mode and merge_from refuses cross-mode shards.
+// the 4-LUT-mapped partial datapath, memoises it in memory and can dump
+// the table as text. The table is not persisted: a warm rerun is served by
+// the artifact store (store/artifact_store.hpp), which caches the whole
+// bind-fus..time span that reads it. Three SA backends are supported
+// (power/sa_mode.hpp): the paper's analytic glitch-aware estimator
+// (kEstimated, the default), Monte-Carlo unit-delay simulation through the
+// bit-parallel batch engine (kSimulated), and analytic per-cone BDD
+// densities with a budgeted Monte-Carlo fallback (kExact,
+// power/exact_activity.hpp). The backends produce different values, so a
+// cache is fixed to one mode and the dump's header names it.
 //
 // The memo table is sharded by key hash (kNumShards independent mutex+map
 // shards) so large ExperimentRunner fleets hammering the hot lookup path do
@@ -70,30 +72,11 @@ class SaCache {
   /// "all combinations" table).
   void precompute(int max_mux_a, int max_mux_b);
 
-  /// Text persistence: "<kind> <nA> <nB> <sa>" per line, between a
-  /// "# SaCache width=..." header and a "# end <count>" footer (the footer
-  /// is what lets merge_from reject truncated shard files; load() treats
-  /// both as comments, so older tables still load).
+  /// Text dump of the table, in key order: a "# SaCache width=<w> k=<k>
+  /// mode=<mode>" header, one "<kind> <nA> <nB> <sa>" line per entry (17
+  /// significant digits, so each value parses back bit-exactly) and a
+  /// "# end <count>" footer.
   void save(std::ostream& os) const;
-  void load(std::istream& is);
-  void save_file(const std::string& path) const;
-  void load_file(const std::string& path);
-
-  /// Merge a persisted table (save() output — e.g. a distributed worker's
-  /// private SA shard) into this cache. Strict, unlike load(): the file
-  /// must carry the header (whose width must match this cache, and whose
-  /// mode — when present — must match this cache's mode; a header without
-  /// a mode tag is a legacy estimate-mode table and only merges into a
-  /// kEstimated cache) and the "# end <count>" footer with a matching
-  /// entry count — a corrupt or truncated shard is rejected with an error
-  /// naming the defect, and nothing is merged from a rejected file
-  /// (entries are staged before insertion). Entries new to the table are inserted; entries already
-  /// present must agree bit-exactly (every backend is deterministic, so a
-  /// disagreement means the shard was produced by a different
-  /// configuration) or the merge throws. Returns the number of newly
-  /// inserted entries. Merged entries do not count as misses.
-  std::size_t merge_from(std::istream& is, const std::string& what = "shard");
-  std::size_t merge_from(const std::string& path);
 
   std::size_t size() const;
   int width() const { return width_; }

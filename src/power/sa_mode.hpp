@@ -16,10 +16,10 @@
 //             back to the Monte-Carlo engine per cone.
 //
 // Because values differ between modes, every consumer that caches or
-// serializes activity must resolve the mode *once* and pin it: SaCache
-// tags its persisted tables, merge_from rejects cross-mode shards, and
-// the distributed manifest carries the parent's resolved mode so workers
-// never re-consult their own environment.
+// serializes activity must resolve the mode *once* and pin it: a SaCache
+// is fixed to one mode for its life, the artifact store keys every entry
+// by the resolved mode, and the distributed manifest carries the parent's
+// resolved mode so workers never re-consult their own environment.
 //
 // Parsing is strict, like HLP_SIMD: unset/empty falls back, anything
 // else must be one of the names above or the sweep dies loudly. There is

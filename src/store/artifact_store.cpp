@@ -647,9 +647,8 @@ std::size_t ArtifactStore::merge_from(const std::string& other_root) {
       files.push_back(de.path());
   }
   std::sort(files.begin(), files.end());
-  // Stage strictly before writing anything (SaCache::merge_from's rule): a
-  // corrupt source entry or an overlap conflict rejects the whole merge
-  // with this store untouched.
+  // Stage strictly before writing anything: a corrupt source entry or an
+  // overlap conflict rejects the whole merge with this store untouched.
   struct Staged {
     ArtifactKey key;
     std::string bytes;

@@ -26,8 +26,7 @@
 // too. Unlike the job wire format the payload carries the FULL mapped and
 // datapath netlists — the whole point is skipping elaborate/map/time.
 //
-// Durability contract (modelled on SaCache::merge_from and the results
-// writer):
+// Durability contract:
 //   - Commits are atomic: entries are serialised into a per-process
 //     staging directory and std::rename()d into objects/, so a reader
 //     never observes a half-written entry and a SIGKILLed writer leaves
@@ -160,11 +159,11 @@ class ArtifactStore {
   void publish(const ArtifactKey& key, const Entry& entry);
 
   /// Merge every entry of the store rooted at `other_root` into this one
-  /// with publish()'s overlap-must-agree semantics. Strict like
-  /// SaCache::merge_from: every source entry is validated (content
-  /// address included) BEFORE anything is written, so a corrupt source or
-  /// a conflict rejects the merge without partial state. Returns the
-  /// number of newly inserted entries.
+  /// with publish()'s overlap-must-agree semantics. Strict: every source
+  /// entry is validated (content address included) and checked against
+  /// this store BEFORE anything is written, so a corrupt source or a
+  /// conflict rejects the merge without partial state. Returns the number
+  /// of newly inserted entries.
   std::size_t merge_from(const std::string& other_root);
 
   /// Committed objects on disk right now (valid or not).

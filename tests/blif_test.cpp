@@ -136,6 +136,57 @@ TEST(Blif, MalformedInputsThrow) {
   EXPECT_THROW(blif_from_string(".model t\n.foo\n.end\n"), Error);
   EXPECT_THROW(
       blif_from_string(".model t\n.inputs a\n.outputs z\n.end\n"), Error);
+
+  // Every error names the input line of the offending row or directive,
+  // including the ones raised while the netlist is built after the read.
+  BlifLibrary lib;
+  lib.add(make_adder(2));  // inputs a0 a1 b0 b1, outputs s0 s1
+  const struct {
+    const char* text;
+    const char* where;
+  } located[] = {
+      // bad cover character
+      {".model t\n.inputs a\n.outputs y\n.names a y\n2 1\n.end\n",
+       "line 5: "},
+      // mixed-phase cover
+      {".model t\n.inputs a\n.outputs y\n.names a y\n1 1\n0 0\n.end\n",
+       "line 6: "},
+      // more .names inputs than a truth table holds
+      {".model t\n.inputs a b c d e f g\n.outputs y\n"
+       ".names a b c d e f g y\n.end\n",
+       "line 4: "},
+      // an output that nothing drives
+      {".model t\n.inputs a\n.outputs y z\n.names a y\n1 1\n.end\n",
+       "line 3: "},
+      // an output that is read but never driven
+      {".model t\n.inputs a\n.outputs z y\n.names a z y\n11 1\n.end\n",
+       "line 3: "},
+      // unknown .subckt model
+      {".model t\n.inputs a\n.outputs y\n.subckt nosuch x=a\n.end\n",
+       "line 4: "},
+      // unbound .subckt input (a1)
+      {".model t\n.inputs a\n.outputs y\n"
+       ".subckt add2 a0=a b0=a b1=a s0=y\n.end\n",
+       "line 4: "},
+      // one net driven by two .names
+      {".model t\n.inputs a\n.outputs y\n.names a y\n1 1\n"
+       ".names a y\n0 1\n.end\n",
+       "line 6: "},
+      // a latch output that is also a primary input
+      {".model t\n.inputs a q\n.outputs q\n.latch a q 0\n.end\n",
+       "line 4: "},
+      // an input declared twice
+      {".model t\n.inputs a\n.inputs a\n.outputs a\n.end\n", "line 3: "},
+  };
+  for (const auto& row : located) {
+    try {
+      blif_from_string(row.text, lib);
+      ADD_FAILURE() << "accepted:\n" << row.text;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(row.where), std::string::npos)
+          << "expected '" << row.where << "' in: " << e.what();
+    }
+  }
 }
 
 TEST(Blif, CoverArityMismatchThrows) {

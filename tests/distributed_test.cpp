@@ -4,8 +4,8 @@
 // a multi-process run is bit-identical to the in-process threaded runner
 // on a randomized job grid, worker failures (nonzero exit, death by
 // signal, invalid frames, per-unit timeout) propagate into per-job errors
-// after a bounded requeue, and SA-table shards merge into a shared
-// warm-start file, staying warm across units inside one worker.
+// after a bounded requeue, a worker stays warm across the units it serves,
+// and a fleet sharing one artifact store stays consistent.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -31,7 +30,7 @@
 #include "flow/distributed.hpp"
 #include "flow/experiment.hpp"
 #include "flow/job_io.hpp"
-#include "power/sa_cache.hpp"
+#include "power/sa_mode.hpp"
 #include "store/artifact_store.hpp"
 
 namespace hlp {
@@ -564,17 +563,10 @@ TEST(Distributed, StreamRequeueRecoversOnHealthyReplacement) {
 
 // ---- the serve loop, driven directly over pipes --------------------------
 
-TEST(Distributed, ServeLoopStaysWarmAcrossUnitsAndFlushesSaOnce) {
+TEST(Distributed, ServeLoopStaysWarmAcrossUnits) {
   const std::string bin = real_worker_binary();
   ASSERT_EQ(::access(bin.c_str(), X_OK), 0)
       << "hlp_worker not built next to the test binary";
-  const std::string prefix = ::testing::TempDir() + "/serve_sa";
-  // The units defer their SA mode, so the manifest pins whatever the
-  // environment resolves to and the shard lands in that mode's file
-  // (`.exact`-suffixed under the exact-mode CI leg).
-  const SaMode sa_mode = effective_sa_mode(std::nullopt);
-  const std::string shard = prefix + flow::sa_cache_file_suffix(kWidth, sa_mode);
-  std::remove(shard.c_str());
 
   int to_child[2], from_child[2];
   ASSERT_EQ(::pipe(to_child), 0);
@@ -588,8 +580,8 @@ TEST(Distributed, ServeLoopStaysWarmAcrossUnitsAndFlushesSaOnce) {
     ::close(to_child[1]);
     ::close(from_child[0]);
     ::close(from_child[1]);
-    ::execl(bin.c_str(), bin.c_str(), "--sa-out", prefix.c_str(),
-            "--coalesce", "1", static_cast<char*>(nullptr));
+    ::execl(bin.c_str(), bin.c_str(), "--coalesce", "1",
+            static_cast<char*>(nullptr));
     _exit(127);
   }
   ::close(to_child[0]);
@@ -632,8 +624,6 @@ TEST(Distributed, ServeLoopStaysWarmAcrossUnitsAndFlushesSaOnce) {
   EXPECT_TRUE(r0.results[0].result.ok) << r0.results[0].result.error;
   // A fresh worker computed everything for its first unit.
   EXPECT_TRUE(r0.results[0].result.outcome.cached_stages.empty());
-  // The SA shard is flushed once at exit — not after each unit.
-  EXPECT_FALSE(std::filesystem::exists(shard));
 
   std::ostringstream req1;
   flow::save_unit_request(req1, 1, {{6, second}});
@@ -662,25 +652,19 @@ TEST(Distributed, ServeLoopStaysWarmAcrossUnitsAndFlushesSaOnce) {
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
   ::close(from_child[0]);
-
-  // Now — and only now — the shard exists, is complete, and holds the
-  // tables both units contributed to.
-  ASSERT_TRUE(std::filesystem::exists(shard));
-  SaCache reloaded(kWidth, MapParams{}, sa_mode);
-  reloaded.load_file(shard);
-  EXPECT_GT(reloaded.size(), 0u);
 }
 
 TEST(Distributed, WorkerRejectsUnknownFlagsWithUsage) {
   // Bad usage exits 2 with the usage text before any unit is read; stdin
   // is /dev/null, so a worker that started serving would exit 0 instead.
+  // Flags the worker no longer takes must not be silently accepted.
   const std::string bin = real_worker_binary();
   ASSERT_EQ(::access(bin.c_str(), X_OK), 0)
       << "hlp_worker not built next to the test binary";
   const std::string log = ::testing::TempDir() + "/worker_usage.log";
   for (const char* args :
-       {"--results r", "--sa-out p --bogus 1", "--jobs 0",
-        "--coalesce"}) {
+       {"--results r", "--sa-out p", "--sa-in p", "--jobs 2 --bogus 1",
+        "--jobs 0", "--coalesce"}) {
     const int rc = std::system(("'" + bin + "' " + args +
                                 " </dev/null >/dev/null 2>'" + log + "'")
                                    .c_str());
@@ -691,44 +675,6 @@ TEST(Distributed, WorkerRejectsUnknownFlagsWithUsage) {
                           std::istreambuf_iterator<char>());
     EXPECT_NE(err.find("usage: hlp_worker"), std::string::npos) << err;
   }
-}
-
-// ---- SA-table shard merging through the distributed path -----------------
-
-TEST(Distributed, SaShardsMergeIntoWarmStartFile) {
-  const std::string prefix = ::testing::TempDir() + "/dist_sa_cache";
-  const SaMode sa_mode = effective_sa_mode(std::nullopt);
-  const std::string file = prefix + flow::sa_cache_file_suffix(kWidth, sa_mode);
-  std::remove(file.c_str());
-
-  std::vector<std::uint64_t> seeds;
-  for (std::uint64_t s = 0; s < 6; ++s) seeds.push_back(500 + s);
-  const auto jobs = flow::ExperimentRunner::grid(
-      {"pr", "wang"}, {flow::BinderSpec{"hlpower"}}, seeds, {},
-      small_job("pr"));
-
-  flow::DistributedRunner dist(2, 1);
-  // Pin the cold SA compute in every worker: opt out of any ambient
-  // HLP_STORE (the CI artifact-store leg), whose warm artifacts would
-  // skip the SA work this shard-merge test asserts.
-  dist.set_store_dir("");
-  dist.set_sa_cache_path(prefix);
-  const auto got = dist.run(jobs);
-  for (const auto& r : got) EXPECT_TRUE(r.ok) << r.error;
-
-  // The parent merged every worker's shard and persisted the union.
-  EXPECT_GT(dist.local().sa_cache(kWidth).size(), 0u);
-  SaCache reloaded(kWidth, MapParams{}, sa_mode);
-  reloaded.load_file(file);
-  EXPECT_EQ(reloaded.size(), dist.local().sa_cache(kWidth).size());
-
-  // The merged table is a valid shard itself: merging it into a fresh
-  // cache of the same mode inserts everything; merging twice inserts
-  // nothing new.
-  SaCache fresh(kWidth, MapParams{}, sa_mode);
-  EXPECT_EQ(fresh.merge_from(file), reloaded.size());
-  EXPECT_EQ(fresh.merge_from(file), 0u);
-  EXPECT_EQ(fresh.misses(), 0u);
 }
 
 // ---- shared artifact store -----------------------------------------------

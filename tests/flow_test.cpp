@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -215,44 +214,6 @@ TEST(Pipeline, BatchedAndScalarEnginesAgreeBitForBit) {
   EXPECT_DOUBLE_EQ(a.flow.report.dynamic_power_mw,
                    b.flow.report.dynamic_power_mw);
   EXPECT_DOUBLE_EQ(a.flow.report.toggle_rate_mps, b.flow.report.toggle_rate_mps);
-}
-
-TEST(ExperimentRunner, SaCachePersistenceWarmStart) {
-  const std::string path = ::testing::TempDir() + "/runner_sa_cache";
-  // The jobs defer their SA mode, so resolve it the way the runner will:
-  // under the exact-mode CI leg the table lands in the `.exact`-suffixed
-  // file and must be reloaded into an exact-mode cache.
-  const SaMode mode = effective_sa_mode(std::nullopt);
-  const std::string file = path + flow::sa_cache_file_suffix(kWidth, mode);
-  std::remove(file.c_str());
-
-  flow::Job job;
-  job.benchmark = "pr";
-  job.binder.name = "hlpower";
-  job.width = kWidth;
-  job.num_vectors = 5;
-
-  // This test pins the *cold* SA compute-and-persist cycle, so opt out
-  // of any ambient HLP_STORE (the CI artifact-store leg runs the whole
-  // suite against one store): a warm artifact store serves the bound
-  // span from disk and legitimately skips the SA work asserted here.
-  flow::ExperimentRunner cold(1);
-  cold.set_store_dir("");
-  cold.set_sa_cache_path(path);
-  ASSERT_TRUE(cold.run({job})[0].ok);
-  EXPECT_GT(cold.sa_cache(kWidth).misses(), 0u);
-  // The run persisted the table...
-  SaCache reloaded(kWidth, MapParams{}, mode);
-  reloaded.load_file(file);
-  EXPECT_EQ(reloaded.size(), cold.sa_cache(kWidth).size());
-
-  // ...and a fresh runner starts warm: zero SA computations.
-  flow::ExperimentRunner warm(1);
-  warm.set_store_dir("");
-  warm.set_sa_cache_path(path);
-  ASSERT_TRUE(warm.run({job})[0].ok);
-  EXPECT_EQ(warm.sa_cache(kWidth).misses(), 0u);
-  std::remove(file.c_str());
 }
 
 TEST(Pipeline, RefineStageRunsWhenRequested) {

@@ -1,17 +1,15 @@
 // Tests for the precalculated SA table (Section 5.2.2): cache/dynamic
-// agreement, persistence round-trip, and monotonicity of the SA values in
+// agreement, the bit-exact text dump, and monotonicity of the SA values in
 // mux size (bigger input stages -> more estimated switching).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdio>
-#include <fstream>
+#include <cstdlib>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
-#include "flow/experiment.hpp"
 #include "power/sa_cache.hpp"
 
 namespace hlp {
@@ -76,41 +74,37 @@ TEST(SaCache, PrecomputeFillsAllCombinations) {
   EXPECT_EQ(c.misses(), misses);
 }
 
-TEST(SaCache, SaveLoadRoundTrip) {
-  SaCache a = small_cache();
-  a.precompute(2, 2);
-  std::ostringstream text;
-  a.save(text);
-
-  SaCache b = small_cache();
-  std::istringstream in(text.str());
-  b.load(in);
-  EXPECT_EQ(b.size(), a.size());
-  // Loaded values answer without recomputation and agree exactly.
-  EXPECT_DOUBLE_EQ(b.switching_activity(OpKind::kMult, 2, 1),
-                   a.switching_activity(OpKind::kMult, 2, 1));
-  EXPECT_EQ(b.misses(), 0u);
-}
-
-TEST(SaCache, FilePersistence) {
-  const std::string path = ::testing::TempDir() + "/sa_cache_test.txt";
-  {
-    SaCache a = small_cache();
-    a.switching_activity(OpKind::kAdd, 3, 1);
-    a.save_file(path);
-  }
-  SaCache b = small_cache();
-  b.load_file(path);
-  EXPECT_EQ(b.size(), 1u);
-  std::remove(path.c_str());
-}
-
-TEST(SaCache, LoadRejectsMalformed) {
+TEST(SaCache, SaveDumpsEveryEntryBitExactly) {
   SaCache c = small_cache();
-  std::istringstream bad("add 1\n");
-  EXPECT_THROW(c.load(bad), Error);
-  std::istringstream badkind("div 1 1 3.0\n");
-  EXPECT_THROW(c.load(badkind), Error);
+  c.precompute(2, 2);
+  std::ostringstream text;
+  c.save(text);
+
+  std::istringstream in(text.str());
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_EQ(line, "# SaCache width=4 k=4 mode=estimate");
+  // One line per entry, in key order: kind, then muxA, then muxB.
+  for (int kind = 0; kind < kNumOpKinds; ++kind)
+    for (int a = 1; a <= 2; ++a)
+      for (int b = 1; b <= 2; ++b) {
+        const OpKind k = static_cast<OpKind>(kind);
+        ASSERT_TRUE(std::getline(in, line));
+        std::istringstream fields(line);
+        std::string name, sa_text;
+        int got_a = 0, got_b = 0;
+        fields >> name >> got_a >> got_b >> sa_text;
+        EXPECT_EQ(name, to_string(k)) << line;
+        EXPECT_EQ(got_a, a) << line;
+        EXPECT_EQ(got_b, b) << line;
+        // 17 significant digits: the value parses back to the same bits.
+        EXPECT_EQ(std::strtod(sa_text.c_str(), nullptr),
+                  c.switching_activity(k, a, b))
+            << line;
+      }
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_EQ(line, "# end 8");
+  EXPECT_FALSE(std::getline(in, line)) << "trailing line '" << line << "'";
 }
 
 TEST(SaCache, RejectsBadArguments) {
@@ -177,8 +171,8 @@ TEST(SaCacheExact, ExactModeIsDeterministicAndCached) {
 }
 
 TEST(SaCacheExact, ThreeBackendsDisagreeOnValues) {
-  // The mode axis changes entry VALUES (unlike the simd/settle knobs) —
-  // that is the whole reason it keys caches, files and manifests. The
+  // The mode axis changes entry VALUES (unlike the simd knob) — that is
+  // the whole reason it keys caches, store entries and manifests. The
   // analytic estimate, the sampler and the exact engine price the same
   // partial datapath differently.
   SaCache est(4);
@@ -191,256 +185,6 @@ TEST(SaCacheExact, ThreeBackendsDisagreeOnValues) {
   EXPECT_GT(s, 0.0);
   EXPECT_GT(x, 0.0);
   EXPECT_NE(e, x);
-}
-
-TEST(SaCacheExact, FileRoundTripPreservesModeTag) {
-  const std::string path = ::testing::TempDir() + "/sa_exact_table.txt";
-  double computed = 0.0;
-  {
-    SaCache a(4, MapParams{}, SaMode::kExact, /*sim_vectors=*/64);
-    computed = a.switching_activity(OpKind::kAdd, 1, 2);
-    a.save_file(path);
-  }
-  // Same-mode cache: merges cleanly, answers without recomputation.
-  SaCache b(4, MapParams{}, SaMode::kExact, /*sim_vectors=*/64);
-  EXPECT_EQ(b.merge_from(path), 1u);
-  EXPECT_DOUBLE_EQ(b.switching_activity(OpKind::kAdd, 1, 2), computed);
-  EXPECT_EQ(b.misses(), 0u);
-  std::remove(path.c_str());
-}
-
-// ---- shard merging (the distributed runner's SA reconciliation) ----------
-
-// A saved table whose entries were computed here, for building shard files.
-std::string shard_text(SaCache& c) {
-  std::ostringstream os;
-  c.save(os);
-  return os.str();
-}
-
-TEST(SaCacheMerge, DisjointShardsUnionCleanly) {
-  SaCache a = small_cache();
-  a.switching_activity(OpKind::kAdd, 1, 1);
-  a.switching_activity(OpKind::kAdd, 1, 2);
-  SaCache b = small_cache();
-  b.switching_activity(OpKind::kMult, 2, 2);
-
-  std::istringstream shard(shard_text(b));
-  const std::size_t misses_before = a.misses();
-  EXPECT_EQ(a.merge_from(shard, "test shard"), 1u);
-  EXPECT_EQ(a.size(), 3u);
-  // Merged entries answer without recomputation and do not count as
-  // misses.
-  EXPECT_DOUBLE_EQ(a.switching_activity(OpKind::kMult, 2, 2),
-                   b.switching_activity(OpKind::kMult, 2, 2));
-  EXPECT_EQ(a.misses(), misses_before);
-}
-
-TEST(SaCacheMerge, OverlappingEntriesMustAgreeExactly) {
-  SaCache a = small_cache();
-  a.switching_activity(OpKind::kAdd, 2, 2);
-  // Identical overlap merges cleanly (0 new entries)...
-  std::istringstream same(shard_text(a));
-  EXPECT_EQ(a.merge_from(same, "test shard"), 0u);
-
-  // ...but a value that disagrees — a shard computed under a different
-  // configuration — is a conflict, not a silent overwrite.
-  SaCache tampered = small_cache();
-  tampered.switching_activity(OpKind::kAdd, 2, 2);
-  std::string text = shard_text(tampered);
-  const auto dot = text.find('.');
-  ASSERT_NE(dot, std::string::npos);
-  text[dot + 1] = text[dot + 1] == '9' ? '8' : '9';  // perturb the value
-  std::istringstream conflict(text);
-  try {
-    a.merge_from(conflict, "test shard");
-    FAIL() << "expected a merge conflict";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("merge conflict"),
-              std::string::npos)
-        << e.what();
-  }
-  // The table kept its own value.
-  EXPECT_DOUBLE_EQ(a.switching_activity(OpKind::kAdd, 2, 2),
-                   a.compute_uncached(OpKind::kAdd, 2, 2));
-}
-
-TEST(SaCacheMerge, TruncatedShardRejectedWithoutPartialMerge) {
-  SaCache src = small_cache();
-  src.precompute(2, 2);
-  const std::string full = shard_text(src);
-
-  SaCache dst = small_cache();
-  // Cut before the "# end" footer: rejected, and nothing was merged.
-  std::istringstream cut(full.substr(0, full.rfind("# end")));
-  try {
-    dst.merge_from(cut, "test shard");
-    FAIL() << "expected truncation to be rejected";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("missing '# end' footer"),
-              std::string::npos)
-        << e.what();
-  }
-  EXPECT_EQ(dst.size(), 0u);
-
-  // Cut mid-table (footer intact but entries missing): the footer count
-  // mismatch is the defect named.
-  std::string half = full.substr(0, full.size() / 2);
-  half += "\n# end 8\n";
-  std::istringstream bad_count(half);
-  EXPECT_THROW(dst.merge_from(bad_count, "test shard"), Error);
-  EXPECT_EQ(dst.size(), 0u);
-}
-
-TEST(SaCacheMerge, CorruptShardRejected) {
-  SaCache dst = small_cache();
-  std::istringstream garbage("not an sa table at all\n");
-  EXPECT_THROW(dst.merge_from(garbage, "test shard"), Error);
-  std::istringstream bad_kind(
-      "# SaCache width=4 k=4\ndiv 1 1 3.0\n# end 1\n");
-  EXPECT_THROW(dst.merge_from(bad_kind, "test shard"), Error);
-  std::istringstream missing_fields(
-      "# SaCache width=4 k=4\nadd 1\n# end 1\n");
-  EXPECT_THROW(dst.merge_from(missing_fields, "test shard"), Error);
-  EXPECT_EQ(dst.size(), 0u);
-}
-
-TEST(SaCacheMerge, WidthMismatchRejected) {
-  SaCache w8(8);
-  w8.switching_activity(OpKind::kAdd, 1, 1);
-  SaCache w4 = small_cache();
-  std::istringstream shard(shard_text(w8));
-  try {
-    w4.merge_from(shard, "test shard");
-    FAIL() << "expected width mismatch rejection";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("width"), std::string::npos);
-  }
-}
-
-TEST(SaCacheMerge, WarmStartHitsAfterMergeFile) {
-  const std::string path = ::testing::TempDir() + "/sa_merge_shard.txt";
-  {
-    SaCache src = small_cache();
-    src.precompute(2, 2);
-    src.save_file(path);
-  }
-  SaCache warm = small_cache();
-  EXPECT_EQ(warm.merge_from(path), 2u * 2u * 2u);
-  // Every precomputed combination now hits: no misses on lookup.
-  for (int kind = 0; kind < kNumOpKinds; ++kind)
-    for (int a = 1; a <= 2; ++a)
-      for (int b = 1; b <= 2; ++b)
-        warm.switching_activity(static_cast<OpKind>(kind), a, b);
-  EXPECT_EQ(warm.misses(), 0u);
-  std::remove(path.c_str());
-}
-
-TEST(SaCacheMerge, ModeMismatchRejectedWithoutPartialMerge) {
-  // A shard computed under another SA backend carries different VALUES for
-  // the same keys; merging it would poison the table. The header check
-  // fires before any entry is staged.
-  SaCache exact(4, MapParams{}, SaMode::kExact, /*sim_vectors=*/64);
-  exact.switching_activity(OpKind::kAdd, 1, 1);
-  exact.switching_activity(OpKind::kMult, 1, 1);
-  const std::string text = shard_text(exact);
-
-  for (const SaMode mode : {SaMode::kEstimated, SaMode::kSimulated}) {
-    SaCache dst(4, MapParams{}, mode, /*sim_vectors=*/64);
-    std::istringstream shard(text);
-    try {
-      dst.merge_from(shard, "test shard");
-      FAIL() << "expected a mode mismatch rejection into "
-             << sa_mode_name(mode);
-    } catch (const Error& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("mode 'exact'"), std::string::npos) << what;
-      EXPECT_NE(what.find(sa_mode_name(mode)), std::string::npos) << what;
-    }
-    EXPECT_EQ(dst.size(), 0u);  // nothing partially merged
-  }
-}
-
-TEST(SaCacheMerge, LegacyUntaggedTablesAreEstimateMode) {
-  // Tables written before the mode tag existed have a bare header; they
-  // can only be estimate-mode, so only an estimate cache accepts them.
-  const std::string legacy = "# SaCache width=4 k=4\nadd 1 1 3.0\n# end 1\n";
-  SaCache est(4);
-  std::istringstream ok(legacy);
-  EXPECT_EQ(est.merge_from(ok, "test shard"), 1u);
-
-  SaCache exact(4, MapParams{}, SaMode::kExact, /*sim_vectors=*/64);
-  std::istringstream bad(legacy);
-  try {
-    exact.merge_from(bad, "test shard");
-    FAIL() << "expected the legacy table to be rejected";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("no mode tag"), std::string::npos)
-        << e.what();
-  }
-  EXPECT_EQ(exact.size(), 0u);
-}
-
-TEST(SaCacheMerge, SaveLoadStillToleratesFooter) {
-  // load() (the warm-start reader) must keep reading footer-bearing
-  // tables as plain comments.
-  SaCache a = small_cache();
-  a.switching_activity(OpKind::kAdd, 2, 2);
-  std::istringstream in(shard_text(a));
-  SaCache b = small_cache();
-  b.load(in);
-  EXPECT_EQ(b.size(), 1u);
-}
-
-// ---- warm-start files of the mode axis (HLP_SA_CACHE mechanism) ----------
-
-TEST(SaCacheExact, RunnerSuffixKeepsLegacyEstimateName) {
-  // Estimate tables keep the pre-mode-axis file name so existing caches
-  // stay warm; the other modes get their own files under one prefix.
-  EXPECT_EQ(flow::sa_cache_file_suffix(8, SaMode::kEstimated), ".w8");
-  EXPECT_EQ(flow::sa_cache_file_suffix(4, SaMode::kSimulated), ".w4.sim");
-  EXPECT_EQ(flow::sa_cache_file_suffix(4, SaMode::kExact), ".w4.exact");
-}
-
-TEST(SaCacheExact, RunnerPersistsAndPreloadsExactTables) {
-  // The ExperimentRunner's HLP_SA_CACHE persist/preload cycle, mode-aware:
-  // an exact-mode run writes "<prefix>.w4.exact", and a fresh runner with
-  // the same prefix starts warm — the table answers with zero misses.
-  const std::string prefix = ::testing::TempDir() + "/sa_exact_warm";
-  const std::string file =
-      prefix + flow::sa_cache_file_suffix(4, SaMode::kExact);
-  std::remove(file.c_str());
-
-  flow::Job job;
-  job.benchmark = "pr";
-  job.width = 4;
-  job.num_vectors = 8;
-  job.sa = SaMode::kExact;
-  {
-    // Pin the cold SA compute: opt out of any ambient HLP_STORE (the CI
-    // artifact-store leg), whose warm artifacts would skip the SA work.
-    flow::ExperimentRunner runner(1);
-    runner.set_store_dir("");
-    runner.set_sa_cache_path(prefix);
-    const auto results = runner.run({job});
-    ASSERT_TRUE(results[0].ok) << results[0].error;
-    EXPECT_GT(runner.sa_cache(4, SaMode::kExact).size(), 0u);
-  }
-  {
-    std::ifstream probe(file);
-    ASSERT_TRUE(probe.good()) << "expected warm-start file '" << file << "'";
-  }
-  flow::ExperimentRunner warm(1);
-  warm.set_store_dir("");
-  warm.set_sa_cache_path(prefix);
-  SaCache& cache = warm.sa_cache(4, SaMode::kExact);
-  EXPECT_GT(cache.size(), 0u);
-  EXPECT_EQ(cache.misses(), 0u);
-  // Re-running the same job hits the preloaded entries: still no misses.
-  const auto rerun = warm.run({job});
-  ASSERT_TRUE(rerun[0].ok) << rerun[0].error;
-  EXPECT_EQ(cache.misses(), 0u);
-  std::remove(file.c_str());
 }
 
 }  // namespace

@@ -24,10 +24,10 @@
 // pipeline probes), older than --max-age-seconds, or invalid. Filters
 // compose as keeps; --dry-run reports without deleting.
 //
-// merge consolidates worker-fleet shards into one store with the strict
-// SaCache-style merge_from contract: every source object is validated
+// merge copies every object of one or more source store directories into
+// the destination store, strictly: every source object is validated
 // before anything is written, overlaps must agree byte-for-byte, and a
-// corrupt source or a conflict rejects that whole shard without partial
+// corrupt source or a conflict rejects that whole source without partial
 // state.
 #include <cerrno>
 #include <climits>

@@ -1,8 +1,7 @@
 // hlp_worker — the worker-process half of the distributed runner
 // (src/flow/distributed.hpp, docs/distributed.md).
 //
-//   hlp_worker [--sa-out <prefix>] [--sa-in <prefix>]
-//              [--jobs <n>] [--coalesce 0|1] [--store <dir>]
+//   hlp_worker [--jobs <n>] [--coalesce 0|1] [--store <dir>]
 //
 // A long-lived loop that reads framed unit requests from stdin and writes
 // framed unit responses to stdout (flow/job_io.hpp) until a `quit` line or
@@ -11,15 +10,9 @@
 // lives for the whole session, so FlowContexts, StageCaches and SA tables
 // stay warm across units — later units of the same design reuse the
 // schedule/binding/map artifacts the first one computed. Stdout belongs to
-// the protocol; diagnostics go to stderr.
-//
-// The switching-activity tables the session produced are persisted once,
-// at exit, to "<sa-out prefix>.w<width>[.<mode>]" (atomically; see
-// flow::sa_cache_file_suffix) for the parent to merge with
-// SaCache::merge_from; "--sa-in" preloads tables from a shared warm-start
-// prefix first, so a worker starts as warm as the parent. The SA mode
-// itself arrives pre-resolved in each request row (`sa=`), so a worker's
-// own HLP_SA_MODE never influences which backend runs.
+// the protocol; diagnostics go to stderr. The SA mode arrives pre-resolved
+// in each request row (`sa=`), so a worker's own HLP_SA_MODE never
+// influences which backend runs.
 //
 // "--store <dir>" points the worker at the fleet's shared artifact store
 // (src/store/artifact_store.hpp): stage artifacts computed here persist
@@ -31,21 +24,18 @@
 // Exit status: 0 when the session ended with `quit` or EOF — including
 // jobs that failed, which report through their serialized
 // JobResult::error, exactly like the in-process runner; 2 for bad usage
-// (an unknown flag or a bad value); 1 for a broken protocol stream or an
-// unwritable SA shard, with the reason on stderr. The DistributedRunner
-// parent turns a nonzero exit, a signal death, a timeout or a truncated
-// frame into per-unit errors, after a bounded requeue.
+// (an unknown flag or a bad value); 1 for a broken protocol stream, with
+// the reason on stderr. The DistributedRunner parent turns a nonzero exit,
+// a signal death, a timeout or a truncated frame into per-unit errors,
+// after a bounded requeue.
 //
 // The serve loop runs over any byte stream, so the same binary works over
 // ssh for multi-machine sharding.
 #include <cerrno>
 #include <climits>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -55,8 +45,6 @@
 namespace {
 
 struct Options {
-  std::string sa_out;
-  std::string sa_in;
   std::string store;
   int jobs = 1;
   bool coalesce = true;
@@ -64,8 +52,7 @@ struct Options {
 
 [[noreturn]] void usage(const std::string& why) {
   std::cerr << "hlp_worker: " << why << "\n"
-            << "usage: hlp_worker [--sa-out <prefix>] [--sa-in <prefix>]\n"
-            << "                  [--jobs <n>] [--coalesce 0|1] "
+            << "usage: hlp_worker [--jobs <n>] [--coalesce 0|1] "
                "[--store <dir>]\n";
   std::exit(2);
 }
@@ -76,11 +63,7 @@ Options parse_args(int argc, char** argv) {
     const std::string flag = argv[i];
     if (i + 1 >= argc) usage("flag '" + flag + "' needs a value");
     const std::string value = argv[++i];
-    if (flag == "--sa-out") {
-      opt.sa_out = value;
-    } else if (flag == "--sa-in") {
-      opt.sa_in = value;
-    } else if (flag == "--store") {
+    if (flag == "--store") {
       opt.store = value;
     } else if (flag == "--jobs") {
       char* end = nullptr;
@@ -100,26 +83,6 @@ Options parse_args(int argc, char** argv) {
   return opt;
 }
 
-// Preload the shared warm-start table for every (width, SA mode) pair in
-// `jobs` that has not been preloaded yet. The mode arrives pre-resolved in
-// each request row (`sa=`), so the worker opens exactly the table the parent
-// would — never consulting its own HLP_SA_MODE. Must run before the first
-// job of a pair computes anything, which is why the serve loop calls it
-// per unit.
-void preload_sa(hlp::flow::ExperimentRunner& runner, const std::string& sa_in,
-                const std::vector<hlp::flow::ManifestJob>& jobs,
-                std::set<std::pair<int, hlp::SaMode>>& preloaded) {
-  if (sa_in.empty()) return;
-  for (const hlp::flow::ManifestJob& mj : jobs) {
-    const hlp::SaMode mode = hlp::effective_sa_mode(mj.job.sa);
-    if (!preloaded.insert({mj.job.width, mode}).second) continue;
-    const std::string file =
-        sa_in + hlp::flow::sa_cache_file_suffix(mj.job.width, mode);
-    if (std::ifstream probe(file); probe.good())
-      runner.sa_cache(mj.job.width, mode).load_file(file);
-  }
-}
-
 int run_serve(const Options& opt) {
   using namespace hlp;
   flow::ExperimentRunner runner(opt.jobs);
@@ -127,17 +90,11 @@ int run_serve(const Options& opt) {
   // The store is the parent's call: always override the environment with
   // the flag (empty = none), so a worker never opens its own HLP_STORE.
   runner.set_store_dir(opt.store);
-  // No persistence path while serving: run() must not flush the SA tables
-  // after every unit (and must not inherit HLP_SA_CACHE from the parent's
-  // environment) — the shard is written once, at exit.
-  runner.set_sa_cache_path("");
-  std::set<std::pair<int, hlp::SaMode>> preloaded;
 
   std::size_t units = 0, jobs_run = 0, failed = 0;
   while (true) {
     const flow::UnitRequest req = flow::load_unit_request(std::cin);
     if (req.quit) break;
-    preload_sa(runner, opt.sa_in, req.jobs, preloaded);
 
     std::vector<flow::Job> jobs;
     jobs.reserve(req.jobs.size());
@@ -158,13 +115,6 @@ int run_serve(const Options& opt) {
     for (const auto& r : results) failed += r.ok ? 0 : 1;
   }
 
-  // Flush the SA shard exactly once, after the whole session: every unit
-  // served (across all designs and widths) contributed to the same warm
-  // tables.
-  if (!opt.sa_out.empty()) {
-    runner.set_sa_cache_path(opt.sa_out);
-    runner.persist_sa_caches();
-  }
   std::cerr << "hlp_worker: served " << units << " unit(s), " << jobs_run
             << " job(s), " << failed << " failed\n";
   return 0;
