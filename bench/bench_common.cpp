@@ -201,90 +201,13 @@ void print_seed_sweep(std::ostream& os,
       SimdMode::kAuto, static_cast<std::size_t>(num_seeds));
   os << "Seed-parallel batching: " << num_seeds
      << "-seed Monte-Carlo sweep per binding, coalesced ("
-     << simd_lanes(active) << " seeds/word, HLP_SIMD=auto -> "
+     << simd_lanes(active) << " seeds/word, auto -> "
      << simd_mode_name(active)
      << ") vs independent pipelines (single-threaded, controlled)\n";
   t.print(os);
   os << "Overall speedup: "
      << fmt_fixed(total_batched > 0.0 ? total_solo / total_batched : 0.0, 1)
      << "x\n\n";
-}
-
-void print_simd_sweep(std::ostream& os,
-                      const std::vector<std::string>& benchmarks,
-                      int num_seeds) {
-  using Clock = std::chrono::steady_clock;
-  std::vector<std::uint64_t> seeds;
-  seeds.reserve(num_seeds);
-  for (int s = 0; s < num_seeds; ++s) seeds.push_back(100 + s);
-
-  std::vector<SimdMode> modes;
-  for (const SimdMode mode : all_simd_modes())
-    if (mode != SimdMode::kAuto && simd_mode_supported(mode))
-      modes.push_back(mode);
-
-  const SimdMode active = effective_simd_mode(
-      SimdMode::kAuto, static_cast<std::size_t>(num_seeds));
-  os << "SIMD width sweep: coalesced " << num_seeds
-     << "-seed Monte-Carlo sweep per backend (single-threaded; u64 is the "
-        "reference row; HLP_SIMD=auto picks "
-     << simd_mode_name(active) << " for this group on this machine)\n";
-
-  AsciiTable t({"Benchmark", "simd", "lanes", "time (ms)", "speedup vs u64",
-                "identical"});
-  for (const auto& name : benchmarks) {
-    flow::Job base = job(name, flow::BinderSpec{"hlpower"});
-    std::vector<flow::JobResult> reference;
-    double u64_s = 0.0;
-    for (const SimdMode mode : modes) {
-      base.simd = mode;
-      const auto jobs = flow::ExperimentRunner::grid({name}, {base.binder},
-                                                     seeds, {}, base);
-      flow::ExperimentRunner runner(1, {}, &sa_cache());
-      runner.set_coalescing(true);
-      const auto t0 = Clock::now();
-      const auto results = runner.run(jobs);
-      const double secs =
-          std::chrono::duration<double>(Clock::now() - t0).count();
-
-      SimdSweepRow row;
-      row.benchmark = name;
-      row.mode = mode;
-      row.lanes = simd_lanes(mode);
-      row.seconds = secs;
-      if (mode == SimdMode::kU64) {
-        reference = results;
-        u64_s = secs;
-        // The reference row must vouch for itself: a failed u64 sweep
-        // would otherwise print "yes" while every other row blames the
-        // backend for the mismatch.
-        row.identical = true;
-        for (const auto& r : results) row.identical = row.identical && r.ok;
-      } else {
-        row.identical = results.size() == reference.size();
-        for (std::size_t i = 0; row.identical && i < results.size(); ++i) {
-          const auto& a = reference[i];
-          const auto& b = results[i];
-          row.identical =
-              a.ok && b.ok &&
-              a.outcome.flow.sim.toggles == b.outcome.flow.sim.toggles &&
-              a.outcome.flow.sim.functional_transitions ==
-                  b.outcome.flow.sim.functional_transitions &&
-              a.outcome.flow.report.dynamic_power_mw ==
-                  b.outcome.flow.report.dynamic_power_mw;
-        }
-      }
-      t.row()
-          .add(row.benchmark)
-          .add(simd_mode_name(row.mode))
-          .add(row.lanes)
-          .add(row.seconds * 1e3, 1)
-          .add(row.seconds > 0.0 ? u64_s / row.seconds : 0.0, 2)
-          .add(row.identical ? "yes" : "NO");
-    }
-  }
-  t.print(os);
-  os << "\n";
 }
 
 WorkerSweepReport worker_sweep(const std::string& name,

@@ -90,7 +90,7 @@ double pct(double a, double b);
 /// One coalesced-vs-independent comparison of a Monte-Carlo seed sweep:
 /// `num_seeds` stimulus seeds of one (benchmark, binder) point, run once
 /// through a coalescing runner (seeds ride the word-parallel
-/// simulate_batch lanes at the active HLP_SIMD width) and once with
+/// simulate_batch lanes in the word `auto` picks) and once with
 /// coalescing disabled (one full pipeline per seed). Both runners share
 /// the process-wide SA cache; `identical` confirms the two paths agreed
 /// bit for bit on every seed.
@@ -109,29 +109,9 @@ SeedSweepReport seed_sweep(const std::string& name,
 
 /// Run seed_sweep over `benchmarks` and print the comparison table (the
 /// README's "Seed-parallel experiment batching" numbers). The header
-/// names the active word width and dispatch choice (HLP_SIMD resolution),
-/// so BENCH artifacts stay interpretable across machines.
+/// names the word width `auto` resolves to for the group, so BENCH
+/// artifacts stay interpretable across machines.
 void print_seed_sweep(std::ostream& os,
-                      const std::vector<std::string>& benchmarks,
-                      int num_seeds);
-
-/// One row of the per-width comparison: a coalesced `num_seeds`-seed sweep
-/// of one benchmark pinned to one SIMD backend. `identical` confirms the
-/// backend agreed bit for bit with the u64 reference sweep.
-struct SimdSweepRow {
-  std::string benchmark;
-  SimdMode mode = SimdMode::kU64;
-  int lanes = 64;
-  double seconds = 0.0;
-  bool identical = false;
-};
-
-/// Run a coalesced seed sweep per supported SIMD backend (u64, x2, x4, x8
-/// and — CPU permitting — avx2/avx512) and print the per-width table with
-/// speedups relative to the u64 word, plus the backend HLP_SIMD=auto
-/// resolves to. This is the measured 64 -> 512 lane scaling evidence; the
-/// backends are bit-identical, so only wall-clock may differ.
-void print_simd_sweep(std::ostream& os,
                       const std::vector<std::string>& benchmarks,
                       int num_seeds);
 

@@ -50,11 +50,6 @@ int main(int argc, char** argv) {
   // The ROADMAP's "exploit simulate_batch's multi-run lanes" acceptance
   // sweep: 64 stimulus seeds of one binding, coalesced vs independent.
   hlp::bench::print_seed_sweep(std::cout, {"wang", "pr"}, 64);
-  // Per-width scaling of the coalesced path: 512 seeds fill one whole
-  // word at EVERY backend (8 u64 words .. 1 avx512 word), so the table
-  // measures width scaling rather than word utilisation; bit-identity is
-  // checked against the u64 row.
-  hlp::bench::print_simd_sweep(std::cout, {"wang", "pr"}, 512);
   // The process-level axis: the same coalesced sweep through HLP_WORKERS
   // (default 2) hlp_worker processes vs the same number of in-process
   // threads, bit-identity checked — the distributed CI leg's artifact.

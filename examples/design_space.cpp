@@ -9,9 +9,9 @@
 //
 // A second phase then Monte-Carlos the stimulus at the lowest-power
 // allocation: 64 seeds coalesced into one word-parallel pipeline pass
-// (one seed per simulator lane; the lane-aware HLP_SIMD auto dispatch
-// sizes the word to the group), reporting the power spread and the
-// per-stage cache hits the seed sweep enjoyed.
+// (one seed per simulator lane, in the narrowest word that covers the
+// group), reporting the power spread and the per-stage cache hits the
+// seed sweep enjoyed.
 //
 // Run:  ./build/design_space [benchmark]
 #include <chrono>

@@ -47,8 +47,7 @@ std::string job_identity(const flow::Job& job) {
      << job.binder.name << '|' << std::hexfloat << job.binder.alpha << '|'
      << job.binder.beta_add << '|' << job.binder.beta_mult << '|'
      << job.binder.refine << '|' << job.num_vectors << '|'
-     << static_cast<int>(job.sim_engine) << '|'
-     << static_cast<int>(job.simd) << '|' << job.seed;
+     << static_cast<int>(job.sim_engine) << '|' << job.seed;
   return id.str();
 }
 

@@ -34,20 +34,13 @@ std::string store_dir_from_env(std::string fallback) {
 
 namespace {
 
-// Lanes of one coalesced chunk for this job's (resolved) word width:
-// what run_batch will pick for a `group_size`-seed batch, so chunk
-// boundaries line up with simulator words. A bad HLP_SIMD value or an
-// unsupported explicit mode surfaces when the job's pipeline resolves the
-// same mode — there it is captured as a per-job failure — so chunk sizing
-// falls back quietly instead of throwing out of run().
+// Lanes of one coalesced chunk: the word run_batch will pick for a
+// `group_size`-seed batch, so chunk boundaries line up with simulator
+// words.
 std::size_t chunk_lanes_for(const Job& job, std::size_t group_size) {
   if (job.sim_engine != SimEngine::kBatched) return 64;
-  try {
-    return static_cast<std::size_t>(
-        simd_lanes(effective_simd_mode(job.simd, group_size)));
-  } catch (const std::exception&) {
-    return 64;
-  }
+  return static_cast<std::size_t>(
+      simd_lanes(effective_simd_mode(SimdMode::kAuto, group_size)));
 }
 
 std::string context_key(const Job& job) {
@@ -71,8 +64,7 @@ std::string group_key(const Job& job) {
   key << context_key(job) << '|' << job.binder.name << '|' << std::hexfloat
       << job.binder.alpha << '|' << job.binder.beta_add << '|'
       << job.binder.beta_mult << '|' << job.binder.refine << '|'
-      << job.num_vectors << '|' << static_cast<int>(job.sim_engine) << '|'
-      << static_cast<int>(job.simd);
+      << job.num_vectors << '|' << static_cast<int>(job.sim_engine);
   return key.str();
 }
 
@@ -82,7 +74,6 @@ RunSpec spec_for(const Job& job) {
   spec.num_vectors = job.num_vectors;
   spec.seed = job.seed;
   spec.sim_engine = job.sim_engine;
-  spec.simd = job.simd;
   spec.sa = job.sa;
   return spec;
 }
@@ -146,11 +137,9 @@ store::ArtifactKey ExperimentRunner::artifact_key_for(const Job& job) {
   store::ArtifactKey key;
   key.scope = ctx.store_scope(context_key(job));
   key.binding = ctx.binding_hash(spec.binder, spec.map, spec.timing);
-  // Mode tags exactly as Pipeline::make_cursor records them: SA resolved
-  // (it changes values), simd as requested (it cannot change the cached
-  // artifacts).
+  // The SA tag exactly as Pipeline::make_cursor records it: resolved (it
+  // changes values).
   key.sa = sa_mode_name(ctx.sa_cache().mode());
-  key.simd = simd_mode_name(spec.simd);
   return key;
 }
 

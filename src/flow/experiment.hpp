@@ -7,9 +7,9 @@
 // On top of that, jobs that differ ONLY in stimulus seed are coalesced
 // (default on, see set_coalescing) into one Pipeline::run_batch invocation:
 // the head stages run once and the seeds ride the word-parallel simulator
-// one per lane — 64 lanes per u64 word, up to 512 under HLP_SIMD/avx512
-// (Job::simd) — a Monte-Carlo sweep paying the netlist traversal once per
-// word instead of once per seed.
+// one per lane, in the narrowest word that covers the group (64 lanes per
+// u64 word up to 512 per avx512 word) — a Monte-Carlo sweep paying the
+// netlist traversal once per word instead of once per seed.
 // All algorithms in the library are deterministic and the SaCache
 // memoisation is value-deterministic under races, so results are identical
 // for any thread count and either coalescing setting; only wall-clock
@@ -68,19 +68,14 @@ struct Job {
   std::uint64_t reg_seed = 42;
   SchedulerSpec sched_spec;
   /// Simulation engine for the pipeline's `simulate` stage (bit-parallel
-  /// batch by default; scalar is the reference oracle).
+  /// batch by default; scalar is the reference oracle). The batched
+  /// engine sizes its word to the coalesced seed group, and coalesced
+  /// groups are chunked to that width.
   SimEngine sim_engine = SimEngine::kBatched;
-  /// Word width for the batched engine (RunSpec::simd): kAuto defers to
-  /// HLP_SIMD and then sizes the word to the coalesced seed group (never
-  /// wider than the group can fill, up to the widest CPU-supported
-  /// backend); results are bit-identical at every width. Coalesced seed
-  /// groups are chunked to this width (jobs with different `simd` never
-  /// share a chunk).
-  SimdMode simd = SimdMode::kAuto;
   /// SA backend (RunSpec::sa): an absent value defers to HLP_SA_MODE at
-  /// context construction (unset environment = estimate). Unlike `simd`
-  /// the mode changes VALUES, so it is resolved once per runner
-  /// process and pinned: it keys the context (different modes never share
+  /// context construction (unset environment = estimate). The mode
+  /// changes VALUES, so it is resolved once per runner process and
+  /// pinned: it keys the context (different modes never share
   /// a FlowContext or SaCache), joins the coalescing group key, and rides
   /// the distributed manifest pre-resolved (`sa=`) so workers run exactly
   /// the parent's backend regardless of their own environment.
@@ -157,8 +152,8 @@ class ExperimentRunner {
   /// The exact ArtifactKey the standard pipeline would probe/publish for
   /// this job's bind-fus..time span: the context's store scope (runner
   /// key + CDFG digest), binding_hash under the default map/timing
-  /// parameters, the RESOLVED SA mode and the REQUESTED simd mode —
-  /// mirroring Pipeline::make_cursor. Needs no store configured (the
+  /// parameters and the RESOLVED SA mode — mirroring
+  /// Pipeline::make_cursor. Needs no store configured (the
   /// explorer diffs steps with it; `hlp_store gc --keep-manifest` derives
   /// live addresses from it); resolving rc may run the context's probe
   /// schedule.

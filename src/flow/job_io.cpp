@@ -102,45 +102,76 @@ std::vector<std::string> tokens_of(const std::string& line) {
   return out;
 }
 
-// key=value fields of a record line (everything after the leading keyword).
-// Unknown keys are kept (a newer writer may add fields; readers only
-// require the keys they know).
+// key=value fields of one record line (everything after the leading
+// keyword). Strict, so a frame from a different writer fails instead of
+// being half-read: a key given twice, a missing key, a malformed value
+// and — once finish() runs — a key the loader never read are errors that
+// name the key and the line.
 class Fields {
  public:
   Fields(const std::vector<std::string>& toks, std::size_t first,
-         const std::string& what)
-      : what_(what) {
+         const std::string& what, int lineno)
+      : where_(what + " line " + std::to_string(lineno)) {
     for (std::size_t i = first; i < toks.size(); ++i) {
       const auto eq = toks[i].find('=');
       HLP_REQUIRE(eq != std::string::npos,
-                  what << ": field '" << toks[i] << "' is not key=value");
-      kv_[toks[i].substr(0, eq)] = toks[i].substr(eq + 1);
+                  where_ << ": field '" << toks[i] << "' is not key=value");
+      const std::string key = toks[i].substr(0, eq);
+      HLP_REQUIRE(kv_.emplace(key, Value{toks[i].substr(eq + 1)}).second,
+                  where_ << ": field '" << key << "' given twice");
     }
   }
 
   const std::string& at(const std::string& key) const {
     auto it = kv_.find(key);
-    HLP_REQUIRE(it != kv_.end(), what_ << ": missing field '" << key << "'");
-    return it->second;
+    HLP_REQUIRE(it != kv_.end(),
+                where_ << ": missing field '" << key << "'");
+    it->second.read = true;
+    return it->second.text;
   }
 
-  double d(const std::string& key) const { return parse_double(at(key)); }
-  int i(const std::string& key) const { return parse_int(at(key)); }
-  std::uint64_t u(const std::string& key) const { return parse_u64(at(key)); }
+  /// `parse(at(key))`, with any error prefixed by the line and the key.
+  template <typename Parse>
+  auto as(const std::string& key, Parse parse) const {
+    const std::string& v = at(key);
+    try {
+      return parse(v);
+    } catch (const Error& e) {
+      throw Error(where_ + ": field '" + key + "': " + e.what());
+    }
+  }
+
+  double d(const std::string& key) const { return as(key, parse_double); }
+  int i(const std::string& key) const { return as(key, parse_int); }
+  std::uint64_t u(const std::string& key) const {
+    return as(key, parse_u64);
+  }
   std::size_t z(const std::string& key) const {
-    return static_cast<std::size_t>(parse_u64(at(key)));
+    return static_cast<std::size_t>(u(key));
   }
   bool b(const std::string& key) const {
     const std::string& v = at(key);
-    HLP_REQUIRE(v == "0" || v == "1",
-                what_ << ": field '" << key << "=" << v << "' must be 0 or 1");
+    HLP_REQUIRE(v == "0" || v == "1", where_ << ": field '" << key << "="
+                                             << v << "' must be 0 or 1");
     return v == "1";
   }
-  std::string s(const std::string& key) const { return decode_token(at(key)); }
+  std::string s(const std::string& key) const {
+    return as(key, decode_token);
+  }
+
+  /// Call after the last read: a field the loader never read is unknown.
+  void finish() const {
+    for (const auto& [key, value] : kv_)
+      HLP_REQUIRE(value.read, where_ << ": unknown field '" << key << "'");
+  }
 
  private:
-  std::string what_;
-  std::map<std::string, std::string> kv_;
+  struct Value {
+    std::string text;
+    mutable bool read = false;
+  };
+  std::string where_;
+  std::map<std::string, Value> kv_;
 };
 
 // Reader that tracks line numbers for error messages and detects files cut
@@ -167,6 +198,16 @@ class LineReader {
   std::string what_;
   int lineno_ = 0;
 };
+
+// The next line as a `<keyword> key=value ...` record.
+Fields next_record(LineReader& r, const char* keyword,
+                   const std::string& what) {
+  const auto toks = tokens_of(r.next_line());
+  HLP_REQUIRE(toks[0] == keyword, what << ": expected '" << keyword
+                                       << "' line (line " << r.lineno()
+                                       << ")");
+  return Fields(toks, 1, what, r.lineno());
+}
 
 // Shared header/footer framing: "<magic> v1" ... "end <magic> <count>".
 std::size_t read_header(LineReader& r, const char* magic,
@@ -272,10 +313,9 @@ void save_manifest(std::ostream& os, const std::vector<ManifestJob>& jobs) {
        << " min_latency=" << j.sched_spec.min_latency
        << " latency_slack=" << j.sched_spec.latency_slack
        << " engine=" << engine_name(j.sim_engine)
-       << " simd=" << simd_mode_name(j.simd)
        // The SA mode is serialised RESOLVED (the parent's environment
-       // applies here, once): unlike simd it changes values, so a worker
-       // must never re-consult its own HLP_SA_MODE.
+       // applies here, once): it changes values, so a worker must never
+       // re-consult its own HLP_SA_MODE.
        << " sa=" << sa_mode_name(effective_sa_mode(j.sa))
        << " label=" << encode_token(j.label) << "\n";
   }
@@ -290,10 +330,7 @@ std::vector<ManifestJob> load_manifest(std::istream& is) {
   const std::size_t n = read_header(r, kManifestMagic, what);
   std::vector<ManifestJob> out;
   for (std::size_t k = 0; k < n; ++k) {
-    const auto toks = tokens_of(r.next_line());
-    HLP_REQUIRE(!toks.empty() && toks[0] == "job",
-                what << ": expected 'job' line (line " << r.lineno() << ")");
-    const Fields f(toks, 1, what);
+    const Fields f = next_record(r, "job", what);
     ManifestJob mj;
     mj.index = f.z("index");
     Job& j = mj.job;
@@ -312,10 +349,10 @@ std::vector<ManifestJob> load_manifest(std::istream& is) {
     j.reg_seed = f.u("reg_seed");
     j.sched_spec.min_latency = f.i("min_latency");
     j.sched_spec.latency_slack = f.i("latency_slack");
-    j.sim_engine = parse_engine(f.at("engine"));
-    j.simd = parse_simd_mode(f.at("simd"));
-    j.sa = parse_sa_mode(f.at("sa"));
+    j.sim_engine = f.as("engine", parse_engine);
+    j.sa = f.as("sa", parse_sa_mode);
     j.label = f.s("label");
+    f.finish();
     out.push_back(std::move(mj));
   }
   check_footer(tokens_of(r.next_line()), kManifestMagic, n, what);
@@ -392,11 +429,7 @@ std::vector<ManifestResult> load_results(std::istream& is) {
   const std::size_t n = read_header(r, kResultsMagic, what);
   std::vector<ManifestResult> out;  // no reserve(n): see load_manifest
   for (std::size_t k = 0; k < n; ++k) {
-    auto toks = tokens_of(r.next_line());
-    HLP_REQUIRE(!toks.empty() && toks[0] == "result",
-                what << ": expected 'result' line (line " << r.lineno()
-                     << ")");
-    const Fields head(toks, 1, what);
+    const Fields head = next_record(r, "result", what);
     ManifestResult mr;
     mr.index = head.z("index");
     JobResult& res = mr.result;
@@ -404,6 +437,8 @@ std::vector<ManifestResult> load_results(std::istream& is) {
     res.error = head.s("error");
     res.seconds = head.d("seconds");
     res.group_size = head.z("group_size");
+    head.finish();
+    std::vector<std::string> toks;
     if (res.ok) {
       PipelineOutcome& o = res.outcome;
       const auto as_int = [](const std::string& s) { return parse_int(s); };
@@ -418,26 +453,26 @@ std::vector<ManifestResult> load_results(std::istream& is) {
           },
           what);
       {
-        const Fields f(toks = tokens_of(r.next_line()), 1, what);
-        HLP_REQUIRE(toks[0] == "refine", what << ": expected 'refine' line");
+        const Fields f = next_record(r, "refine", what);
         o.refined = f.b("refined");
         o.refine.flips_applied = f.i("flips");
         o.refine.passes = f.i("passes");
         o.refine.cost_before = f.d("cost_before");
         o.refine.cost_after = f.d("cost_after");
+        f.finish();
         // The pipeline publishes the refined binding as out.fus too, so
         // the record does not duplicate it.
         if (o.refined) o.refine.fus = o.fus;
       }
       {
-        const Fields f(toks = tokens_of(r.next_line()), 1, what);
-        HLP_REQUIRE(toks[0] == "mux", what << ": expected 'mux' line");
+        const Fields f = next_record(r, "mux", what);
         DatapathStats& m = o.flow.mux_stats;
         m.largest_mux = f.i("largest");
         m.mux_length = f.i("length");
         m.num_fus = f.i("fus");
         m.muxdiff_mean = f.d("mean");
         m.muxdiff_variance = f.d("var");
+        f.finish();
       }
       o.flow.mux_stats.mux_size_a =
           load_vec<int>(tokens_of(r.next_line()), "muxa", as_int, what);
@@ -446,25 +481,24 @@ std::vector<ManifestResult> load_results(std::istream& is) {
       o.flow.mux_stats.muxdiff =
           load_vec<int>(tokens_of(r.next_line()), "muxdiff", as_int, what);
       {
-        const Fields f(toks = tokens_of(r.next_line()), 1, what);
-        HLP_REQUIRE(toks[0] == "map", what << ": expected 'map' line");
+        const Fields f = next_record(r, "map", what);
         o.flow.mapped.num_luts = f.i("luts");
         o.flow.mapped.depth = f.i("depth");
         o.flow.clock_period_ns = f.d("clock");
+        f.finish();
       }
       {
-        const Fields f(toks = tokens_of(r.next_line()), 1, what);
-        HLP_REQUIRE(toks[0] == "sim", what << ": expected 'sim' line");
+        const Fields f = next_record(r, "sim", what);
         o.flow.sim.num_cycles = f.u("cycles");
         o.flow.sim.total_transitions = f.u("total");
         o.flow.sim.functional_transitions = f.u("functional");
+        f.finish();
       }
       o.flow.sim.toggles = load_vec<std::uint64_t>(
           tokens_of(r.next_line()), "toggles",
           [](const std::string& s) { return parse_u64(s); }, what);
       {
-        const Fields f(toks = tokens_of(r.next_line()), 1, what);
-        HLP_REQUIRE(toks[0] == "power", what << ": expected 'power' line");
+        const Fields f = next_record(r, "power", what);
         PowerReport& p = o.flow.report;
         p.dynamic_power_mw = f.d("dyn");
         p.clock_period_ns = f.d("clock");
@@ -473,11 +507,12 @@ std::vector<ManifestResult> load_results(std::istream& is) {
         p.toggle_rate_mps = f.d("rate");
         p.transitions_per_cycle = f.d("tpc");
         p.glitch_fraction = f.d("glitch");
+        f.finish();
       }
       {
-        const Fields f(toks = tokens_of(r.next_line()), 1, what);
-        HLP_REQUIRE(toks[0] == "bind", what << ": expected 'bind' line");
+        const Fields f = next_record(r, "bind", what);
         o.bind_seconds = f.d("seconds");
+        f.finish();
       }
       o.cached_stages = load_vec<std::string>(
           tokens_of(r.next_line()), "cached", decode_token, what);

@@ -32,11 +32,10 @@ std::shared_ptr<const StageCache::Entry> StageCache::find(
 }
 
 std::shared_ptr<const StageCache::Entry> StageCache::find(
-    const std::string& key, const StoreTags& tags) {
+    const std::string& key, const std::string& sa) {
   auto entry = find(key);  // counts the memory hit/miss either way
   if (entry || !store_) return entry;
-  entry = store_->find(
-      store::ArtifactKey{store_scope_, key, tags.sa, tags.simd});
+  entry = store_->find(store::ArtifactKey{store_scope_, key, sa});
   if (entry) {
     ++disk_hits_;
     std::lock_guard<std::mutex> lock(mu_);
@@ -51,16 +50,14 @@ void StageCache::insert(const std::string& key, Entry entry) {
   entries_.emplace(key, std::move(holder));
 }
 
-void StageCache::insert(const std::string& key, const StoreTags& tags,
+void StageCache::insert(const std::string& key, const std::string& sa,
                         Entry entry) {
   auto holder = std::make_shared<const Entry>(std::move(entry));
   // Persist first: a publish conflict (two incompatible configurations
   // sharing one store) must surface as this run's error, not after the
   // memory cache already accepted the entry.
   if (store_)
-    store_->publish(
-        store::ArtifactKey{store_scope_, key, tags.sa, tags.simd},
-        *holder);
+    store_->publish(store::ArtifactKey{store_scope_, key, sa}, *holder);
   std::lock_guard<std::mutex> lock(mu_);
   entries_.emplace(key, std::move(holder));
 }
@@ -126,17 +123,18 @@ void stage_time(PipelineState& st) {
 void stage_simulate(PipelineState& st) {
   // Stimulus identical to run_flow (same seed, same sequence). The word
   // width only matters for the batched engine; every width is
-  // bit-identical, so resolving the spec's simd knob here cannot change
-  // the result, only the wall clock.
+  // bit-identical, so the width picked here cannot change the result,
+  // only the wall clock.
   const auto samples =
       random_samples(st.spec.num_vectors, st.ctx.cdfg().num_inputs(),
                      st.ctx.width(), st.spec.seed);
   const auto frames = make_frames(st.datapath, samples);
   // Lanes = consecutive cycles here, so the auto width is sized to the
   // frame count (it is essentially always >= 512 for real vector counts).
-  const SimdMode simd = st.spec.sim_engine == SimEngine::kBatched
-                            ? effective_simd_mode(st.spec.simd, frames.size())
-                            : SimdMode::kU64;
+  const SimdMode simd =
+      st.spec.sim_engine == SimEngine::kBatched
+          ? effective_simd_mode(SimdMode::kAuto, frames.size())
+          : SimdMode::kU64;
   st.out.flow.sim = simulate_frames(st.out.flow.mapped.lut_netlist, frames,
                                     st.spec.sim_engine, simd);
 }
@@ -243,12 +241,9 @@ Pipeline::CacheCursor Pipeline::make_cursor(FlowContext& ctx,
   cursor.enabled = cache_safe_ && spec.use_stage_cache;
   if (cursor.enabled) {
     cursor.key = ctx.binding_hash(spec.binder, spec.map, spec.timing);
-    // Mode tags for the persistent store, mirroring the runner's group
-    // key: the SA backend resolved (it changes values), simd as REQUESTED
-    // (it cannot change the cached artifacts, so two hosts resolving kAuto
-    // differently must still share entries).
-    cursor.tags.sa = sa_mode_name(ctx.sa_cache().mode());
-    cursor.tags.simd = simd_mode_name(spec.simd);
+    // The persistent store also checks the SA backend resolved (it
+    // changes values).
+    cursor.sa = sa_mode_name(ctx.sa_cache().mode());
   }
   return cursor;
 }
@@ -259,7 +254,7 @@ void Pipeline::run_stage(PipelineState& st, const Stage& stage,
   const bool cacheable = cursor.enabled && is_cached_stage(stage.name);
   if (cacheable && !cursor.probed) {
     cursor.probed = true;  // one hit/miss per run, probed at bind-fus
-    cursor.hit = st.ctx.stage_cache().find(cursor.key, cursor.tags);
+    cursor.hit = st.ctx.stage_cache().find(cursor.key, cursor.sa);
   }
   const auto t0 = Clock::now();
   if (cacheable && cursor.hit) {
@@ -273,7 +268,7 @@ void Pipeline::run_stage(PipelineState& st, const Stage& stage,
   if (stage.name == "bind-fus" || stage.name == "refine")
     st.out.bind_seconds += secs;
   if (cursor.enabled && !cursor.hit && stage.name == "time")
-    st.ctx.stage_cache().insert(cursor.key, cursor.tags, capture_entry(st));
+    st.ctx.stage_cache().insert(cursor.key, cursor.sa, capture_entry(st));
 }
 
 PipelineOutcome Pipeline::run(FlowContext& ctx, const RunSpec& spec) const {
@@ -322,7 +317,8 @@ std::vector<PipelineOutcome> Pipeline::run_batch(
   // Auto width is sized to the seed group: a word wider than the group
   // pays full word cost on lanes that can never fill.
   const SimdMode simd =
-      batched ? effective_simd_mode(spec.simd, seeds.size()) : SimdMode::kU64;
+      batched ? effective_simd_mode(SimdMode::kAuto, seeds.size())
+              : SimdMode::kU64;
   const std::size_t chunk_lanes = static_cast<std::size_t>(simd_lanes(simd));
   const auto t0 = Clock::now();
   std::vector<CycleSimStats> sims(seeds.size());

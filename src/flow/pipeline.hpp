@@ -18,8 +18,8 @@
 //    straight to simulate (tests/pipeline_cache_test.cpp).
 //  - run_batch: many stimulus seeds of one RunSpec share a single head
 //    pass, then ride the word-parallel simulator's lanes — one seed per
-//    bit, 64 per word for the u64 backend and up to 512 under
-//    HLP_SIMD/avx512 (tests/experiment_batch_test.cpp).
+//    bit, in the narrowest word that covers the seed group: 64 per u64
+//    word up to 512 per avx512 word (tests/experiment_batch_test.cpp).
 #pragma once
 
 #include <atomic>
@@ -57,25 +57,19 @@ struct RunSpec {
   PowerParams power;
   /// Which engine the `simulate` stage evaluates the stimulus with. The
   /// bit-parallel batch engine is the default; the scalar event simulator
-  /// is kept as the reference oracle (results are bit-identical).
+  /// is kept as the reference oracle (results are bit-identical). The
+  /// batched engine's word width is not a setting: each batch takes the
+  /// narrowest CPU-supported word that covers its lane demand (seed-group
+  /// size / frame count; effective_simd_mode), and every width is
+  /// bit-identical.
   SimEngine sim_engine = SimEngine::kBatched;
-  /// Word width of the batched engine (ignored for kScalar). kAuto defers
-  /// to the HLP_SIMD env var and then picks per batch: the narrowest
-  /// CPU-supported backend that covers the lane demand (seed-group size /
-  /// frame count), up to the widest available — so a 64-seed group stays
-  /// on the u64 word and a 512-seed group rides avx512. Explicit modes
-  /// win over the env var. Every width is bit-identical — the knob only
-  /// changes how many stimulus lanes one netlist traversal settles (64
-  /// for u64, up to 512 for avx512).
-  SimdMode simd = SimdMode::kAuto;
   /// Requested SA backend (power/sa_mode.hpp). The cache actually used
   /// belongs to the CONTEXT, so this field is a pin, not a selector: a
   /// concrete value makes run()/run_batch() verify the context's SaCache
   /// runs that mode (throwing on mismatch — catching a sweep whose specs
   /// and contexts were resolved under different HLP_SA_MODE values), an
-  /// absent value accepts whatever the context resolved. Unlike `simd`
-  /// this knob changes VALUES, which is why it pins rather than switches
-  /// per run.
+  /// absent value accepts whatever the context resolved. This knob
+  /// changes VALUES, which is why it pins rather than switches per run.
   std::optional<SaMode> sa;
   /// Consult the context's StageCache for the bind-fus..time artifacts
   /// (hits skip those stages; results are identical either way). Ignored —
@@ -91,17 +85,6 @@ struct RunSpec {
 /// bind-fus straight to simulate. Thread-safe; concurrent misses on one
 /// key both compute (value-identical by determinism) and the first insert
 /// wins.
-/// The sa/simd mode tags of one cached artifact, mirroring the
-/// ExperimentRunner group-key axes: the resolved SA backend name plus the
-/// *requested* simd mode name. Only meaningful when a persistent
-/// ArtifactStore is bound — the in-memory map keys on binding_hash() alone
-/// (which already encodes the SA mode; simd cannot change the
-/// bind-fus..time artifacts).
-struct StoreTags {
-  std::string sa;
-  std::string simd;
-};
-
 class StageCache {
  public:
   struct Entry {
@@ -119,15 +102,17 @@ class StageCache {
   /// Store-aware probe: a memory miss (still counted as a miss) falls
   /// through to the bound ArtifactStore; a disk hit (counted via
   /// disk_hits) repopulates the memory map so later probes stay local.
-  /// Without a bound store this is exactly find(key).
+  /// `sa` is the resolved SA mode name the stored entry must carry (the
+  /// in-memory map keys on binding_hash() alone, which already encodes
+  /// it). Without a bound store this is exactly find(key).
   std::shared_ptr<const Entry> find(const std::string& key,
-                                    const StoreTags& tags);
+                                    const std::string& sa);
   /// Publish the artifacts for `key` (first writer wins).
   void insert(const std::string& key, Entry entry);
   /// Store-aware publish: also persists the entry to the bound
   /// ArtifactStore (atomic write-then-rename, overlap-must-agree) before
   /// inserting it into the memory map.
-  void insert(const std::string& key, const StoreTags& tags, Entry entry);
+  void insert(const std::string& key, const std::string& sa, Entry entry);
 
   /// Bind a persistent ArtifactStore (non-owning; null unbinds). `scope`
   /// is the context-identity half of every ArtifactKey this cache reads
@@ -217,9 +202,9 @@ class Pipeline {
   /// job coalescing. The stages before `simulate` run ONCE (stage-cache
   /// aware, custom overrides honoured), then the built-in simulate stage
   /// evaluates every seed in `seeds` on the word-parallel simulator — one
-  /// stimulus seed per lane, with the lane count (64..512) chosen by
-  /// spec.simd / HLP_SIMD and seed groups chunked to the selected word
-  /// width — and the post-simulate stages run per seed. Outcome i is
+  /// stimulus seed per lane, in the narrowest word (64..512 lanes) that
+  /// covers the seed group, chunked to that word width — and the
+  /// post-simulate stages run per seed. Outcome i is
   /// bit-identical to run() with spec.seed = seeds[i] at ANY width;
   /// spec.seed itself is ignored. A replace()d `simulate` stage is NOT
   /// honoured here (the batch path owns stimulus generation).
@@ -235,7 +220,7 @@ class Pipeline {
     bool enabled = false;
     bool probed = false;
     std::string key;
-    StoreTags tags;  // mode tags for the persistent-store probe/publish
+    std::string sa;  // resolved SA mode name for the store probe/publish
     std::shared_ptr<const StageCache::Entry> hit;
   };
 

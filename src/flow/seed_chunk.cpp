@@ -14,12 +14,6 @@ std::vector<CycleSimStats> simulate_seed_chunk(
       return simulate_seed_chunk_t<SimdX4>(n, dp, lane_samples);
     case SimdMode::kX8:
       return simulate_seed_chunk_t<SimdX8>(n, dp, lane_samples);
-    case SimdMode::kAvx2:
-#if defined(HLP_HAVE_AVX2)
-      return detail::simulate_seed_chunk_avx2(n, dp, lane_samples);
-#else
-      break;
-#endif
     case SimdMode::kAvx512:
 #if defined(HLP_HAVE_AVX512)
       return detail::simulate_seed_chunk_avx512(n, dp, lane_samples);

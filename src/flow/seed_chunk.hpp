@@ -10,9 +10,8 @@
 //
 // The template is word-generic like the engine it drives; the
 // simulate_seed_chunk dispatcher picks the backend from a SimdMode, with
-// the AVX instantiations living in seed_chunk_avx2.cpp /
-// seed_chunk_avx512.cpp (compiled with -mavx2 / -mavx512f, reached only
-// after runtime CPU checks).
+// the AVX-512 instantiation living in seed_chunk_avx512.cpp (compiled with
+// -mavx512f, reached only after a runtime CPU check).
 #pragma once
 
 #include <algorithm>
@@ -117,10 +116,8 @@ std::vector<CycleSimStats> simulate_seed_chunk_t(
 
 namespace detail {
 
-/// Per-ISA entries, defined in seed_chunk_avx2.cpp / seed_chunk_avx512.cpp
-/// when the toolchain supports the flag (HLP_HAVE_AVX2 / HLP_HAVE_AVX512).
-std::vector<CycleSimStats> simulate_seed_chunk_avx2(
-    const Netlist& n, const Datapath& dp, const LaneSamples& lane_samples);
+/// Per-ISA entry, defined in seed_chunk_avx512.cpp when the toolchain
+/// supports the flag (HLP_HAVE_AVX512).
 std::vector<CycleSimStats> simulate_seed_chunk_avx512(
     const Netlist& n, const Datapath& dp, const LaneSamples& lane_samples);
 

@@ -1,9 +1,10 @@
 // The HLP_SA_MODE knob: which switching-activity engine SaCache (and the
 // flow layers above it) uses to fill its per-operation tables.
 //
-// Unlike HLP_SIMD — which only picks between bit-identical word widths —
-// the SA mode changes *values*: the three engines answer the same
-// question with different accuracy/cost trade-offs:
+// Unlike the simulator's word width — which only picks between
+// bit-identical backends — the SA mode changes *values*: the three
+// engines answer the same question with different accuracy/cost
+// trade-offs:
 //
 //   estimate  closed-form propagation of static signal probabilities
 //             (fast, no glitch model — the seed default).
@@ -21,7 +22,7 @@
 // by the resolved mode, and the distributed manifest carries the parent's
 // resolved mode so workers never re-consult their own environment.
 //
-// Parsing is strict, like HLP_SIMD: unset/empty falls back, anything
+// Parsing is strict, like HLP_JOBS: unset/empty falls back, anything
 // else must be one of the names above or the sweep dies loudly. There is
 // no "auto" spelling — an unset knob means kEstimated; resolution of an
 // *absent programmatic request* is the job of effective_sa_mode, which
@@ -48,7 +49,7 @@ const char* sa_mode_name(SaMode mode);
 SaMode parse_sa_mode(const std::string& value);
 
 /// HLP_SA_MODE env override, else `fallback`. Unset/empty falls back;
-/// garbage throws (strict, like simd_mode_from_env).
+/// garbage throws (strict, like jobs_from_env).
 SaMode sa_mode_from_env(SaMode fallback = SaMode::kEstimated);
 
 /// The mode a spec resolves to: an explicit request wins, an absent one

@@ -197,8 +197,8 @@ void check_frame_arity(const Netlist& n,
 
 // ---- runtime dispatch over the word width --------------------------------
 //
-// The portable widths instantiate here at baseline ISA; avx2/avx512 route
-// to the per-ISA TUs (bit_sim_isa.hpp). resolve_simd_mode() has already
+// The portable widths instantiate here at baseline ISA; avx512 routes to
+// its per-ISA TU (bit_sim_isa.hpp). resolve_simd_mode() has already
 // rejected modes the build or CPU cannot honour, so the unreachable
 // HLP_CHECKs only guard against an enum/dispatch mismatch.
 
@@ -214,12 +214,6 @@ CycleSimStats simulate_frames_batched(
       return simulate_frames_batched_t<SimdX4>(n, frames);
     case SimdMode::kX8:
       return simulate_frames_batched_t<SimdX8>(n, frames);
-    case SimdMode::kAvx2:
-#if defined(HLP_HAVE_AVX2)
-      return detail::simulate_frames_batched_avx2(n, frames);
-#else
-      break;
-#endif
     case SimdMode::kAvx512:
 #if defined(HLP_HAVE_AVX512)
       return detail::simulate_frames_batched_avx512(n, frames);
@@ -252,12 +246,6 @@ std::vector<CycleSimStats> simulate_batch(
       return simulate_batch_t<SimdX4>(n, runs);
     case SimdMode::kX8:
       return simulate_batch_t<SimdX8>(n, runs);
-    case SimdMode::kAvx2:
-#if defined(HLP_HAVE_AVX2)
-      return detail::simulate_batch_avx2(n, runs);
-#else
-      break;
-#endif
     case SimdMode::kAvx512:
 #if defined(HLP_HAVE_AVX512)
       return detail::simulate_batch_avx512(n, runs);

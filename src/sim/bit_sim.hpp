@@ -10,12 +10,12 @@
 //
 // The engine itself is word-generic (bit_sim_engine.hpp): the same
 // algorithms run at 64 lanes per `uint64_t`, 128/256/512 lanes per
-// portable multi-limb word, or 256/512 lanes per AVX2/AVX-512 register.
-// The functions below select the backend with a SimdMode (simd_mode.hpp;
-// the HLP_SIMD env var and the flow pipeline's RunSpec/Job `simd` knob
-// feed it) behind runtime CPU dispatch — every backend is bit-identical
-// to the scalar path (asserted across widths by tests/bit_sim_test.cpp),
-// so the mode only changes wall-clock.
+// portable multi-limb word, or 512 lanes per AVX-512 register. The
+// functions below select the backend with a SimdMode (simd_mode.hpp; the
+// flow pipeline always passes kAuto sized to its lane demand) behind
+// runtime CPU dispatch — every backend is bit-identical to the scalar
+// path (asserted across widths by tests/bit_sim_test.cpp), so the mode
+// only changes wall-clock.
 //
 // Two batching axes are provided:
 //
@@ -58,7 +58,7 @@ enum class SimEngine { kScalar, kBatched };
 /// The 64-lane instantiations keep their pre-SIMD names: BitSimulator is
 /// the u64 reference word engine (one `uint64_t` per net), and the default
 /// backend of every simulate_* entry point below. Wider instantiations
-/// (BitSimulatorT<SimdX2>, BitSimulatorT<AvxWord256>, ...) are reached
+/// (BitSimulatorT<SimdX2>, BitSimulatorT<AvxWord512>, ...) are reached
 /// through the SimdMode parameters.
 using BitSimulator = BitSimulatorT<std::uint64_t>;
 
@@ -68,9 +68,9 @@ using LaneCounters = LaneCountersT<std::uint64_t>;
 
 /// Batched drop-in for simulate_frames: same stimulus semantics, same
 /// result, one word of consecutive cycles at a time (64 for the default
-/// u64 backend, up to 512 under HLP_SIMD/avx512). `frames[t]` holds one
+/// u64 backend, up to 512 for x8/avx512). `frames[t]` holds one
 /// bit per primary input in netlist input order. `simd` must resolve
-/// (resolve_simd_mode) — kAuto picks the widest CPU-supported backend.
+/// (resolve_simd_mode) — kAuto picks the widest supported backend.
 CycleSimStats simulate_frames_batched(
     const Netlist& n, const std::vector<std::vector<char>>& frames,
     SimdMode simd = SimdMode::kU64);

@@ -8,10 +8,10 @@
 // width only changes how many lanes one traversal covers.
 //
 // The public entry points (bit_sim.hpp) wrap these templates behind the
-// HLP_SIMD runtime dispatch; the per-ISA translation units
-// (bit_sim_avx2.cpp, bit_sim_avx512.cpp) instantiate them for the
-// intrinsic word types. Gate classification is word-independent and lives
-// in one non-template GatePlan built once per netlist (bit_sim.cpp).
+// SimdMode runtime dispatch; the per-ISA translation unit
+// (bit_sim_avx512.cpp) instantiates them for the intrinsic word type.
+// Gate classification is word-independent and lives in one non-template
+// GatePlan built once per netlist (bit_sim.cpp).
 #pragma once
 
 #include <algorithm>

@@ -1,21 +1,20 @@
 #include "sim/simd_mode.hpp"
 
-#include <cstdlib>
-
 #include "common/error.hpp"
 
 namespace hlp {
 
 namespace {
 
-constexpr const char* kAccepted = "auto, u64, x2, x4, x8, avx2, avx512";
-
-bool cpu_has_avx2() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2") != 0;
+// Was this backend compiled into the library? Portable modes always;
+// avx512 only when the toolchain accepted -mavx512f.
+bool simd_mode_compiled(SimdMode mode) {
+#if defined(HLP_HAVE_AVX512)
+  constexpr bool kHaveAvx512 = true;
 #else
-  return false;
+  constexpr bool kHaveAvx512 = false;
 #endif
+  return mode != SimdMode::kAvx512 || kHaveAvx512;
 }
 
 bool cpu_has_avx512f() {
@@ -26,12 +25,18 @@ bool cpu_has_avx512f() {
 #endif
 }
 
+// The 512-lane word this build and CPU run: avx512, else portable x8.
+SimdMode widest_supported() {
+  return simd_mode_supported(SimdMode::kAvx512) ? SimdMode::kAvx512
+                                                : SimdMode::kX8;
+}
+
 }  // namespace
 
 const std::vector<SimdMode>& all_simd_modes() {
   static const std::vector<SimdMode> kModes = {
-      SimdMode::kAuto, SimdMode::kU64,  SimdMode::kX2,    SimdMode::kX4,
-      SimdMode::kX8,   SimdMode::kAvx2, SimdMode::kAvx512};
+      SimdMode::kAuto, SimdMode::kU64, SimdMode::kX2,
+      SimdMode::kX4,   SimdMode::kX8,  SimdMode::kAvx512};
   return kModes;
 }
 
@@ -47,66 +52,21 @@ const char* simd_mode_name(SimdMode mode) {
       return "x4";
     case SimdMode::kX8:
       return "x8";
-    case SimdMode::kAvx2:
-      return "avx2";
     case SimdMode::kAvx512:
       return "avx512";
   }
   HLP_CHECK(false, "invalid SimdMode value");
 }
 
-SimdMode parse_simd_mode(const std::string& value) {
-  for (const SimdMode mode : all_simd_modes())
-    if (value == simd_mode_name(mode)) return mode;
-  HLP_REQUIRE(false, "HLP_SIMD='" << value << "' is not a SIMD mode (accepted: "
-                                  << kAccepted << ")");
-}
-
-SimdMode simd_mode_from_env(SimdMode fallback) {
-  const char* env = std::getenv("HLP_SIMD");
-  if (!env || *env == '\0') return fallback;
-  return parse_simd_mode(env);
-}
-
-bool simd_mode_compiled(SimdMode mode) {
-  switch (mode) {
-    case SimdMode::kAvx2:
-#if defined(HLP_HAVE_AVX2)
-      return true;
-#else
-      return false;
-#endif
-    case SimdMode::kAvx512:
-#if defined(HLP_HAVE_AVX512)
-      return true;
-#else
-      return false;
-#endif
-    default:
-      return true;
-  }
-}
-
 bool simd_mode_supported(SimdMode mode) {
-  if (!simd_mode_compiled(mode)) return false;
-  switch (mode) {
-    case SimdMode::kAvx2:
-      return cpu_has_avx2();
-    case SimdMode::kAvx512:
-      return cpu_has_avx512f();
-    default:
-      return true;
-  }
+  return simd_mode_compiled(mode) &&
+         (mode != SimdMode::kAvx512 || cpu_has_avx512f());
 }
 
 SimdMode resolve_simd_mode(SimdMode requested) {
-  if (requested == SimdMode::kAuto) {
-    if (simd_mode_supported(SimdMode::kAvx512)) return SimdMode::kAvx512;
-    if (simd_mode_supported(SimdMode::kAvx2)) return SimdMode::kAvx2;
-    return SimdMode::kU64;
-  }
+  if (requested == SimdMode::kAuto) return widest_supported();
   HLP_REQUIRE(simd_mode_supported(requested),
-              "HLP_SIMD mode '" << simd_mode_name(requested) << "' is not "
+              "SIMD mode '" << simd_mode_name(requested) << "' is not "
                   << (simd_mode_compiled(requested)
                           ? "supported on this CPU"
                           : "compiled into this build"));
@@ -114,23 +74,15 @@ SimdMode resolve_simd_mode(SimdMode requested) {
 }
 
 SimdMode effective_simd_mode(SimdMode requested) {
-  return resolve_simd_mode(requested == SimdMode::kAuto
-                               ? simd_mode_from_env(SimdMode::kAuto)
-                               : requested);
+  return resolve_simd_mode(requested);
 }
 
 SimdMode effective_simd_mode(SimdMode requested, std::size_t lanes_needed) {
-  const SimdMode mode = requested == SimdMode::kAuto
-                            ? simd_mode_from_env(SimdMode::kAuto)
-                            : requested;
-  if (mode != SimdMode::kAuto) return resolve_simd_mode(mode);
+  if (requested != SimdMode::kAuto) return resolve_simd_mode(requested);
   if (lanes_needed <= 64) return SimdMode::kU64;
   if (lanes_needed <= 128) return SimdMode::kX2;
-  if (lanes_needed <= 256)
-    return simd_mode_supported(SimdMode::kAvx2) ? SimdMode::kAvx2
-                                                : SimdMode::kX4;
-  return simd_mode_supported(SimdMode::kAvx512) ? SimdMode::kAvx512
-                                                : SimdMode::kX8;
+  if (lanes_needed <= 256) return SimdMode::kX4;
+  return widest_supported();
 }
 
 int simd_lanes(SimdMode mode) {
@@ -140,7 +92,6 @@ int simd_lanes(SimdMode mode) {
     case SimdMode::kX2:
       return 128;
     case SimdMode::kX4:
-    case SimdMode::kAvx2:
       return 256;
     case SimdMode::kX8:
     case SimdMode::kAvx512:

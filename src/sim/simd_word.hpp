@@ -9,13 +9,13 @@
 //                               lanes for N = 2/4/8). Plain C++ loops over
 //                               the limbs; the compiler auto-vectorises
 //                               them with whatever ISA the TU is built for.
-//  - AvxWord256 / AvxWord512  — explicit __m256i / __m512i backends. Only
-//                               defined when the translation unit is
-//                               compiled with AVX2 / AVX-512F enabled, so
-//                               this header stays includable from baseline
-//                               TUs; the library compiles them in dedicated
-//                               per-ISA TUs (bit_sim_avx2.cpp, ...) behind
-//                               runtime CPU dispatch (simd_mode.hpp).
+//  - AvxWord512               — explicit __m512i backend. Only defined
+//                               when the translation unit is compiled with
+//                               AVX-512F enabled, so this header stays
+//                               includable from baseline TUs; the library
+//                               compiles it in dedicated per-ISA TUs
+//                               (bit_sim_avx512.cpp, seed_chunk_avx512.cpp)
+//                               behind runtime CPU dispatch (simd_mode.hpp).
 //
 // Every word type exposes the same contract through WordTraits<W>:
 // bitwise operators (&, |, ^, ~ — lane-wise boolean algebra), plus the
@@ -28,7 +28,7 @@
 #include <bit>
 #include <cstdint>
 
-#if defined(__AVX2__) || defined(__AVX512F__)
+#if defined(__AVX512F__)
 #include <immintrin.h>
 #endif
 
@@ -176,108 +176,6 @@ struct WordTraits<SimdWord<N, Tag>> {
   }
 };
 
-#if defined(__AVX2__)
-
-/// 256-lane word on an AVX2 register. Bitwise algebra runs on the vector
-/// unit; lane-indexed helpers go through the aliased limb view (a
-/// GCC/Clang-sanctioned union pun), which only the staging/unpack paths
-/// touch.
-struct AvxWord256 {
-  union {
-    __m256i v;
-    std::uint64_t limb[4];
-  };
-
-  friend AvxWord256 operator&(const AvxWord256& a, const AvxWord256& b) {
-    AvxWord256 r;
-    r.v = _mm256_and_si256(a.v, b.v);
-    return r;
-  }
-  friend AvxWord256 operator|(const AvxWord256& a, const AvxWord256& b) {
-    AvxWord256 r;
-    r.v = _mm256_or_si256(a.v, b.v);
-    return r;
-  }
-  friend AvxWord256 operator^(const AvxWord256& a, const AvxWord256& b) {
-    AvxWord256 r;
-    r.v = _mm256_xor_si256(a.v, b.v);
-    return r;
-  }
-  friend AvxWord256 operator~(const AvxWord256& a) {
-    AvxWord256 r;
-    r.v = _mm256_xor_si256(a.v, _mm256_set1_epi64x(-1));
-    return r;
-  }
-};
-
-template <>
-struct WordTraits<AvxWord256> {
-  using Word = AvxWord256;
-  static constexpr int kLanes = 256;
-  static Word zero() {
-    Word w;
-    w.v = _mm256_setzero_si256();
-    return w;
-  }
-  static Word ones() {
-    Word w;
-    w.v = _mm256_set1_epi64x(-1);
-    return w;
-  }
-  static Word fill(bool b) { return b ? ones() : zero(); }
-  static bool any(const Word& w) { return !_mm256_testz_si256(w.v, w.v); }
-  static int popcount(const Word& w) {
-    int c = 0;
-    for (int i = 0; i < 4; ++i) c += std::popcount(w.limb[i]);
-    return c;
-  }
-  static int lane(const Word& w, int l) {
-    return static_cast<int>((w.limb[l >> 6] >> (l & 63)) & 1u);
-  }
-  static void or_lane(Word& w, int l, std::uint64_t bit) {
-    w.limb[l >> 6] |= bit << (l & 63);
-  }
-  // Self-contained (no WordTraits<SimdWord<4>> reference): this TU is
-  // compiled with AVX flags, and instantiating the baseline portable
-  // traits here would emit COMDAT symbols the linker could prefer over
-  // the baseline TUs' copies — exactly the cross-ISA mixing the SimdWord
-  // Tag exists to prevent.
-  static Word mask_lo(int n) {
-    Word w;
-    for (int i = 0; i < 4; ++i) {
-      const int base = i * 64;
-      if (n >= base + 64)
-        w.limb[i] = ~0ull;
-      else if (n <= base)
-        w.limb[i] = 0;
-      else
-        w.limb[i] = (1ull << (n - base)) - 1;
-    }
-    return w;
-  }
-  static Word shl1(const Word& w, int carry_in) {
-    Word r;
-    std::uint64_t carry = static_cast<std::uint64_t>(carry_in);
-    for (int i = 0; i < 4; ++i) {
-      r.limb[i] = (w.limb[i] << 1) | carry;
-      carry = w.limb[i] >> 63;
-    }
-    return r;
-  }
-  template <typename F>
-  static void for_each_lane(const Word& w, F&& f) {
-    for (int i = 0; i < 4; ++i) {
-      std::uint64_t bits = w.limb[i];
-      while (bits) {
-        f(i * 64 + std::countr_zero(bits));
-        bits &= bits - 1;
-      }
-    }
-  }
-};
-
-#endif  // __AVX2__
-
 #if defined(__AVX512F__)
 
 /// 512-lane word on an AVX-512 register (AVX512F ops only, so runtime
@@ -356,7 +254,11 @@ struct WordTraits<AvxWord512> {
   static void or_lane(Word& w, int l, std::uint64_t bit) {
     w.limb[l >> 6] |= bit << (l & 63);
   }
-  // Self-contained for the same cross-ISA COMDAT reason as AvxWord256.
+  // Self-contained (no WordTraits<SimdWord<8>> reference): this TU is
+  // compiled with AVX flags, and instantiating the baseline portable
+  // traits here would emit COMDAT symbols the linker could prefer over
+  // the baseline TUs' copies — exactly the cross-ISA mixing the SimdWord
+  // Tag exists to prevent.
   static Word mask_lo(int n) {
     Word w;
     for (int i = 0; i < 8; ++i) {

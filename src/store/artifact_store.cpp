@@ -26,7 +26,7 @@ constexpr const char* kMagic = "hlp-artifact";
 // Bump whenever the key or payload layout changes: an object written in an
 // older layout is then rejected by its version line (and recomputed)
 // instead of failing on whichever field moved.
-constexpr const char* kVersion = "v2";
+constexpr const char* kVersion = "v3";
 
 // FNV-1a 64: the content address of a key and the payload checksum. Not
 // cryptographic — the store defends against crashes and bit rot, not
@@ -444,7 +444,7 @@ bool staging_dir_is_stale(const fs::path& dir) {
 std::string ArtifactKey::full() const {
   // Newline-joined (no component may contain one: scopes and binding
   // hashes are single-line by construction, mode names are identifiers).
-  return scope + '\n' + binding + '\n' + sa + '\n' + simd;
+  return scope + '\n' + binding + '\n' + sa;
 }
 
 std::string ArtifactStore::content_address(const ArtifactKey& key) {
@@ -467,7 +467,6 @@ std::string ArtifactStore::serialize(const ArtifactKey& key,
   os << "scope " << flow::encode_token(key.scope) << '\n';
   os << "binding " << flow::encode_token(key.binding) << '\n';
   os << "sa " << flow::encode_token(key.sa) << '\n';
-  os << "simd " << flow::encode_token(key.simd) << '\n';
   os << "payload " << lines << '\n';
   os << body;
   os << "sum " << hex64(fnv1a64(body)) << '\n';
@@ -494,7 +493,6 @@ LoadedArtifact ArtifactStore::parse(const std::string& bytes,
   art.key.scope = tag("scope");
   art.key.binding = tag("binding");
   art.key.sa = tag("sa");
-  art.key.simd = tag("simd");
   const auto counted = r.expect("payload");
   require_fields(counted, 2, what);
   const std::uint64_t lines = parse_u64(counted[1], what);
@@ -555,15 +553,9 @@ std::shared_ptr<const ArtifactStore::Entry> ArtifactStore::load_strict(
   HLP_REQUIRE(art.key.scope == key.scope && art.key.binding == key.binding,
               "artifact '" << path << "': key mismatch (address collision or "
                            << "tampered tags)");
-  auto tag_check = [&](const char* name, const std::string& got,
-                       const std::string& want) {
-    HLP_REQUIRE(got == want, "artifact '" << path << "': " << name
-                                          << " mode tag '" << got
-                                          << "' != requested '" << want
-                                          << "'");
-  };
-  tag_check("sa", art.key.sa, key.sa);
-  tag_check("simd", art.key.simd, key.simd);
+  HLP_REQUIRE(art.key.sa == key.sa,
+              "artifact '" << path << "': sa mode tag '" << art.key.sa
+                           << "' != requested '" << key.sa << "'");
   return std::make_shared<const Entry>(std::move(art.entry));
 }
 

@@ -13,14 +13,13 @@
 //   binding  — FlowContext::binding_hash() verbatim (scheduler, resolved
 //              rc, width, reg_seed, SA mode, binder knobs in hexfloat,
 //              map + timing parameters);
-//   sa/simd  — the mode tags of the runner's group keys: the resolved SA
-//              backend and the *requested* simd mode, recorded so a warm
-//              hit can prove it was produced under the same configuration
-//              axes the runner groups by.
+//   sa       — the resolved SA backend, recorded so a warm hit can prove
+//              it was produced under the same SA mode the runner groups
+//              by.
 //
 // One entry = one file, `objects/<fnv1a64(key)>.art`, in a line-oriented
 // text format that follows the flow/job_io conventions: hexfloat doubles
-// (bit-exact round trips), percent-escaped strings, a `hlp-artifact v2`
+// (bit-exact round trips), percent-escaped strings, a `hlp-artifact v3`
 // magic header and an `end hlp-artifact <count>` footer so truncation is
 // detectable, plus an FNV-1a checksum over the payload so bit flips are
 // too. Unlike the job wire format the payload carries the FULL mapped and
@@ -32,7 +31,7 @@
 //     never observes a half-written entry and a SIGKILLed writer leaves
 //     only staging litter, never a corrupt object.
 //   - find() is lenient: a missing entry is a miss; an entry that fails
-//     ANY validation (truncated, bit-flipped, wrong magic/footer, mode-tag
+//     ANY validation (truncated, bit-flipped, wrong magic/footer, SA tag
 //     or key mismatch) is rejected and reported as a miss — corruption
 //     degrades a warm run to a cold one, it never poisons it.
 //   - publish() and merge_from() are overlap-must-agree: an existing
@@ -66,7 +65,6 @@ struct ArtifactKey {
   std::string scope;    // context identity (runner key + CDFG digest)
   std::string binding;  // FlowContext::binding_hash()
   std::string sa;       // resolved SA mode name (sa_mode_name)
-  std::string simd;     // requested simd mode name (simd_mode_name)
 
   std::string full() const;
   friend bool operator==(const ArtifactKey&, const ArtifactKey&) = default;

@@ -100,7 +100,7 @@ ArtifactStore::Entry make_entry(double clock = 1.5) {
 
 ArtifactKey make_key(const std::string& binding = "binder|0x1p-1|4",
                      const std::string& sa = "estimate") {
-  return {"pr|list|2x2|4|42|gcafe", binding, sa, "auto"};
+  return {"pr|list|2x2|4|42|gcafe", binding, sa};
 }
 
 void expect_entry_eq(const ArtifactStore::Entry& a,
@@ -317,28 +317,40 @@ TEST_F(ArtifactStoreFaults, TamperedModeTagIsRejected) {
   EXPECT_EQ(read_file(path_), blob_);
 }
 
-TEST_F(ArtifactStoreFaults, VersionOneObjectsAreRejectedByVersion) {
-  // A v1 object (the format before the settle tag left the key) planted at
-  // this key's address: it must fail on its version line, not on the
-  // settle line the v2 parser no longer expects.
-  std::string v1 = blob_;
-  const std::string header = "hlp-artifact v2\n";
-  ASSERT_EQ(v1.rfind(header, 0), 0u);
-  v1.replace(0, header.size(), "hlp-artifact v1\n");
+TEST_F(ArtifactStoreFaults, OlderVersionObjectsAreRejectedByVersion) {
+  // Objects in each older layout planted at this key's address: they must
+  // fail on their version line, not on the tag lines the v3 parser no
+  // longer expects. v1 still carried the settle and simd tags after the sa
+  // line, v2 only the simd tag.
+  struct Layout {
+    std::string version;
+    std::string extra_tags;
+  };
+  const std::string header = "hlp-artifact v3\n";
+  ASSERT_EQ(blob_.rfind(header, 0), 0u);
   const std::string sa_line = "sa " + key_.sa + "\n";
-  const std::size_t sa_at = v1.find(sa_line);
+  const std::size_t sa_at = blob_.find(sa_line);
   ASSERT_NE(sa_at, std::string::npos);
-  v1.insert(sa_at + sa_line.size(), "settle auto\n");
-  write_file(path_, v1);
-  try {
-    store_->load_strict(key_);
-    FAIL() << "strict load of a v1 artifact did not throw";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("unsupported version 'v1'"),
-              std::string::npos)
-        << e.what();
+  for (const Layout& old : {Layout{"v1", "settle auto\nsimd auto\n"},
+                            Layout{"v2", "simd auto\n"}}) {
+    std::string bytes = blob_;
+    bytes.insert(sa_at + sa_line.size(), old.extra_tags);
+    bytes.replace(0, header.size(), "hlp-artifact " + old.version + "\n");
+    write_file(path_, bytes);
+    // A fresh handle per layout: the helper expects exactly one rejection.
+    store_ = std::make_unique<ArtifactStore>(root_);
+    try {
+      store_->load_strict(key_);
+      FAIL() << "strict load of a " << old.version << " artifact did not "
+             << "throw";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported version '" +
+                                           old.version + "'"),
+                std::string::npos)
+          << e.what();
+    }
+    expect_rejected_then_repaired(old.version);
   }
-  expect_rejected_then_repaired("version-1");
 }
 
 TEST_F(ArtifactStoreFaults, StrayTempFilesNeverBecomeEntries) {

@@ -4,8 +4,9 @@
 // functional transition counts, and the glitch split — including
 // non-multiple-of-64 frame counts and mixed-length run batches, and the
 // same equivalence for every SIMD word width the build/CPU supports
-// (u64/x2/x4/x8 portable limbs plus the AVX2/AVX-512 backends): one
-// randomized grid, every backend, bit for bit.
+// (u64/x2/x4/x8 portable limbs plus the AVX-512 backend): one randomized
+// grid, every backend, bit for bit. The SimdMode tests pin how `auto`
+// picks a word.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -275,6 +276,66 @@ TEST(BitSimWidths, AutoModeDispatchesAndAgrees) {
   for (std::size_t i = 0; i < runs.size(); ++i)
     expect_identical(reference[i], automatic[i],
                      "auto run " + std::to_string(i));
+}
+
+// ---- word selection ------------------------------------------------------
+
+TEST(SimdMode, LaneWidths) {
+  EXPECT_EQ(simd_lanes(SimdMode::kU64), 64);
+  EXPECT_EQ(simd_lanes(SimdMode::kX2), 128);
+  EXPECT_EQ(simd_lanes(SimdMode::kX4), 256);
+  EXPECT_EQ(simd_lanes(SimdMode::kX8), 512);
+  EXPECT_EQ(simd_lanes(SimdMode::kAvx512), 512);
+  EXPECT_THROW(simd_lanes(SimdMode::kAuto), Error);  // resolve first
+}
+
+TEST(SimdMode, PortableModesAlwaysResolve) {
+  for (const SimdMode mode :
+       {SimdMode::kU64, SimdMode::kX2, SimdMode::kX4, SimdMode::kX8}) {
+    EXPECT_TRUE(simd_mode_supported(mode)) << simd_mode_name(mode);
+    EXPECT_EQ(resolve_simd_mode(mode), mode) << simd_mode_name(mode);
+  }
+}
+
+TEST(SimdMode, DemandFreeAutoPicksTheWidestWord) {
+  const SimdMode widest = simd_mode_supported(SimdMode::kAvx512)
+                              ? SimdMode::kAvx512
+                              : SimdMode::kX8;
+  EXPECT_EQ(resolve_simd_mode(SimdMode::kAuto), widest);
+  EXPECT_EQ(effective_simd_mode(SimdMode::kAuto), widest);
+}
+
+TEST(SimdMode, UnsupportedAvx512ThrowsNotDowngrade) {
+  if (simd_mode_supported(SimdMode::kAvx512)) {
+    EXPECT_EQ(resolve_simd_mode(SimdMode::kAvx512), SimdMode::kAvx512);
+    return;
+  }
+  // This CPU/build cannot honour the request: resolve must die loudly
+  // (naming the mode), never quietly hand back a narrower backend.
+  try {
+    resolve_simd_mode(SimdMode::kAvx512);
+    FAIL() << "expected throw for avx512";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("avx512"), std::string::npos);
+  }
+}
+
+TEST(SimdMode, LanesAwareAutoNeverOverallocates) {
+  // Auto sizes the word to the batch: narrowest supported backend that
+  // covers the lane demand.
+  EXPECT_EQ(effective_simd_mode(SimdMode::kAuto, 1), SimdMode::kU64);
+  EXPECT_EQ(effective_simd_mode(SimdMode::kAuto, 64), SimdMode::kU64);
+  EXPECT_EQ(effective_simd_mode(SimdMode::kAuto, 65), SimdMode::kX2);
+  EXPECT_EQ(effective_simd_mode(SimdMode::kAuto, 128), SimdMode::kX2);
+  EXPECT_EQ(effective_simd_mode(SimdMode::kAuto, 129), SimdMode::kX4);
+  EXPECT_EQ(effective_simd_mode(SimdMode::kAuto, 256), SimdMode::kX4);
+  const SimdMode want512 = simd_mode_supported(SimdMode::kAvx512)
+                               ? SimdMode::kAvx512
+                               : SimdMode::kX8;
+  EXPECT_EQ(effective_simd_mode(SimdMode::kAuto, 257), want512);
+  EXPECT_EQ(effective_simd_mode(SimdMode::kAuto, 10000), want512);
+  // Explicit modes are never narrowed.
+  EXPECT_EQ(effective_simd_mode(SimdMode::kX8, 1), SimdMode::kX8);
 }
 
 // ---- settle step counts --------------------------------------------------

@@ -115,7 +115,6 @@ TEST(JobIo, ManifestRoundTripIsExact) {
   a.job.reg_seed = 99;
   a.job.sched_spec = {5, 3};
   a.job.sim_engine = SimEngine::kScalar;
-  a.job.simd = SimdMode::kX4;
   a.job.sa = SaMode::kExact;
   a.job.label = "label with spaces & %";
   jobs.push_back(a);
@@ -144,7 +143,6 @@ TEST(JobIo, ManifestRoundTripIsExact) {
   EXPECT_EQ(j.sched_spec.min_latency, 5);
   EXPECT_EQ(j.sched_spec.latency_slack, 3);
   EXPECT_EQ(j.sim_engine, SimEngine::kScalar);
-  EXPECT_EQ(j.simd, SimdMode::kX4);
   ASSERT_TRUE(j.sa.has_value());
   EXPECT_EQ(*j.sa, SaMode::kExact);
   EXPECT_EQ(j.label, "label with spaces & %");
@@ -154,6 +152,55 @@ TEST(JobIo, ManifestRoundTripIsExact) {
   // environment still runs exactly the parent's backend.
   ASSERT_TRUE(back[1].job.sa.has_value());
   EXPECT_EQ(*back[1].job.sa, effective_sa_mode(std::nullopt));
+}
+
+// Job frames are strict: an unknown key (the retired simd= included), a
+// repeated key and a missing key each fail with an error that names the
+// key and the line, in manifest and results frames alike.
+TEST(JobIo, FieldErrorsNameTheKeyAndTheLine) {
+  std::ostringstream manifest;
+  flow::save_manifest(manifest, {flow::ManifestJob{0, small_job("pr")}});
+  flow::ManifestResult failed;
+  failed.result.error = "boom";
+  std::ostringstream results;
+  flow::save_results(results, {failed});
+
+  // Edit the first record of a frame, which is line 3 (after the magic
+  // and count lines).
+  const auto edit_line3 = [](std::string frame, const std::string& from,
+                             const std::string& to) {
+    const std::size_t line3 = frame.find('\n', frame.find('\n') + 1) + 1;
+    const std::size_t at = frame.find(from, line3);
+    EXPECT_LT(at, frame.find('\n', line3)) << "'" << from << "' not on line 3";
+    return frame.replace(at, from.size(), to);
+  };
+  struct Row {
+    bool manifest;
+    std::string from, to, key;
+  };
+  const Row rows[] = {
+      {true, " label=", " bogus=1 label=", "bogus"},
+      {true, " label=", " simd=auto label=", "simd"},
+      {true, " reg_seed=", " seed=7 reg_seed=", "seed"},
+      {true, " width=4", "", "width"},
+      {false, " error=", " ok=1 error=", "ok"},
+  };
+  for (const Row& row : rows) {
+    std::istringstream in(
+        edit_line3(row.manifest ? manifest.str() : results.str(), row.from,
+                   row.to));
+    try {
+      if (row.manifest)
+        flow::load_manifest(in);
+      else
+        flow::load_results(in);
+      ADD_FAILURE() << "a frame with a bad '" << row.key << "' field loaded";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'" + row.key + "'"), std::string::npos) << what;
+      EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+    }
+  }
 }
 
 flow::ManifestResult synthetic_result() {

@@ -1,16 +1,13 @@
 // Dedicated coverage for the strict env-var parsers: HLP_JOBS
 // (flow::jobs_from_env), HLP_VECTORS (vectors_from_env), HLP_COALESCE
-// (flow::coalesce_from_env), HLP_SIMD (simd_mode_from_env /
-// resolve_simd_mode), HLP_SA_MODE
-// (sa_mode_from_env / effective_sa_mode), HLP_EXACT_BUDGET
-// (exact_budget_from_env) and HLP_STORE (flow::store_dir_from_env plus
-// the runner's artifact-store wiring).
+// (flow::coalesce_from_env), HLP_SA_MODE (sa_mode_from_env /
+// effective_sa_mode), HLP_EXACT_BUDGET (exact_budget_from_env) and
+// HLP_STORE (flow::store_dir_from_env plus the runner's artifact-store
+// wiring).
 // Garbage, negative, zero, overflow and unset inputs each have a pinned
 // behaviour: unset/empty falls back, everything invalid throws — a
 // sweep must die loudly, not run with a silently defaulted
-// configuration. For HLP_SIMD that includes values naming a backend the
-// build or the running CPU cannot honour: an explicit avx2/avx512
-// request never silently downgrades.
+// configuration.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -21,7 +18,6 @@
 #include "power/sa_mode.hpp"
 #include "rtl/flow.hpp"
 #include "store/artifact_store.hpp"
-#include "sim/simd_mode.hpp"
 
 namespace hlp {
 namespace {
@@ -141,135 +137,6 @@ TEST(EnvConfig, CoalesceParsesZeroAndOneOnly) {
   }
 }
 
-TEST(EnvConfig, SimdUnsetAndEmptyFallBack) {
-  ScopedUnsetEnv env("HLP_SIMD");
-  EXPECT_EQ(simd_mode_from_env(), SimdMode::kAuto);
-  EXPECT_EQ(simd_mode_from_env(SimdMode::kX2), SimdMode::kX2);
-  env.set("");
-  EXPECT_EQ(simd_mode_from_env(SimdMode::kU64), SimdMode::kU64);
-}
-
-TEST(EnvConfig, SimdParsesEveryKnownMode) {
-  ScopedUnsetEnv env("HLP_SIMD");
-  for (const SimdMode mode : all_simd_modes()) {
-    env.set(simd_mode_name(mode));
-    EXPECT_EQ(simd_mode_from_env(SimdMode::kU64), mode)
-        << simd_mode_name(mode);
-  }
-}
-
-TEST(EnvConfig, SimdRejectsGarbage) {
-  ScopedUnsetEnv env("HLP_SIMD");
-  // Strictly the lowercase canonical names: no case folding, no aliases,
-  // no lane counts, no trailing junk.
-  for (const char* bad : {"AVX2", "Auto", "u_64", "128", "x16", "avx",
-                          "sse2", "avx512vl", "u64 ", "1", "widest"}) {
-    env.set(bad);
-    EXPECT_THROW(simd_mode_from_env(), Error) << "input '" << bad << "'";
-  }
-}
-
-TEST(EnvConfig, SimdErrorNamesTheVariableAndValue) {
-  ScopedUnsetEnv env("HLP_SIMD");
-  env.set("banana");
-  try {
-    simd_mode_from_env();
-    FAIL() << "expected throw";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("HLP_SIMD"), std::string::npos);
-    EXPECT_NE(what.find("banana"), std::string::npos);
-    EXPECT_NE(what.find("avx512"), std::string::npos);  // lists accepted set
-  }
-}
-
-TEST(EnvConfig, SimdLaneWidths) {
-  EXPECT_EQ(simd_lanes(SimdMode::kU64), 64);
-  EXPECT_EQ(simd_lanes(SimdMode::kX2), 128);
-  EXPECT_EQ(simd_lanes(SimdMode::kX4), 256);
-  EXPECT_EQ(simd_lanes(SimdMode::kX8), 512);
-  EXPECT_EQ(simd_lanes(SimdMode::kAvx2), 256);
-  EXPECT_EQ(simd_lanes(SimdMode::kAvx512), 512);
-  EXPECT_THROW(simd_lanes(SimdMode::kAuto), Error);  // resolve first
-}
-
-TEST(EnvConfig, SimdPortableModesAlwaysResolve) {
-  for (const SimdMode mode :
-       {SimdMode::kU64, SimdMode::kX2, SimdMode::kX4, SimdMode::kX8}) {
-    EXPECT_TRUE(simd_mode_supported(mode)) << simd_mode_name(mode);
-    EXPECT_EQ(resolve_simd_mode(mode), mode) << simd_mode_name(mode);
-  }
-}
-
-TEST(EnvConfig, SimdAutoResolvesToASupportedConcreteMode) {
-  const SimdMode resolved = resolve_simd_mode(SimdMode::kAuto);
-  EXPECT_NE(resolved, SimdMode::kAuto);
-  EXPECT_TRUE(simd_mode_supported(resolved));
-  EXPECT_GE(simd_lanes(resolved), 64);
-  // Auto must pick the widest intrinsic backend the CPU+build supports.
-  if (simd_mode_supported(SimdMode::kAvx512))
-    EXPECT_EQ(resolved, SimdMode::kAvx512);
-  else if (simd_mode_supported(SimdMode::kAvx2))
-    EXPECT_EQ(resolved, SimdMode::kAvx2);
-  else
-    EXPECT_EQ(resolved, SimdMode::kU64);
-}
-
-TEST(EnvConfig, SimdUnsupportedExplicitModesThrowNotDowngrade) {
-  for (const SimdMode mode : {SimdMode::kAvx2, SimdMode::kAvx512}) {
-    if (simd_mode_supported(mode)) {
-      EXPECT_EQ(resolve_simd_mode(mode), mode) << simd_mode_name(mode);
-    } else {
-      // This CPU/build cannot honour the request: resolve must die loudly
-      // (naming the mode), never quietly hand back a narrower backend.
-      try {
-        resolve_simd_mode(mode);
-        FAIL() << "expected throw for " << simd_mode_name(mode);
-      } catch (const Error& e) {
-        EXPECT_NE(std::string(e.what()).find(simd_mode_name(mode)),
-                  std::string::npos);
-      }
-    }
-  }
-}
-
-TEST(EnvConfig, SimdLanesAwareAutoNeverOverallocates) {
-  ScopedUnsetEnv env("HLP_SIMD");
-  // Auto sizes the word to the batch: narrowest supported backend that
-  // covers the lane demand.
-  EXPECT_EQ(effective_simd_mode(SimdMode::kAuto, 1), SimdMode::kU64);
-  EXPECT_EQ(effective_simd_mode(SimdMode::kAuto, 64), SimdMode::kU64);
-  EXPECT_EQ(effective_simd_mode(SimdMode::kAuto, 65), SimdMode::kX2);
-  EXPECT_EQ(effective_simd_mode(SimdMode::kAuto, 128), SimdMode::kX2);
-  const SimdMode want256 = simd_mode_supported(SimdMode::kAvx2)
-                               ? SimdMode::kAvx2
-                               : SimdMode::kX4;
-  EXPECT_EQ(effective_simd_mode(SimdMode::kAuto, 129), want256);
-  EXPECT_EQ(effective_simd_mode(SimdMode::kAuto, 256), want256);
-  const SimdMode want512 = simd_mode_supported(SimdMode::kAvx512)
-                               ? SimdMode::kAvx512
-                               : SimdMode::kX8;
-  EXPECT_EQ(effective_simd_mode(SimdMode::kAuto, 257), want512);
-  EXPECT_EQ(effective_simd_mode(SimdMode::kAuto, 10000), want512);
-  // Explicit modes (and an explicit HLP_SIMD) are never narrowed.
-  EXPECT_EQ(effective_simd_mode(SimdMode::kX8, 1), SimdMode::kX8);
-  env.set("x4");
-  EXPECT_EQ(effective_simd_mode(SimdMode::kAuto, 1), SimdMode::kX4);
-}
-
-TEST(EnvConfig, SimdEffectiveModePrefersExplicitOverEnv) {
-  ScopedUnsetEnv env("HLP_SIMD");
-  // Explicit spec wins even when the env var is set...
-  env.set("x4");
-  EXPECT_EQ(effective_simd_mode(SimdMode::kX2), SimdMode::kX2);
-  // ...and kAuto defers to the env var.
-  EXPECT_EQ(effective_simd_mode(SimdMode::kAuto), SimdMode::kX4);
-  // With nothing set, kAuto resolves like resolve_simd_mode(kAuto).
-  ScopedUnsetEnv unset("HLP_SIMD");
-  EXPECT_EQ(effective_simd_mode(SimdMode::kAuto),
-            resolve_simd_mode(SimdMode::kAuto));
-}
-
 TEST(EnvConfig, SaModeUnsetAndEmptyFallBack) {
   ScopedUnsetEnv env("HLP_SA_MODE");
   EXPECT_EQ(sa_mode_from_env(), SaMode::kEstimated);
@@ -290,8 +157,8 @@ TEST(EnvConfig, SaModeParsesEveryKnownMode) {
 TEST(EnvConfig, SaModeRejectsGarbage) {
   ScopedUnsetEnv env("HLP_SA_MODE");
   // Strictly the lowercase canonical names: no case folding, no aliases,
-  // no trailing junk, and — unlike HLP_SIMD — no "auto": the
-  // modes return *different values*, so a deferred pick has no meaning.
+  // no trailing junk, and no "auto": the modes return *different
+  // values*, so a deferred pick has no meaning.
   for (const char* bad : {"ESTIMATE", "Sim", "Exact", "simulate", "estimated",
                           "bdd", "mc", "auto", "exact ", " sim", "0", "1"}) {
     env.set(bad);

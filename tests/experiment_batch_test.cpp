@@ -2,7 +2,9 @@
 // grids (mixed benchmarks, binders, 1-200 seeds, group sizes that are not
 // multiples of 64), the coalesced runner must produce JobResults that are
 // bit-identical to a runner with coalescing disabled, in the same order,
-// with failures still captured per job.
+// with failures still captured per job. The seed-chunk simulation under
+// the coalesced path is checked against the scalar oracle at every word
+// width the build and CPU support.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -13,6 +15,11 @@
 
 #include "flow/experiment.hpp"
 #include "flow/pipeline.hpp"
+#include "flow/seed_chunk.hpp"
+#include "rtl/datapath.hpp"
+#include "sim/schedule_sim.hpp"
+#include "sim/simd_mode.hpp"
+#include "sim/vectors.hpp"
 
 namespace hlp {
 namespace {
@@ -199,6 +206,46 @@ TEST(ExperimentBatch, GroupFailureIsCapturedOnEveryMemberJob) {
   for (std::size_t i = 7; i < 10; ++i)
     EXPECT_TRUE(results[i].ok) << results[i].error;
   expect_all_identical(results, run_independent(jobs));
+}
+
+TEST(SeedChunkWidths, EveryWidthMatchesScalarPerSeed) {
+  // The datapath and LUT netlist of one standard pipeline run on pr.
+  flow::ExperimentRunner runner(1);
+  flow::Job job = small_job();
+  job.benchmark = "pr";
+  flow::FlowContext& ctx = runner.context_for(job);
+  flow::RunSpec spec;
+  spec.num_vectors = job.num_vectors;
+  flow::Pipeline::standard().run(ctx, spec);
+  const auto entry = ctx.stage_cache().find(
+      ctx.binding_hash(spec.binder, spec.map, spec.timing));
+  ASSERT_TRUE(entry);
+  const Netlist& n = entry->mapped.lut_netlist;
+  const Datapath& dp = entry->datapath;
+
+  // 61 seeds leave one partial word at every width.
+  flow::LaneSamples lane_samples;
+  std::vector<CycleSimStats> want;
+  for (std::uint64_t seed = 500; seed < 561; ++seed) {
+    lane_samples.push_back(random_samples(
+        spec.num_vectors, ctx.cdfg().num_inputs(), ctx.width(), seed));
+    want.push_back(simulate_frames(n, make_frames(dp, lane_samples.back())));
+  }
+  for (const SimdMode mode : all_simd_modes()) {
+    if (mode == SimdMode::kAuto || !simd_mode_supported(mode)) continue;
+    SCOPED_TRACE(simd_mode_name(mode));
+    const auto got = flow::simulate_seed_chunk(n, dp, lane_samples, mode);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t l = 0; l < want.size(); ++l) {
+      EXPECT_EQ(got[l].num_cycles, want[l].num_cycles) << "seed #" << l;
+      EXPECT_EQ(got[l].toggles, want[l].toggles) << "seed #" << l;
+      EXPECT_EQ(got[l].functional_transitions,
+                want[l].functional_transitions)
+          << "seed #" << l;
+      EXPECT_EQ(got[l].total_transitions, want[l].total_transitions)
+          << "seed #" << l;
+    }
+  }
 }
 
 TEST(ExperimentBatch, CoalescingDefaultsOnAndToggles) {

@@ -171,7 +171,7 @@ TEST(SaCacheExact, ExactModeIsDeterministicAndCached) {
 }
 
 TEST(SaCacheExact, ThreeBackendsDisagreeOnValues) {
-  // The mode axis changes entry VALUES (unlike the simd knob) — that is
+  // The mode axis changes entry VALUES (unlike the word width) — that is
   // the whole reason it keys caches, store entries and manifests. The
   // analytic estimate, the sampler and the exact engine price the same
   // partial datapath differently.
