@@ -95,7 +95,7 @@ std::vector<ManifestResult> load_results_file(const std::string& path);
 ///   endunit <id>                   endunit <id>
 ///
 /// The request stream ends with a single `quit` line (or EOF), upon which
-/// the worker flushes its SA shard once and exits 0.
+/// the worker exits 0.
 
 /// One parsed request frame. `quit` is set (and the rest empty) when the
 /// stream ended or an explicit `quit` line arrived.

@@ -1,7 +1,8 @@
 #include "mapper/cuts.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <bit>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -125,37 +126,40 @@ TruthTable cut_function(const Netlist& n, NetId root,
   HLP_REQUIRE(static_cast<int>(leaves.size()) <= kMaxTtInputs,
               "cut has " << leaves.size() << " leaves, max " << kMaxTtInputs);
   const int k = static_cast<int>(leaves.size());
-  // Truth table of each net over the leaf variables, computed bottom-up.
-  std::unordered_map<NetId, std::uint64_t> tt;
   const std::uint64_t full_mask =
       k == 6 ? ~0ull : ((1ull << (1u << k)) - 1ull);
-  for (int j = 0; j < k; ++j) {
-    // Projection of variable j: bit m is ((m >> j) & 1).
-    std::uint64_t proj = 0;
-    for (std::uint32_t m = 0; m < (1u << k); ++m)
-      if ((m >> j) & 1u) proj |= 1ull << m;
-    tt[leaves[j]] = proj;
-  }
+  // Projection of variable j: bit m is ((m >> j) & 1).
+  static constexpr std::uint64_t kProjection[kMaxTtInputs] = {
+      0xaaaaaaaaaaaaaaaaull, 0xccccccccccccccccull, 0xf0f0f0f0f0f0f0f0ull,
+      0xff00ff00ff00ff00ull, 0xffff0000ffff0000ull, 0xffffffff00000000ull};
+  // Truth table of each net over the leaf variables, computed bottom-up.
+  // A cone holds a handful of nets, so a linear scan beats hashing. The
+  // scan runs newest first, so a repeated leaf takes its last position.
+  std::vector<std::pair<NetId, std::uint64_t>> memo;
+  memo.reserve(16);
+  for (int j = 0; j < k; ++j)
+    memo.emplace_back(leaves[j], kProjection[j] & full_mask);
   auto eval = [&](auto&& self, NetId net) -> std::uint64_t {
-    auto it = tt.find(net);
-    if (it != tt.end()) return it->second;
+    for (auto it = memo.rbegin(); it != memo.rend(); ++it)
+      if (it->first == net) return it->second;
     const int gi = n.driver_gate(net);
     HLP_REQUIRE(gi >= 0, "cut of '" << n.net_name(root)
                                     << "' does not cover source net '"
                                     << n.net_name(net) << "'");
     const Gate& g = n.gates()[gi];
-    std::vector<std::uint64_t> in_tts;
-    in_tts.reserve(g.ins.size());
-    for (NetId in : g.ins) in_tts.push_back(self(self, in));
+    const int fanin = static_cast<int>(g.ins.size());
+    std::uint64_t in_tts[kMaxTtInputs];
+    for (int j = 0; j < fanin; ++j) in_tts[j] = self(self, g.ins[j]);
+    // OR, over the gate's ON minterms, of the AND of each input's literal.
     std::uint64_t out = 0;
-    for (std::uint32_t m = 0; m < (1u << k); ++m) {
-      std::uint32_t gate_minterm = 0;
-      for (std::size_t j = 0; j < in_tts.size(); ++j)
-        if ((in_tts[j] >> m) & 1ull) gate_minterm |= 1u << j;
-      if (g.tt.eval(gate_minterm)) out |= 1ull << m;
+    for (std::uint64_t on = g.tt.bits(); on != 0; on &= on - 1) {
+      const unsigned gate_minterm = static_cast<unsigned>(std::countr_zero(on));
+      std::uint64_t cube = full_mask;
+      for (int j = 0; j < fanin; ++j)
+        cube &= ((gate_minterm >> j) & 1u) ? in_tts[j] : ~in_tts[j];
+      out |= cube;
     }
-    out &= full_mask;
-    tt.emplace(net, out);
+    memo.emplace_back(net, out);
     return out;
   };
   return TruthTable(k, eval(eval, root));

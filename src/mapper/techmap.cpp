@@ -10,8 +10,11 @@ namespace hlp {
 namespace {
 
 // Chosen cut index per net (into the CutSet's list), -1 when not selected.
+// kGlitchSa costs every candidate through its function, so it also keeps
+// the chosen cut's truth table for emission; other modes leave it empty.
 struct Selection {
   std::vector<int> cut_of_net;
+  std::vector<TruthTable> function_of_net;
 };
 
 // Select cuts per the mapping mode. Trivial self-cuts are never selected
@@ -19,6 +22,7 @@ struct Selection {
 Selection select_cuts(const Netlist& n, const CutSet& cuts, MapMode mode) {
   Selection sel;
   sel.cut_of_net.assign(n.num_nets(), -1);
+  if (mode == MapMode::kGlitchSa) sel.function_of_net.resize(n.num_nets());
 
   const auto fanout = n.fanout_counts();
 
@@ -28,6 +32,7 @@ Selection select_cuts(const Netlist& n, const CutSet& cuts, MapMode mode) {
   std::vector<TimedSignal> signal(n.num_nets());
   for (NetId net = 0; net < n.num_nets(); ++net)
     if (n.is_comb_source(net)) signal[net] = TimedSignal::source();
+  std::vector<const TimedSignal*> leaves;  // reused across candidate cuts
 
   for (int gi : n.topo_gates()) {
     const NetId root = n.gates()[gi].out;
@@ -37,6 +42,7 @@ Selection select_cuts(const Netlist& n, const CutSet& cuts, MapMode mode) {
     int best_depth = std::numeric_limits<int>::max();
     std::size_t best_size = 0;
     TimedSignal best_signal;
+    TruthTable best_function;
 
     // Depth slack for SA/area modes: allow one extra level over the
     // depth-optimal choice, the usual quality/latency compromise.
@@ -52,6 +58,7 @@ Selection select_cuts(const Netlist& n, const CutSet& cuts, MapMode mode) {
 
       double cost = 0.0;
       TimedSignal sig;
+      TruthTable function;
       switch (mode) {
         case MapMode::kDepth:
           cost = depth * 1000.0 + static_cast<double>(c.leaves.size());
@@ -63,11 +70,10 @@ Selection select_cuts(const Netlist& n, const CutSet& cuts, MapMode mode) {
           break;
         }
         case MapMode::kGlitchSa: {
-          const TruthTable tt = cut_function(n, root, c.leaves);
-          std::vector<const TimedSignal*> leaves;
-          leaves.reserve(c.leaves.size());
+          function = cut_function(n, root, c.leaves);
+          leaves.clear();
           for (NetId l : c.leaves) leaves.push_back(&signal[l]);
-          sig = propagate_lut(tt, leaves);
+          sig = propagate_lut(function, leaves);
           cost = sig.total_activity();
           break;
         }
@@ -83,6 +89,7 @@ Selection select_cuts(const Netlist& n, const CutSet& cuts, MapMode mode) {
         best_depth = depth;
         best_size = c.leaves.size();
         best_signal = std::move(sig);
+        best_function = function;
       }
     }
     HLP_CHECK(best >= 0, "no implementable cut for net '" << n.net_name(root)
@@ -96,6 +103,7 @@ Selection select_cuts(const Netlist& n, const CutSet& cuts, MapMode mode) {
       area_flow[root] = af / std::max(1, fanout[root]);
     } else if (mode == MapMode::kGlitchSa) {
       signal[root] = std::move(best_signal);
+      sel.function_of_net[root] = best_function;
     }
   }
   return sel;
@@ -147,7 +155,9 @@ MapResult tech_map(const Netlist& n, const MapParams& params) {
     const NetId root = n.gates()[gi].out;
     if (!required[root] || n.is_comb_source(root)) continue;
     const Cut& c = cuts.cuts_of(root)[sel.cut_of_net[root]];
-    const TruthTable tt = cut_function(n, root, c.leaves);
+    const TruthTable tt = sel.function_of_net.empty()
+                              ? cut_function(n, root, c.leaves)
+                              : sel.function_of_net[root];
     std::vector<NetId> ins;
     ins.reserve(c.leaves.size());
     for (NetId l : c.leaves) {

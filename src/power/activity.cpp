@@ -1,13 +1,18 @@
 #include "power/activity.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "common/error.hpp"
 #include "power/probability.hpp"
 #include "sim/vectors.hpp"
 
 namespace hlp {
+namespace {
+
+// The clamp lut_switching_activity applies (power/probability.cpp).
+double clamp01(double v) { return std::min(1.0, std::max(0.0, v)); }
+
+}  // namespace
 
 double TimedSignal::activity_at(int t) const {
   for (const auto& [time, a] : acts)
@@ -55,15 +60,27 @@ TimedSignal propagate_lut(const TruthTable& tt,
   out.functional_time = f + 1;
 
   // Union of leaf transition times; output transitions one unit later.
-  std::set<int> times;
+  std::vector<int> times;
   for (const auto* l : leaves)
     for (const auto& [t, a] : l->acts)
-      if (a > 0.0) times.insert(t);
+      if (a > 0.0) times.push_back(t);
+  std::sort(times.begin(), times.end());
+  times.erase(std::unique(times.begin(), times.end()), times.end());
 
+  // Each leaf's acts are sorted by time, so one forward cursor per leaf
+  // reads its activity at every t in ascending order.
+  std::size_t cursor[kMaxTtInputs] = {};
   std::vector<double> act_in(k);
   for (int t : times) {
-    for (int j = 0; j < k; ++j) act_in[j] = leaves[j]->activity_at(t);
-    const double s = lut_switching_activity(tt, p_in, act_in);
+    for (int j = 0; j < k; ++j) {
+      const auto& acts = leaves[j]->acts;
+      std::size_t& c = cursor[j];
+      while (c < acts.size() && acts[c].first < t) ++c;
+      act_in[j] = c < acts.size() && acts[c].first == t ? acts[c].second : 0.0;
+    }
+    // lut_switching_activity, with the time-independent P(y) hoisted.
+    const double s =
+        clamp01(2.0 * (out.prob - lut_joint_prob(tt, p_in, act_in)));
     if (s > 0.0) out.acts.emplace_back(t + 1, s);
   }
   return out;

@@ -21,11 +21,23 @@
 
 namespace hlp {
 
-/// Exact P(f = 1) given independent input probabilities (2^k enumeration).
+/// Exact P(f = 1) given independent input probabilities (2^k enumeration:
+/// ON minterms ascending, each term a left-to-right product from input 0).
 double lut_probability(const TruthTable& tt, const std::vector<double>& p_in);
 
 /// Exact P(f(t) = 1 AND f(t+T) = 1) given independent per-input marginals
 /// and per-step activities (4^k enumeration).
+///
+/// The floating-point evaluation order is part of the contract: the sum
+/// runs over ON-minterm pairs (u, v) with u ascending in the outer loop and
+/// v ascending in the inner one; each pair's product multiplies the
+/// per-input factors left to right from input 0 and stops at the first
+/// partial product that is not > 0. Every SA value depends on this order,
+/// and through them the SaCache tables, the artifact store's objects,
+/// perfbench's expected results and the tier-1 golden pins. An algebraic
+/// rewrite (for example factoring the ON x ON sum input by input) changes
+/// values in the last bits, so it is a change of results, not an
+/// optimisation.
 double lut_joint_prob(const TruthTable& tt, const std::vector<double>& p_in,
                       const std::vector<double>& act_in);
 

@@ -9,6 +9,18 @@
 #include "rtl/partial_datapath.hpp"
 
 namespace hlp {
+namespace {
+
+// key() packs each mux size into 20 bits.
+constexpr int kMaxMuxSize = (1 << 20) - 1;
+
+void require_keyable(int n_mux_a, int n_mux_b) {
+  HLP_REQUIRE(n_mux_a <= kMaxMuxSize && n_mux_b <= kMaxMuxSize,
+              "mux sizes must be <= " << kMaxMuxSize << ", got " << n_mux_a
+                                      << " and " << n_mux_b);
+}
+
+}  // namespace
 
 SaCache::SaCache(int width, MapParams map_params, SaMode mode, int sim_vectors,
                  std::uint64_t sim_seed)
@@ -37,6 +49,7 @@ SaCache::Shard& SaCache::shard_for(std::uint64_t key) const {
 }
 
 double SaCache::compute_uncached(OpKind kind, int n_mux_a, int n_mux_b) const {
+  require_keyable(n_mux_a, n_mux_b);
   const Netlist dp = make_partial_datapath(kind, n_mux_a, n_mux_b, width_);
   const MapResult mapped = tech_map(dp, map_params_);
   if (mode_ == SaMode::kSimulated)
@@ -54,6 +67,7 @@ double SaCache::compute_uncached(OpKind kind, int n_mux_a, int n_mux_b) const {
 
 double SaCache::switching_activity(OpKind kind, int n_mux_a, int n_mux_b) {
   HLP_REQUIRE(n_mux_a >= 1 && n_mux_b >= 1, "mux sizes must be >= 1");
+  require_keyable(n_mux_a, n_mux_b);
   const std::uint64_t k = key(kind, n_mux_a, n_mux_b);
   Shard& shard = shard_for(k);
   {

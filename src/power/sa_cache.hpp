@@ -55,7 +55,8 @@ class SaCache {
                    std::uint64_t sim_seed = 1);
 
   /// Glitch-aware SA for (kind, nA-input muxA, nB-input muxB); computed on
-  /// demand and memoised. nA/nB >= 1 (1 = direct connection).
+  /// demand and memoised. 1 <= nA/nB <= 2^20 - 1 (1 = direct connection;
+  /// the table key holds 20 bits per size).
   ///
   /// Safe to call concurrently: each key maps to one of kNumShards
   /// mutex-guarded table shards, and the (deterministic) SA computation
@@ -65,7 +66,8 @@ class SaCache {
   double switching_activity(OpKind kind, int n_mux_a, int n_mux_b);
 
   /// Always-compute variant (ignores and does not touch the memo) — used to
-  /// verify that precalculated and dynamic estimation agree (§5.2.2).
+  /// verify that precalculated and dynamic estimation agree (§5.2.2). Same
+  /// size limits as switching_activity.
   double compute_uncached(OpKind kind, int n_mux_a, int n_mux_b) const;
 
   /// Precompute all combinations up to the given mux sizes (the paper's

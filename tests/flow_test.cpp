@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <ios>
 #include <string>
 #include <thread>
 
@@ -281,6 +282,41 @@ TEST(ExperimentRunner, SameResultsAtAnyThreadCount) {
                      b[i].outcome.flow.report.dynamic_power_mw);
     EXPECT_DOUBLE_EQ(a[i].outcome.flow.report.toggle_rate_mps,
                      b[i].outcome.flow.report.toggle_rate_mps);
+  }
+}
+
+TEST(ExperimentRunner, WangResultsArePinned) {
+  // Golden end-to-end numbers of the paper flow at the Job defaults (rc
+  // {0, 0}, width 8, 200 vectors, seed 42), in hexfloat and compared with
+  // ==. The SA mode is pinned so HLP_SA_MODE cannot change the table. A
+  // change that moves these on purpose updates the literals and says why in
+  // CHANGES.md.
+  flow::Job lopass;
+  lopass.benchmark = "wang";
+  lopass.binder = flow::BinderSpec{"lopass"};
+  lopass.sa = SaMode::kEstimated;
+  flow::Job hlpower = lopass;
+  hlpower.binder = flow::BinderSpec{"hlpower"};
+  hlpower.binder.alpha = 0.5;
+  flow::ExperimentRunner runner(2);
+  const auto results = runner.run({lopass, hlpower});
+  ASSERT_EQ(results.size(), 2u);
+  struct Expected {
+    double power_mw, clock_ns;
+    int luts;
+  };
+  const Expected expected[] = {{0x1.c17eff5a55cfcp+3, 0x1.04cccccccccccp+5, 668},
+                               {0x1.d2b7627339794p+3, 0x1.ee66666666666p+4, 628}};
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const flow::JobResult& r = results[i];
+    ASSERT_TRUE(r.ok) << r.error;
+    const FlowResult& f = r.outcome.flow;
+    EXPECT_EQ(f.report.dynamic_power_mw, expected[i].power_mw)
+        << r.job.binder.name << ": got " << std::hexfloat
+        << f.report.dynamic_power_mw;
+    EXPECT_EQ(f.clock_period_ns, expected[i].clock_ns)
+        << r.job.binder.name << ": got " << std::hexfloat << f.clock_period_ns;
+    EXPECT_EQ(f.mapped.num_luts, expected[i].luts) << r.job.binder.name;
   }
 }
 

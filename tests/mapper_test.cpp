@@ -3,12 +3,16 @@
 // and the glitch-aware selection mode.
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+#include <utility>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "mapper/cuts.hpp"
 #include "mapper/techmap.hpp"
 #include "netlist/modules.hpp"
 #include "power/activity.hpp"
+#include "rtl/partial_datapath.hpp"
 #include "sim/simulator.hpp"
 
 namespace hlp {
@@ -81,6 +85,53 @@ TEST(Cuts, CutFunctionOfWholeCone) {
   for (std::uint32_t m = 0; m < 16; ++m) {
     const bool a = m & 1, b = m & 2, c = m & 4, d = m & 8;
     EXPECT_EQ(tt.eval(m), (a && b) || (c && d));
+  }
+}
+
+// Reference for cut_function: evaluate the cone once per leaf minterm.
+TruthTable reference_cut_function(const Netlist& n, NetId root,
+                                  const std::vector<NetId>& leaves) {
+  const int k = static_cast<int>(leaves.size());
+  std::uint64_t bits = 0;
+  for (std::uint32_t m = 0; m < (1u << k); ++m) {
+    std::unordered_map<NetId, bool> value;
+    for (int j = 0; j < k; ++j) value[leaves[j]] = (m >> j) & 1u;
+    auto eval = [&](auto&& self, NetId net) -> bool {
+      if (auto it = value.find(net); it != value.end()) return it->second;
+      const Gate& g = n.gates()[n.driver_gate(net)];
+      std::uint32_t gate_minterm = 0;
+      for (std::size_t j = 0; j < g.ins.size(); ++j)
+        if (self(self, g.ins[j])) gate_minterm |= 1u << j;
+      return value[net] = g.tt.eval(gate_minterm);
+    };
+    if (eval(eval, root)) bits |= 1ull << m;
+  }
+  return TruthTable(k, bits);
+}
+
+TEST(Cuts, CutFunctionMatchesPerMintermReference) {
+  // Every non-trivial cut of an SA-table partial datapath, under the SA
+  // fill's cut parameters, and of the modules MapEquivalence maps.
+  const std::pair<Netlist, CutParams> cases[] = {
+      {make_partial_datapath(OpKind::kMult, 3, 2, 4), CutParams{}},
+      {make_adder(4), CutParams{4, 10}},
+      {make_multiplier(3), CutParams{4, 10}},
+      {make_mux(5, 2), CutParams{4, 10}},
+      {make_multiplier(4), CutParams{4, 10}}};
+  for (const auto& [n, params] : cases) {
+    const CutSet cs(n, params);
+    int checked = 0;
+    for (int gi : n.topo_gates()) {
+      const NetId root = n.gates()[gi].out;
+      for (const Cut& c : cs.cuts_of(root)) {
+        if (c.is_trivial(root)) continue;
+        EXPECT_EQ(cut_function(n, root, c.leaves),
+                  reference_cut_function(n, root, c.leaves))
+            << n.name() << " root " << n.net_name(root);
+        ++checked;
+      }
+    }
+    EXPECT_GT(checked, 0) << n.name();
   }
 }
 

@@ -1,9 +1,11 @@
 // Tests for the probabilistic primitives of Section 4: signal probability,
 // Boolean-difference probability (Najm, Eq. 1) and the Chou-Roy
 // simultaneous-switching activity (Eq. 2). Several results are checked
-// against hand-derived closed forms.
+// against hand-derived closed forms; lut_probability and lut_joint_prob are
+// also checked bit for bit against row-by-row reference enumerations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/rng.hpp"
@@ -141,6 +143,107 @@ TEST(NetlistProbabilities, SourceOverride) {
   n.add_output(y);
   const auto p = netlist_probabilities(n, 0.9);
   EXPECT_DOUBLE_EQ(p[y], 0.9);
+}
+
+// Row-by-row enumerations through TruthTable::eval: the reference forms of
+// lut_probability and lut_joint_prob. The library versions walk the ON-set
+// words instead and must agree to the last bit, since every SA value, store
+// object and pinned golden number depends on these sums.
+double clamp01(double v) { return std::min(1.0, std::max(0.0, v)); }
+
+double reference_probability(const TruthTable& tt,
+                             const std::vector<double>& p_in) {
+  double p = 0.0;
+  for (std::uint32_t m = 0; m < tt.num_rows(); ++m) {
+    if (!tt.eval(m)) continue;
+    double term = 1.0;
+    for (int j = 0; j < tt.num_inputs(); ++j)
+      term *= ((m >> j) & 1u) ? p_in[j] : 1.0 - p_in[j];
+    p += term;
+  }
+  return clamp01(p);
+}
+
+double reference_joint_prob(const TruthTable& tt,
+                            const std::vector<double>& p_in,
+                            const std::vector<double>& act_in) {
+  const int k = tt.num_inputs();
+  struct Pair {
+    double p00, p01, p10, p11;
+  };
+  std::vector<Pair> joint(k);
+  for (int j = 0; j < k; ++j) {
+    const double a = std::min(act_in[j], 2.0 * std::min(p_in[j], 1.0 - p_in[j]));
+    joint[j].p11 = clamp01(p_in[j] - a / 2.0);
+    joint[j].p00 = clamp01(1.0 - p_in[j] - a / 2.0);
+    joint[j].p01 = a / 2.0;
+    joint[j].p10 = a / 2.0;
+  }
+  double p = 0.0;
+  for (std::uint32_t u = 0; u < tt.num_rows(); ++u) {
+    if (!tt.eval(u)) continue;
+    for (std::uint32_t v = 0; v < tt.num_rows(); ++v) {
+      if (!tt.eval(v)) continue;
+      double term = 1.0;
+      for (int j = 0; j < k && term > 0.0; ++j) {
+        const bool bu = (u >> j) & 1u;
+        const bool bv = (v >> j) & 1u;
+        const Pair& pj = joint[j];
+        term *= bu ? (bv ? pj.p11 : pj.p10) : (bv ? pj.p01 : pj.p00);
+      }
+      p += term;
+    }
+  }
+  return clamp01(p);
+}
+
+// A probability: usually in (0, 1), sometimes exactly 0 or 1.
+double draw_probability(Rng& rng) {
+  switch (rng.range(0, 7)) {
+    case 0:
+      return 0.0;
+    case 1:
+      return 1.0;
+    default:
+      return rng.uniform();
+  }
+}
+
+// An activity for an input of probability p: usually in (0, 1), sometimes
+// 0, 1, or above 2 min(p, 1 - p) so lut_joint_prob's clamp engages.
+double draw_activity(Rng& rng, double p) {
+  switch (rng.range(0, 7)) {
+    case 0:
+      return 0.0;
+    case 1:
+      return 1.0;
+    case 2:
+      return 2.0 * std::min(p, 1.0 - p) + rng.uniform();
+    default:
+      return rng.uniform();
+  }
+}
+
+TEST(Probability, MatchesReferenceEnumerationBitForBit) {
+  Rng rng(2024);
+  for (int k = 0; k <= kMaxTtInputs; ++k) {
+    for (int trial = 0; trial < 60; ++trial) {
+      const TruthTable tt(k, rng.next_u64());
+      std::vector<double> p(k), a(k);
+      for (int j = 0; j < k; ++j) {
+        p[j] = draw_probability(rng);
+        a[j] = draw_activity(rng, p[j]);
+      }
+      const double pj = reference_joint_prob(tt, p, a);
+      EXPECT_EQ(lut_probability(tt, p), reference_probability(tt, p))
+          << "k=" << k << " tt=" << tt.to_string();
+      EXPECT_EQ(lut_joint_prob(tt, p, a), pj)
+          << "k=" << k << " tt=" << tt.to_string();
+      EXPECT_EQ(lut_switching_activity(tt, p, a),
+                clamp01(2.0 * (reference_probability(tt, p) - pj)))
+          << "k=" << k << " tt=" << tt.to_string();
+    }
+  }
 }
 
 // Monte-Carlo cross-check: probability propagation matches simulation on a

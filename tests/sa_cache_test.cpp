@@ -1,12 +1,15 @@
 // Tests for the precalculated SA table (Section 5.2.2): cache/dynamic
-// agreement, the bit-exact text dump, and monotonicity of the SA values in
-// mux size (bigger input stages -> more estimated switching).
+// agreement, the bit-exact text dump, golden values of the estimate table,
+// and monotonicity of the SA values in mux size (bigger input stages -> more
+// estimated switching).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <ios>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -112,6 +115,54 @@ TEST(SaCache, RejectsBadArguments) {
   EXPECT_THROW(c.switching_activity(OpKind::kAdd, 0, 1), Error);
   EXPECT_THROW(SaCache(0), Error);
   EXPECT_THROW(SaCache(4, MapParams{}, SaMode::kEstimated, 0), Error);
+  // The table key holds 20 bits per mux size: (add, 1, 2^20 + 1) would
+  // alias (add, 2, 1). Larger sizes are refused before any datapath is
+  // built, with the limit in the message.
+  constexpr int kTooBig = 1 << 20;
+  for (const auto& [a, b] : {std::pair{1, kTooBig + 1}, std::pair{kTooBig, 1},
+                             std::pair{kTooBig, kTooBig}}) {
+    EXPECT_THROW(c.switching_activity(OpKind::kAdd, a, b), Error);
+    EXPECT_THROW(c.compute_uncached(OpKind::kMult, a, b), Error);
+  }
+  try {
+    c.switching_activity(OpKind::kAdd, 1, kTooBig);
+    FAIL() << "expected throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("1048575"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(c.size(), 0u);
+  EXPECT_EQ(c.misses(), 0u);
+}
+
+TEST(SaCache, EstimateTableIsPinned) {
+  // Golden values of the width-8 estimate table, in hexfloat and compared
+  // with ==. Every HLPower binding, store object and perfbench expected
+  // result depends on these bits. A change that moves them on purpose
+  // updates the literals and says why in CHANGES.md.
+  struct Row {
+    OpKind kind;
+    int a, b;
+    double sa;
+  };
+  const Row rows[] = {
+      {OpKind::kAdd, 1, 1, 0x1.7c9p+3},
+      {OpKind::kAdd, 2, 3, 0x1.bee58p+4},
+      {OpKind::kAdd, 5, 4, 0x1.b2872ap+5},
+      {OpKind::kAdd, 12, 7, 0x1.cd53676ep+6},
+      {OpKind::kAdd, 24, 23, 0x1.1cce276f62p+8},
+      {OpKind::kMult, 1, 1, 0x1.fbebf14a43eeep+5},
+      {OpKind::kMult, 2, 3, 0x1.62c3e57a8b118p+6},
+      {OpKind::kMult, 5, 4, 0x1.f9a8e8467080fp+6},
+      {OpKind::kMult, 12, 7, 0x1.9c8b6c1001b46p+7},
+      {OpKind::kMult, 24, 23, 0x1.8a70ee288dedap+8},
+  };
+  SaCache c(8);
+  for (const Row& r : rows) {
+    const double sa = c.switching_activity(r.kind, r.a, r.b);
+    EXPECT_EQ(sa, r.sa) << to_string(r.kind) << " " << r.a << " " << r.b
+                        << ": got " << std::hexfloat << sa;
+  }
 }
 
 TEST(SaCache, ShardedMissesStayExactUnderConcurrency) {
