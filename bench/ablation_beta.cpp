@@ -1,7 +1,7 @@
 // Ablation: sweep the Eq. 4 beta scaling (mux term magnitude relative to
 // the SA term). The paper reports beta ~ 30 (add) / 1000 (mult) for its
 // estimator's SA scale; our estimator lands at a different absolute scale,
-// so this sweep documents the recalibration (DESIGN.md section 5).
+// so this sweep documents the recalibration.
 #include <benchmark/benchmark.h>
 
 #include <iostream>

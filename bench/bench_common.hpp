@@ -10,7 +10,6 @@
 // SA cache.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -86,110 +85,5 @@ Evaluated to_evaluated(const flow::PipelineOutcome& out);
 
 /// Percent change helper: 100 * (b - a) / a.
 double pct(double a, double b);
-
-/// One coalesced-vs-independent comparison of a Monte-Carlo seed sweep:
-/// `num_seeds` stimulus seeds of one (benchmark, binder) point, run once
-/// through a coalescing runner (seeds ride the word-parallel
-/// simulate_batch lanes in the word `auto` picks) and once with
-/// coalescing disabled (one full pipeline per seed). Both runners share
-/// the process-wide SA cache; `identical` confirms the two paths agreed
-/// bit for bit on every seed.
-struct SeedSweepReport {
-  std::string benchmark;
-  int num_seeds = 0;
-  double coalesced_s = 0.0;
-  double independent_s = 0.0;
-  bool identical = false;
-  double speedup() const {
-    return coalesced_s > 0.0 ? independent_s / coalesced_s : 0.0;
-  }
-};
-SeedSweepReport seed_sweep(const std::string& name,
-                           const flow::BinderSpec& spec, int num_seeds);
-
-/// Run seed_sweep over `benchmarks` and print the comparison table (the
-/// README's "Seed-parallel experiment batching" numbers). The header
-/// names the word width `auto` resolves to for the group, so BENCH
-/// artifacts stay interpretable across machines.
-void print_seed_sweep(std::ostream& os,
-                      const std::vector<std::string>& benchmarks,
-                      int num_seeds);
-
-/// One workers-vs-threads comparison of a Monte-Carlo seed sweep: the
-/// same `num_seeds`-seed (benchmark, binder) grid run once through the
-/// in-process ExperimentRunner with `parallelism` threads and once
-/// through a DistributedRunner with `parallelism` single-threaded worker
-/// processes (fork/exec of hlp_worker, SA shards merged back). Both
-/// runners start cold and private, so the measurement isolates the
-/// process-vs-thread axis; `identical` confirms the two paths agreed bit
-/// for bit on every seed (flow::same_outcome).
-struct WorkerSweepReport {
-  std::string benchmark;
-  int num_seeds = 0;
-  int parallelism = 0;
-  double threads_s = 0.0;
-  double workers_s = 0.0;
-  bool identical = false;
-  double ratio() const {
-    return workers_s > 0.0 ? threads_s / workers_s : 0.0;
-  }
-};
-WorkerSweepReport worker_sweep(const std::string& name,
-                               const flow::BinderSpec& spec, int num_seeds,
-                               int parallelism);
-
-/// Run worker_sweep over `benchmarks` and print the comparison table (the
-/// distributed CI leg's artifact). `parallelism` defaults to HLP_WORKERS
-/// or 2. Degrades to a notice (no table) when the hlp_worker binary is
-/// not next to the current executable.
-void print_worker_sweep(std::ostream& os,
-                        const std::vector<std::string>& benchmarks,
-                        int num_seeds, int parallelism = 0);
-
-/// One cold-vs-warm comparison of the persistent artifact store
-/// (src/store/artifact_store.hpp): the same `num_seeds`-seed (benchmark,
-/// binder) grid run by a cold runner that populates a fresh store, then by
-/// a second fresh runner (empty in-memory caches — a process restart in
-/// miniature) warm-starting from it. `identical` confirms the warm run
-/// agreed bit for bit (flow::same_outcome); `warm_cached` that every warm
-/// job actually skipped the bind-fus..time span; the span_*_s fields
-/// isolate the stage seconds the store saves from the grid's wall clock.
-struct StoreSweepReport {
-  std::string benchmark;
-  int num_seeds = 0;
-  double cold_s = 0.0;
-  double warm_s = 0.0;
-  /// Summed per-stage seconds of the cacheable span (bind-fus, refine,
-  /// elaborate, map, time) across the grid's pipeline invocations.
-  double span_cold_s = 0.0;
-  double span_warm_s = 0.0;
-  bool identical = false;
-  bool warm_cached = false;
-  double speedup() const { return warm_s > 0.0 ? cold_s / warm_s : 0.0; }
-};
-StoreSweepReport store_sweep(const std::string& name,
-                             const flow::BinderSpec& spec, int num_seeds);
-
-/// Run store_sweep over `benchmarks` and print the cold-vs-warm table
-/// (the CI artifact-store leg's stage-timing artifact). Both runners are
-/// single-threaded with private SA caches, so the store is the only state
-/// they share.
-void print_store_sweep(std::ostream& os,
-                       const std::vector<std::string>& benchmarks,
-                       int num_seeds);
-
-/// Run the canonical incremental knob walk (base grid, then more vectors
-/// / binder retune / scheduler switch — src/explore/) twice against one
-/// store directory and print the per-step reuse table: a COLD walk where
-/// only the vectors step can reuse (its ArtifactKeys are unchanged, so
-/// every span is a store hit), then the identical walk WARM from the
-/// persisted store, where every step of the walk must be all-hits /
-/// zero-recompute. Wall clock, store hit/recompute counters and the
-/// frontier size per step; the frontiers of the two walks must be
-/// bit-identical (the explorer's order-independence guarantee) — the
-/// artifact-store CI leg uploads this table.
-void print_explore_sweep(std::ostream& os,
-                         const std::vector<std::string>& benchmarks,
-                         int num_seeds);
 
 }  // namespace hlp::bench

@@ -29,7 +29,7 @@ void print_table1() {
         .add(g.depth());
   }
   std::cout << "Table 1: Benchmark Profiles (synthetic reconstruction; see "
-               "DESIGN.md)\n";
+               "src/cdfg/benchmarks.hpp)\n";
   t.print(std::cout);
   std::cout << "\n";
 }
@@ -47,23 +47,6 @@ BENCHMARK(BM_GenerateBenchmark)->DenseRange(0, 6);
 
 int main(int argc, char** argv) {
   print_table1();
-  // The ROADMAP's "exploit simulate_batch's multi-run lanes" acceptance
-  // sweep: 64 stimulus seeds of one binding, coalesced vs independent.
-  hlp::bench::print_seed_sweep(std::cout, {"wang", "pr"}, 64);
-  // The process-level axis: the same coalesced sweep through HLP_WORKERS
-  // (default 2) hlp_worker processes vs the same number of in-process
-  // threads, bit-identity checked — the distributed CI leg's artifact.
-  hlp::bench::print_worker_sweep(std::cout, {"wang", "pr"}, 64);
-  // The persistence axis: the same sweep cold (populating a fresh
-  // HLP_STORE directory) and then warm from a fresh runner — the
-  // cold-vs-warm stage-timing artifact of the CI artifact-store leg.
-  // Bit-identity and whole-span cache hits are checked in the table.
-  hlp::bench::print_store_sweep(std::cout, {"wang", "pr"}, 64);
-  // The exploration axis on top of the store: the canonical knob walk
-  // (more vectors / binder retune / scheduler switch) cold then warm —
-  // the warm walk must be all-hits / zero-recompute on every step and
-  // both walks must reach the bit-identical Pareto frontier.
-  hlp::bench::print_explore_sweep(std::cout, {"wang", "pr"}, 16);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

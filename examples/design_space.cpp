@@ -122,8 +122,7 @@ int main(int argc, char** argv) {
   // Third phase: the same Monte-Carlo grid sharded across HLP_WORKERS
   // (default 2) hlp_worker processes that pull work units as they finish.
   // Every algorithm is deterministic, so the sharded results must agree
-  // bit for bit with the in-process sweep above — verified here, timed for
-  // the workers-vs-threads view.
+  // bit for bit with the in-process sweep above — verified and timed here.
   try {
     const int workers_n = flow::workers_from_env(2);
     flow::DistributedRunner dist(workers_n, 1);

@@ -7,7 +7,7 @@
 // exactly in primary inputs, primary outputs, add count and mult count;
 // the paper's "edge" counts include CDFG node types it never describes, so
 // edge counts match the maximum a pure 2-input-op DFG allows
-// (2*ops + POs). See DESIGN.md section 2.
+// (2*ops + POs).
 #pragma once
 
 #include <cstdint>

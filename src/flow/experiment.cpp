@@ -176,7 +176,7 @@ SaCache& ExperimentRunner::sa_cache(int width, SaMode mode) {
     return *external_cache_;
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = caches_[{width, mode}];
-  if (!slot) slot = std::make_unique<SaCache>(width, MapParams{}, mode);
+  if (!slot) slot = std::make_unique<SaCache>(width, mode);
   return *slot;
 }
 

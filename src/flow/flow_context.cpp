@@ -31,8 +31,7 @@ FlowContext::FlowContext(Cdfg g, ResourceConstraint rc, ContextOptions opt,
     opt_.sa_mode = shared_cache_->mode();
   } else {
     opt_.sa_mode = effective_sa_mode(opt_.sa_mode);
-    owned_cache_ =
-        std::make_unique<SaCache>(opt_.width, MapParams{}, *opt_.sa_mode);
+    owned_cache_ = std::make_unique<SaCache>(opt_.width, *opt_.sa_mode);
   }
   stage_cache_ = std::make_unique<StageCache>();
 }

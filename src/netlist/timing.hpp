@@ -6,9 +6,9 @@
 
 namespace hlp {
 
-/// Cyclone-II-flavoured delay constants (90 nm). Documented in DESIGN.md:
-/// the shape of the paper's results is insensitive to the absolute values
-/// as long as both binders are timed identically.
+/// Cyclone-II-flavoured delay constants (90 nm). The shape of the paper's
+/// results is insensitive to the absolute values as long as both binders
+/// are timed identically.
 struct TimingModel {
   double lut_delay_ns = 0.45;   // 4-LUT cell delay
   double net_delay_ns = 1.25;   // average local routing per level

@@ -54,7 +54,7 @@ enum class ConeEngine : std::uint8_t {
              // upstream one)
 };
 
-/// Default HLP_EXACT_BUDGET: marginal BDD nodes per cone before the
+/// Default node budget: marginal BDD nodes per cone before the
 /// Monte-Carlo fallback takes over. Sized so the linear-BDD structures
 /// (adders, muxes, steering logic) stay exact at datapath widths while
 /// multiplier cones — whose BDDs are exponential in width — fall back
@@ -103,8 +103,8 @@ struct ExactActivityResult {
 };
 
 /// Exact (budgeted-hybrid) switching activity of a netlist. Pure function
-/// of (n, opt) — reads no environment; resolve HLP_EXACT_BUDGET with
-/// exact_budget_from_env at the call site that owns the knob.
+/// of (n, opt) — reads no environment. The accuracy oracle the estimator
+/// and the Monte-Carlo engine are measured against; not an SaCache mode.
 ExactActivityResult exact_activity(const Netlist& n,
                                    const ExactActivityOptions& opt = {});
 

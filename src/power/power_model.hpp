@@ -5,9 +5,9 @@
 // either from unit-delay simulation (measured transitions / simulated
 // time) or from the probabilistic estimator (SA per clock / period).
 // Capacitance per net is a Cyclone-II-flavoured constant plus a fanout
-// term; constants are documented in DESIGN.md and are identical for every
-// binding algorithm, so relative comparisons (the paper's claims) are
-// unaffected by their absolute calibration.
+// term; the constants are identical for every binding algorithm, so
+// relative comparisons (the paper's claims) are unaffected by their
+// absolute calibration.
 #pragma once
 
 #include <cstdint>

@@ -4,8 +4,8 @@
 #include <ostream>
 
 #include "common/error.hpp"
+#include "mapper/techmap.hpp"
 #include "power/activity.hpp"
-#include "power/exact_activity.hpp"
 #include "rtl/partial_datapath.hpp"
 
 namespace hlp {
@@ -22,20 +22,8 @@ void require_keyable(int n_mux_a, int n_mux_b) {
 
 }  // namespace
 
-SaCache::SaCache(int width, MapParams map_params, SaMode mode, int sim_vectors,
-                 std::uint64_t sim_seed)
-    : width_(width),
-      map_params_(map_params),
-      mode_(mode),
-      sim_vectors_(sim_vectors),
-      sim_seed_(sim_seed),
-      // Resolve the budget once, here: every entry of one cache must be
-      // computed under the same budget, or one table would mix accuracies.
-      exact_budget_(mode == SaMode::kExact
-                        ? exact_budget_from_env(kDefaultExactBudget)
-                        : kDefaultExactBudget) {
+SaCache::SaCache(int width, SaMode mode) : width_(width), mode_(mode) {
   HLP_REQUIRE(width >= 1, "width must be >= 1");
-  HLP_REQUIRE(sim_vectors >= 1, "sim_vectors must be >= 1");
 }
 
 std::uint64_t SaCache::key(OpKind kind, int a, int b) {
@@ -51,17 +39,10 @@ SaCache::Shard& SaCache::shard_for(std::uint64_t key) const {
 double SaCache::compute_uncached(OpKind kind, int n_mux_a, int n_mux_b) const {
   require_keyable(n_mux_a, n_mux_b);
   const Netlist dp = make_partial_datapath(kind, n_mux_a, n_mux_b, width_);
-  const MapResult mapped = tech_map(dp, map_params_);
+  const MapResult mapped = tech_map(dp);
   if (mode_ == SaMode::kSimulated)
-    return simulate_activity(mapped.lut_netlist, sim_vectors_, sim_seed_)
+    return simulate_activity(mapped.lut_netlist, kSimVectors, kSimSeed)
         .total_sa;
-  if (mode_ == SaMode::kExact) {
-    ExactActivityOptions opt;
-    opt.node_budget = exact_budget_;
-    opt.fallback_vectors = sim_vectors_;
-    opt.fallback_seed = sim_seed_;
-    return exact_activity(mapped.lut_netlist, opt).total_sa;
-  }
   return estimate_activity(mapped.lut_netlist).total_sa;
 }
 
@@ -118,7 +99,7 @@ void SaCache::save(std::ostream& os) const {
     std::lock_guard<std::mutex> lock(shard.mu);
     snapshot.insert(shard.table.begin(), shard.table.end());
   }
-  os << "# SaCache width=" << width_ << " k=" << map_params_.cuts.k
+  os << "# SaCache width=" << width_ << " k=" << CutParams{}.k
      << " mode=" << sa_mode_name(mode_) << "\n";
   os.precision(17);  // bit-exact double round trip
   for (const auto& [k, sa] : snapshot) {

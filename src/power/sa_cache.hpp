@@ -10,13 +10,12 @@
 // the 4-LUT-mapped partial datapath, memoises it in memory and can dump
 // the table as text. The table is not persisted: a warm rerun is served by
 // the artifact store (store/artifact_store.hpp), which caches the whole
-// bind-fus..time span that reads it. Three SA backends are supported
+// bind-fus..time span that reads it. Two SA backends are supported
 // (power/sa_mode.hpp): the paper's analytic glitch-aware estimator
-// (kEstimated, the default), Monte-Carlo unit-delay simulation through the
-// bit-parallel batch engine (kSimulated), and analytic per-cone BDD
-// densities with a budgeted Monte-Carlo fallback (kExact,
-// power/exact_activity.hpp). The backends produce different values, so a
-// cache is fixed to one mode and the dump's header names it.
+// (kEstimated, the default) and Monte-Carlo unit-delay simulation through
+// the bit-parallel batch engine (kSimulated). The backends produce
+// different values, so a cache is fixed to one mode and the dump's header
+// names it. Every partial datapath is mapped with the default MapParams.
 //
 // The memo table is sharded by key hash (kNumShards independent mutex+map
 // shards) so large ExperimentRunner fleets hammering the hot lookup path do
@@ -32,7 +31,6 @@
 #include <unordered_map>
 
 #include "cdfg/cdfg.hpp"
-#include "mapper/techmap.hpp"
 #include "power/sa_mode.hpp"
 
 namespace hlp {
@@ -42,17 +40,15 @@ class SaCache {
   /// Number of independent mutex+map shards of the memo table.
   static constexpr int kNumShards = 16;
 
-  /// `width`: datapath bit width; `map_params`: mapper configuration used
-  /// for every partial datapath; `mode` selects the SA backend
-  /// (kSimulated uses `sim_vectors` random frames from `sim_seed` through
-  /// the batched unit-delay engine; kExact resolves its per-cone node
-  /// budget from HLP_EXACT_BUDGET here, once, and reuses the same
-  /// vectors/seed for its Monte-Carlo fallback on blown cones). The mode
+  /// kSimulated's stimulus: kSimVectors random frames from seed kSimSeed
+  /// through the batched unit-delay engine.
+  static constexpr int kSimVectors = 256;
+  static constexpr std::uint64_t kSimSeed = 1;
+
+  /// `width`: datapath bit width; `mode` selects the SA backend. The mode
   /// is fixed for the cache's life — callers resolving it from the
   /// environment should go through effective_sa_mode.
-  explicit SaCache(int width = 8, MapParams map_params = {},
-                   SaMode mode = SaMode::kEstimated, int sim_vectors = 256,
-                   std::uint64_t sim_seed = 1);
+  explicit SaCache(int width = 8, SaMode mode = SaMode::kEstimated);
 
   /// Glitch-aware SA for (kind, nA-input muxA, nB-input muxB); computed on
   /// demand and memoised. 1 <= nA/nB <= 2^20 - 1 (1 = direct connection;
@@ -100,11 +96,7 @@ class SaCache {
   Shard& shard_for(std::uint64_t key) const;
 
   int width_;
-  MapParams map_params_;
   SaMode mode_;
-  int sim_vectors_;
-  std::uint64_t sim_seed_;
-  int exact_budget_;  // kExact only: resolved from HLP_EXACT_BUDGET at ctor
   mutable std::array<Shard, kNumShards> shards_;
 };
 

@@ -3,19 +3,18 @@
 #include <cstdlib>
 
 #include "common/error.hpp"
-#include "common/strings.hpp"
 
 namespace hlp {
 
 namespace {
 
-constexpr const char* kAccepted = "estimate, sim, exact";
+constexpr const char* kAccepted = "estimate, sim";
 
 }  // namespace
 
 const std::vector<SaMode>& all_sa_modes() {
-  static const std::vector<SaMode> kModes = {
-      SaMode::kEstimated, SaMode::kSimulated, SaMode::kExact};
+  static const std::vector<SaMode> kModes = {SaMode::kEstimated,
+                                             SaMode::kSimulated};
   return kModes;
 }
 
@@ -25,8 +24,6 @@ const char* sa_mode_name(SaMode mode) {
       return "estimate";
     case SaMode::kSimulated:
       return "sim";
-    case SaMode::kExact:
-      return "exact";
   }
   HLP_CHECK(false, "invalid SaMode value");
 }
@@ -47,10 +44,6 @@ SaMode sa_mode_from_env(SaMode fallback) {
 
 SaMode effective_sa_mode(std::optional<SaMode> requested) {
   return requested ? *requested : sa_mode_from_env(SaMode::kEstimated);
-}
-
-int exact_budget_from_env(int fallback) {
-  return env_int("HLP_EXACT_BUDGET", fallback);
 }
 
 }  // namespace hlp

@@ -2,7 +2,7 @@
 // flow layers above it) uses to fill its per-operation tables.
 //
 // Unlike the simulator's word width — which only picks between
-// bit-identical backends — the SA mode changes *values*: the three
+// bit-identical backends — the SA mode changes *values*: the two
 // engines answer the same question with different accuracy/cost
 // trade-offs:
 //
@@ -11,10 +11,10 @@
 //   sim       seeded word-parallel Monte-Carlo over random stimulus
 //             (accuracy scales with vector count and carries seed
 //             variance).
-//   exact     analytic transition probabilities from per-cone BDDs over
-//             the support-reduced gate plan (src/power/exact_activity.hpp);
-//             cones whose BDDs blow the HLP_EXACT_BUDGET node budget fall
-//             back to the Monte-Carlo engine per cone.
+//
+// The BDD engine (power/exact_activity.hpp) is not a table source: it is
+// the accuracy oracle the tests and ablation_sacache measure the two
+// engines against (docs/fidelity.md has the measurement that dropped it).
 //
 // Because values differ between modes, every consumer that caches or
 // serializes activity must resolve the mode *once* and pin it: a SaCache
@@ -36,12 +36,12 @@
 
 namespace hlp {
 
-enum class SaMode { kEstimated, kSimulated, kExact };
+enum class SaMode { kEstimated, kSimulated };
 
 /// Every mode, in knob-listing order.
 const std::vector<SaMode>& all_sa_modes();
 
-/// Canonical knob spelling: "estimate", "sim", "exact".
+/// Canonical knob spelling: "estimate", "sim".
 const char* sa_mode_name(SaMode mode);
 
 /// Strict parse of a knob value (the exact lowercase names above); throws
@@ -56,12 +56,5 @@ SaMode sa_mode_from_env(SaMode fallback = SaMode::kEstimated);
 /// consults HLP_SA_MODE, an unset environment means kEstimated. Always
 /// concrete — there is no deferred "auto" state for SA modes.
 SaMode effective_sa_mode(std::optional<SaMode> requested);
-
-/// HLP_EXACT_BUDGET env override, else `fallback`: the marginal BDD
-/// node budget per cone before the exact engine falls back to
-/// Monte-Carlo for that cone. Strict positive-integer parse like
-/// jobs_from_env: unset/empty falls back, garbage / zero / negative /
-/// overflow throw naming the variable.
-int exact_budget_from_env(int fallback);
 
 }  // namespace hlp

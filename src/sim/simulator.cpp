@@ -49,7 +49,7 @@ void UnitDelaySimulator::clock_edge() {
 }
 
 namespace {
-bool eval_gate(const Netlist& n, const Gate& g, const std::vector<char>& value) {
+bool eval_gate(const Gate& g, const std::vector<char>& value) {
   std::uint32_t m = 0;
   for (std::size_t j = 0; j < g.ins.size(); ++j)
     if (value[g.ins[j]]) m |= 1u << j;
@@ -88,8 +88,7 @@ int UnitDelaySimulator::settle(bool count) {
     std::vector<NetId> next_changed;
     std::vector<char> new_vals(dirty_gates.size());
     for (std::size_t i = 0; i < dirty_gates.size(); ++i)
-      new_vals[i] =
-          eval_gate(netlist_, netlist_.gates()[dirty_gates[i]], value_) ? 1 : 0;
+      new_vals[i] = eval_gate(netlist_.gates()[dirty_gates[i]], value_) ? 1 : 0;
     for (std::size_t i = 0; i < dirty_gates.size(); ++i) {
       const int gi = dirty_gates[i];
       gate_queued[gi] = 0;
@@ -116,7 +115,7 @@ void UnitDelaySimulator::settle_zero_delay(bool count) {
   }
   for (int gi : topo_) {
     const Gate& g = netlist_.gates()[gi];
-    const char nv = eval_gate(netlist_, g, value_) ? 1 : 0;
+    const char nv = eval_gate(g, value_) ? 1 : 0;
     if (value_[g.out] != nv) {
       value_[g.out] = nv;
       if (count) ++toggles_[g.out];
@@ -142,7 +141,7 @@ void UnitDelaySimulator::clear_toggles() {
 void UnitDelaySimulator::recompute_all() {
   for (int gi : topo_) {
     const Gate& g = netlist_.gates()[gi];
-    value_[g.out] = eval_gate(netlist_, g, value_) ? 1 : 0;
+    value_[g.out] = eval_gate(g, value_) ? 1 : 0;
   }
 }
 

@@ -301,6 +301,7 @@ TEST_F(ArtifactStoreFaults, TamperedModeTagIsRejected) {
   // Re-key the same entry with a different SA tag and plant those bytes at
   // the original address: structurally valid, checksum fine — but the
   // recorded key no longer matches the request, so the hit must refuse.
+  // The tag is the retired "exact" mode, as an older store may hold it.
   ArtifactKey tampered = key_;
   tampered.sa = "exact";
   write_file(path_, ArtifactStore::serialize(tampered, make_entry()));

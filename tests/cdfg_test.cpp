@@ -140,7 +140,8 @@ TEST_P(PaperBenchmark, MatchesTable1Profile) {
   EXPECT_EQ(g.num_ops_of_kind(OpKind::kAdd), p.num_adds);
   EXPECT_EQ(g.num_ops_of_kind(OpKind::kMult), p.num_mults);
   // Edge count: a pure 2-input-op DFG has exactly 2*ops + POs edges; the
-  // paper's count includes undocumented node types (see DESIGN.md).
+  // paper's count includes undocumented node types (see
+  // src/cdfg/benchmarks.hpp).
   EXPECT_EQ(g.num_edges(), 2 * (p.num_adds + p.num_mults) + p.num_outputs);
   EXPECT_LE(g.num_edges(), p.paper_edges);
 }

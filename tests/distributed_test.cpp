@@ -115,7 +115,7 @@ TEST(JobIo, ManifestRoundTripIsExact) {
   a.job.reg_seed = 99;
   a.job.sched_spec = {5, 3};
   a.job.sim_engine = SimEngine::kScalar;
-  a.job.sa = SaMode::kExact;
+  a.job.sa = SaMode::kSimulated;
   a.job.label = "label with spaces & %";
   jobs.push_back(a);
   flow::ManifestJob b;  // all defaults
@@ -144,7 +144,7 @@ TEST(JobIo, ManifestRoundTripIsExact) {
   EXPECT_EQ(j.sched_spec.latency_slack, 3);
   EXPECT_EQ(j.sim_engine, SimEngine::kScalar);
   ASSERT_TRUE(j.sa.has_value());
-  EXPECT_EQ(*j.sa, SaMode::kExact);
+  EXPECT_EQ(*j.sa, SaMode::kSimulated);
   EXPECT_EQ(j.label, "label with spaces & %");
   EXPECT_EQ(back[1].job.benchmark, flow::Job{}.benchmark);
   // The SA mode is serialised RESOLVED: a job that deferred to HLP_SA_MODE
@@ -155,8 +155,9 @@ TEST(JobIo, ManifestRoundTripIsExact) {
 }
 
 // Job frames are strict: an unknown key (the retired simd= included), a
-// repeated key and a missing key each fail with an error that names the
-// key and the line, in manifest and results frames alike.
+// repeated key, a missing key and a value outside the key's set (the
+// retired sa=exact included) each fail with an error that names the key
+// and the line, in manifest and results frames alike.
 TEST(JobIo, FieldErrorsNameTheKeyAndTheLine) {
   std::ostringstream manifest;
   flow::save_manifest(manifest, {flow::ManifestJob{0, small_job("pr")}});
@@ -178,8 +179,13 @@ TEST(JobIo, FieldErrorsNameTheKeyAndTheLine) {
     bool manifest;
     std::string from, to, key;
   };
+  // The manifest carries the resolved mode, so match whatever this run's
+  // HLP_SA_MODE resolves to.
+  const std::string sa =
+      std::string(" sa=") + sa_mode_name(effective_sa_mode(std::nullopt));
   const Row rows[] = {
       {true, " label=", " bogus=1 label=", "bogus"},
+      {true, sa, " sa=exact", "sa"},
       {true, " label=", " simd=auto label=", "simd"},
       {true, " reg_seed=", " seed=7 reg_seed=", "seed"},
       {true, " width=4", "", "width"},
@@ -426,12 +432,12 @@ TEST(Distributed, BitIdenticalToThreadedRunnerOnRandomGrid) {
 }
 
 TEST(Distributed, WorkersInheritSaModeAndStayBitIdentical) {
-  // Jobs pinned to the simulated SA backend — the default in no
-  // environment, the exact-mode CI leg included — ride the manifest's
-  // `sa=` field into the workers. The backend changes binding VALUES, so
-  // the only valid reference is an in-process run of the SAME mode, which
-  // must match on every bit, proving the workers ran the parent's backend
-  // and not their environment's default.
+  // Jobs pinned to the simulated SA backend — not the default
+  // environment's mode — ride the manifest's `sa=` field into the
+  // workers. The backend changes binding VALUES, so the only valid
+  // reference is an in-process run of the SAME mode, which must match on
+  // every bit, proving the workers ran the parent's backend and not their
+  // environment's default.
   std::vector<std::uint64_t> seeds;
   for (std::uint64_t s = 0; s < 5; ++s) seeds.push_back(900 + s);
   flow::Job base = small_job("pr");

@@ -1,9 +1,8 @@
 // Dedicated coverage for the strict env-var parsers: HLP_JOBS
 // (flow::jobs_from_env), HLP_VECTORS (vectors_from_env), HLP_COALESCE
 // (flow::coalesce_from_env), HLP_SA_MODE (sa_mode_from_env /
-// effective_sa_mode), HLP_EXACT_BUDGET (exact_budget_from_env) and
-// HLP_STORE (flow::store_dir_from_env plus the runner's artifact-store
-// wiring).
+// effective_sa_mode) and HLP_STORE (flow::store_dir_from_env plus the
+// runner's artifact-store wiring).
 // Garbage, negative, zero, overflow and unset inputs each have a pinned
 // behaviour: unset/empty falls back, everything invalid throws — a
 // sweep must die loudly, not run with a silently defaulted
@@ -140,7 +139,7 @@ TEST(EnvConfig, CoalesceParsesZeroAndOneOnly) {
 TEST(EnvConfig, SaModeUnsetAndEmptyFallBack) {
   ScopedUnsetEnv env("HLP_SA_MODE");
   EXPECT_EQ(sa_mode_from_env(), SaMode::kEstimated);
-  EXPECT_EQ(sa_mode_from_env(SaMode::kExact), SaMode::kExact);
+  EXPECT_EQ(sa_mode_from_env(SaMode::kSimulated), SaMode::kSimulated);
   env.set("");
   EXPECT_EQ(sa_mode_from_env(SaMode::kSimulated), SaMode::kSimulated);
 }
@@ -158,9 +157,11 @@ TEST(EnvConfig, SaModeRejectsGarbage) {
   ScopedUnsetEnv env("HLP_SA_MODE");
   // Strictly the lowercase canonical names: no case folding, no aliases,
   // no trailing junk, and no "auto": the modes return *different
-  // values*, so a deferred pick has no meaning.
+  // values*, so a deferred pick has no meaning. "exact" names the BDD
+  // accuracy oracle, which is not a table source.
   for (const char* bad : {"ESTIMATE", "Sim", "Exact", "simulate", "estimated",
-                          "bdd", "mc", "auto", "exact ", " sim", "0", "1"}) {
+                          "bdd", "mc", "auto", "exact", "exact ", " sim", "0",
+                          "1"}) {
     env.set(bad);
     EXPECT_THROW(sa_mode_from_env(), Error) << "input '" << bad << "'";
   }
@@ -168,81 +169,37 @@ TEST(EnvConfig, SaModeRejectsGarbage) {
 
 TEST(EnvConfig, SaModeErrorNamesTheVariableAndValue) {
   ScopedUnsetEnv env("HLP_SA_MODE");
-  env.set("banana");
-  try {
-    sa_mode_from_env();
-    FAIL() << "expected throw";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("HLP_SA_MODE"), std::string::npos);
-    EXPECT_NE(what.find("banana"), std::string::npos);
-    EXPECT_NE(what.find("exact"), std::string::npos);  // lists accepted set
+  for (const char* bad : {"banana", "exact"}) {
+    env.set(bad);
+    try {
+      sa_mode_from_env();
+      ADD_FAILURE() << "expected throw for '" << bad << "'";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("HLP_SA_MODE"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("'") + bad + "'"), std::string::npos)
+          << what;
+      // Lists the accepted set.
+      EXPECT_NE(what.find("(accepted: estimate, sim)"), std::string::npos)
+          << what;
+    }
   }
 }
 
 TEST(EnvConfig, SaModeEffectiveModePrefersExplicitOverEnv) {
   ScopedUnsetEnv env("HLP_SA_MODE");
   // An explicit request wins even when the env var is set...
-  env.set("exact");
-  EXPECT_EQ(effective_sa_mode(SaMode::kSimulated), SaMode::kSimulated);
-  // ...and an absent request defers to the env var.
-  EXPECT_EQ(effective_sa_mode(std::nullopt), SaMode::kExact);
   env.set("sim");
+  EXPECT_EQ(effective_sa_mode(SaMode::kEstimated), SaMode::kEstimated);
+  // ...and an absent request defers to the env var.
   EXPECT_EQ(effective_sa_mode(std::nullopt), SaMode::kSimulated);
+  env.set("estimate");
+  EXPECT_EQ(effective_sa_mode(std::nullopt), SaMode::kEstimated);
   // With nothing set anywhere, the resolution is always concrete: the
   // seed default, kEstimated. There is no deferred "auto" SA mode.
   ScopedUnsetEnv unset("HLP_SA_MODE");
   EXPECT_EQ(effective_sa_mode(std::nullopt), SaMode::kEstimated);
-  EXPECT_EQ(effective_sa_mode(SaMode::kExact), SaMode::kExact);
-}
-
-TEST(EnvConfig, ExactBudgetUnsetAndEmptyFallBack) {
-  ScopedUnsetEnv env("HLP_EXACT_BUDGET");
-  EXPECT_EQ(exact_budget_from_env(20000), 20000);
-  env.set("");
-  EXPECT_EQ(exact_budget_from_env(5), 5);
-}
-
-TEST(EnvConfig, ExactBudgetParsesValidCounts) {
-  ScopedUnsetEnv env("HLP_EXACT_BUDGET");
-  env.set("1");  // smallest legal budget: every gate cone falls back
-  EXPECT_EQ(exact_budget_from_env(20000), 1);
-  env.set("1000000");
-  EXPECT_EQ(exact_budget_from_env(20000), 1000000);
-  env.set("2147483647");  // INT_MAX is the inclusive upper bound
-  EXPECT_EQ(exact_budget_from_env(20000), 2147483647);
-}
-
-TEST(EnvConfig, ExactBudgetRejectsGarbageNegativeAndOverflow) {
-  ScopedUnsetEnv env("HLP_EXACT_BUDGET");
-  for (const char* bad : kGarbage) {
-    env.set(bad);
-    EXPECT_THROW(exact_budget_from_env(20000), Error)
-        << "input '" << bad << "'";
-  }
-  for (const char* bad : kNonPositive) {
-    env.set(bad);
-    EXPECT_THROW(exact_budget_from_env(20000), Error)
-        << "input '" << bad << "'";
-  }
-  for (const char* bad : kOverflow) {
-    env.set(bad);
-    EXPECT_THROW(exact_budget_from_env(20000), Error)
-        << "input '" << bad << "'";
-  }
-}
-
-TEST(EnvConfig, ExactBudgetErrorNamesTheVariableAndValue) {
-  ScopedUnsetEnv env("HLP_EXACT_BUDGET");
-  env.set("banana");
-  try {
-    exact_budget_from_env(20000);
-    FAIL() << "expected throw";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("HLP_EXACT_BUDGET"), std::string::npos);
-    EXPECT_NE(what.find("banana"), std::string::npos);
-  }
+  EXPECT_EQ(effective_sa_mode(SaMode::kSimulated), SaMode::kSimulated);
 }
 
 TEST(EnvConfig, StoreUnsetAndEmptyFallBack) {

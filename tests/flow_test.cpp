@@ -124,8 +124,8 @@ TEST(Pipeline, MatchesLegacyRunFlow) {
 
   // Staged pipeline. The legacy path's SaCache above is estimate-mode, so
   // pin the pipeline to the same backend: this test compares the staged
-  // decomposition, not the SA engine, and must hold under the exact-mode
-  // CI leg (HLP_SA_MODE=exact) too.
+  // decomposition, not the SA engine, and must hold under the sim-mode
+  // CI leg (HLP_SA_MODE=sim) too.
   flow::ContextOptions opt = small_options();
   opt.sa_mode = SaMode::kEstimated;
   flow::FlowContext ctx(g, rc, opt);

@@ -4,7 +4,10 @@
 // computes, for random inputs, for both binders.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <map>
+#include <optional>
+#include <string>
 
 #include "cdfg/benchmarks.hpp"
 #include "common/error.hpp"
@@ -169,8 +172,9 @@ TEST(Vhdl, ContainsExpectedStructure) {
   for (int f = 0; f < bind.fus.num_fus(); ++f)
     EXPECT_NE(v.find("f" + std::to_string(f) + "_y"), std::string::npos);
   // Multiplier FUs use resize(), adders plain +.
-  if (bind.fus.num_fus_of_kind(OpKind::kMult) > 0)
+  if (bind.fus.num_fus_of_kind(OpKind::kMult) > 0) {
     EXPECT_NE(v.find("resize("), std::string::npos);
+  }
 }
 
 TEST(Flow, ProducesConsistentReport) {
@@ -207,8 +211,15 @@ TEST(Flow, DeterministicAcrossRuns) {
 }
 
 TEST(Flow, VectorsFromEnvFallback) {
-  // Without the env var set, the fallback is returned.
+  // Without the env var set, the fallback is returned. The variable is
+  // unset for this test only, so an exported HLP_VECTORS neither fails it
+  // nor is lost for the tests after it.
+  const char* exported = std::getenv("HLP_VECTORS");
+  const std::optional<std::string> saved =
+      exported ? std::optional<std::string>(exported) : std::nullopt;
+  unsetenv("HLP_VECTORS");
   EXPECT_EQ(vectors_from_env(123), 123);
+  if (saved) setenv("HLP_VECTORS", saved->c_str(), 1);
 }
 
 }  // namespace
