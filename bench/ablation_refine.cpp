@@ -33,7 +33,7 @@ void print_refine_study() {
       spec.binder.refine = true;
       spec.num_vectors = bench_vectors();
       const flow::PipelineOutcome out =
-          flow::Pipeline::standard().run(context(name), spec);
+          flow::Pipeline::run(context(name), spec);
       const PortRefineResult& pr = out.refine;
       const double before = ev->flow.report.toggle_rate_mps;
       const double after = out.flow.report.toggle_rate_mps;

@@ -82,7 +82,7 @@ Evaluated evaluate(const std::string& name, const flow::BinderSpec& spec) {
   flow::RunSpec rs;
   rs.binder = spec;
   rs.num_vectors = bench_vectors();
-  return to_evaluated(flow::Pipeline::standard().run(context(name), rs));
+  return to_evaluated(flow::Pipeline::run(context(name), rs));
 }
 
 const Comparison& comparison(const std::string& name) {

@@ -72,26 +72,6 @@ void print_table3() {
                "largest mux -2.6, mux length -7.2%)\n\n";
 }
 
-void BM_FullFlowPr(benchmark::State& state) {
-  using namespace hlp;
-  using namespace hlp::bench;
-  flow::FlowContext& ctx = context("pr");
-  const Comparison& cmp = comparison("pr");
-  // Measure the evaluation flow only (elaborate -> ... -> power), as the
-  // seed did: the bind-fus stage is overridden to inject the precomputed
-  // binding instead of re-running HLPower every iteration.
-  flow::Pipeline pipeline = flow::Pipeline::standard();
-  const FuBinding fus = cmp.hlp_half.fus;
-  pipeline.replace("bind-fus",
-                   [fus](flow::PipelineState& st) { st.out.fus = fus; });
-  flow::RunSpec spec;
-  spec.num_vectors = 25;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pipeline.run(ctx, spec));
-  }
-}
-BENCHMARK(BM_FullFlowPr)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {

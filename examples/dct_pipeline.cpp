@@ -30,7 +30,6 @@ int main(int argc, char** argv) {
   std::cout << "schedule: " << ctx.schedule().num_steps << " steps, "
             << ctx.regs().num_registers << " registers\n\n";
 
-  const flow::Pipeline pipeline = flow::Pipeline::standard();
   AsciiTable t({"binder", "power (mW)", "toggle (M/s)", "LUTs", "clk (ns)",
                 "mux length", "muxDiff mean"});
   for (const auto& [tag, binder] :
@@ -39,7 +38,7 @@ int main(int argc, char** argv) {
     flow::RunSpec spec;
     spec.binder.name = binder;
     spec.num_vectors = vectors;
-    const flow::PipelineOutcome out = pipeline.run(ctx, spec);
+    const flow::PipelineOutcome out = flow::Pipeline::run(ctx, spec);
     t.row()
         .add(tag)
         .add(out.flow.report.dynamic_power_mw, 1)

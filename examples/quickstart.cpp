@@ -46,7 +46,7 @@ int main() {
   flow::RunSpec spec;
   spec.binder.name = "hlpower";
   spec.num_vectors = 100;
-  const flow::PipelineOutcome out = flow::Pipeline::standard().run(ctx, spec);
+  const flow::PipelineOutcome out = flow::Pipeline::run(ctx, spec);
 
   std::cout << "registers allocated: " << ctx.regs().num_registers << "\n";
   for (int op = 0; op < g.num_ops(); ++op)

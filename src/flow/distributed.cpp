@@ -140,15 +140,6 @@ DistributedRunner::DistributedRunner(int workers, int threads_per_worker)
       threads_per_worker_(std::max(1, threads_per_worker)),
       local_(std::max(1, threads_per_worker)) {}
 
-void DistributedRunner::set_workers(int n) { workers_ = std::max(1, n); }
-
-void DistributedRunner::set_threads_per_worker(int n) {
-  threads_per_worker_ = std::max(1, n);
-  local_.set_num_threads(threads_per_worker_);
-}
-
-void DistributedRunner::set_coalescing(bool on) { local_.set_coalescing(on); }
-
 std::vector<JobResult> DistributedRunner::run(const std::vector<Job>& jobs) {
   const int n = static_cast<int>(
       std::min<std::size_t>(workers_, jobs.empty() ? 1 : jobs.size()));
@@ -180,7 +171,7 @@ std::vector<JobResult> DistributedRunner::run(const std::vector<Job>& jobs) {
 
   std::vector<JobResult> results = run_stream(jobs, worker_bin, dir);
 
-  if (own_dir && !keep_files_) {
+  if (own_dir) {
     std::error_code ec;
     fs::remove_all(dir, ec);  // best effort; never fail a finished run
   }

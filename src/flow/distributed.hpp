@@ -64,35 +64,23 @@ class DistributedRunner {
   /// binary / work directory).
   std::vector<JobResult> run(const std::vector<Job>& jobs);
 
-  void set_workers(int n);
-  int workers() const { return workers_; }
-  void set_threads_per_worker(int n);
-  int threads_per_worker() const { return threads_per_worker_; }
-
   /// Path of the hlp_worker binary. Default: $HLP_WORKER_BIN if set, else
   /// "hlp_worker" next to the current executable (the build-tree layout).
   void set_worker_binary(std::string path) { worker_binary_ = std::move(path); }
-  const std::string& worker_binary() const { return worker_binary_; }
 
   /// Per-unit deadline in seconds. 0 (default) = no timeout. A unit past
   /// the deadline gets its worker killed and is requeued
   /// (kMaxUnitAttempts total tries) before its jobs report the timeout.
   void set_timeout(double seconds) { timeout_s_ = seconds; }
-  double timeout() const { return timeout_s_; }
 
   /// Times a unit may be handed out before its jobs report a per-job error
   /// (first try + one retry).
   static constexpr int kMaxUnitAttempts = 2;
 
   /// Directory for the worker logs. Default: a fresh mkdtemp under the
-  /// system temp dir, removed after run() (set_keep_files keeps it for
-  /// debugging). A caller-provided directory is never removed.
+  /// system temp dir, removed after run(). A caller-provided directory is
+  /// never removed.
   void set_work_dir(std::string dir) { work_dir_ = std::move(dir); }
-  void set_keep_files(bool keep) { keep_files_ = keep; }
-
-  /// Seed-coalescing inside each worker (and the in-process fallback).
-  void set_coalescing(bool on);
-  bool coalescing() const { return local_.coalescing(); }
 
   /// Shared artifact-store directory (HLP_STORE is the constructor
   /// default, via the local runner). When non-empty every worker process
@@ -100,9 +88,10 @@ class DistributedRunner {
   /// one store — each worker stages its atomic writes under a private
   /// staging dir — and the in-process fallback persists there too.
   void set_store_dir(std::string dir) { local_.set_store_dir(std::move(dir)); }
-  const std::string& store_dir() const { return local_.store_dir(); }
 
-  /// The in-process runner behind the workers <= 1 fallback.
+  /// The in-process runner behind the workers <= 1 fallback. Its
+  /// coalescing setting (HLP_COALESCE by default) is also the one every
+  /// worker is launched with.
   ExperimentRunner& local() { return local_; }
 
  private:
@@ -117,7 +106,6 @@ class DistributedRunner {
   std::string worker_binary_;
   std::string work_dir_;
   double timeout_s_ = 0.0;
-  bool keep_files_ = false;
   ExperimentRunner local_;
 };
 

@@ -137,7 +137,7 @@ store::ArtifactKey ExperimentRunner::artifact_key_for(const Job& job) {
   store::ArtifactKey key;
   key.scope = ctx.store_scope(context_key(job));
   key.binding = ctx.binding_hash(spec.binder, spec.map, spec.timing);
-  // The SA tag exactly as Pipeline::make_cursor records it: resolved (it
+  // The SA tag exactly as the pipeline head records it: resolved (it
   // changes values).
   key.sa = sa_mode_name(ctx.sa_cache().mode());
   return key;
@@ -214,14 +214,13 @@ std::vector<JobResult> ExperimentRunner::run(const std::vector<Job>& jobs) {
   // one loud configuration error, not a per-job failure times the grid.
   artifact_store();
   std::vector<JobResult> results(jobs.size());
-  const Pipeline pipeline = Pipeline::standard();
 
   auto execute = [&](std::size_t i) {
     JobResult& res = results[i];
     res.job = jobs[i];
     const auto t0 = Clock::now();
     try {
-      res.outcome = pipeline.run(context_for(jobs[i]), spec_for(jobs[i]));
+      res.outcome = Pipeline::run(context_for(jobs[i]), spec_for(jobs[i]));
       res.ok = true;
     } catch (const std::exception& e) {
       res.error = e.what();
@@ -250,7 +249,7 @@ std::vector<JobResult> ExperimentRunner::run(const std::vector<Job>& jobs) {
       seeds.reserve(members.size());
       for (const std::size_t i : members) seeds.push_back(jobs[i].seed);
       const Job& lead = jobs[members.front()];
-      auto outs = pipeline.run_batch(context_for(lead), spec_for(lead), seeds);
+      auto outs = Pipeline::run_batch(context_for(lead), spec_for(lead), seeds);
       for (std::size_t k = 0; k < members.size(); ++k) {
         results[members[k]].outcome = std::move(outs[k]);
         results[members[k]].ok = true;

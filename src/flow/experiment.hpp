@@ -1,9 +1,9 @@
 // ExperimentRunner: fan a grid of (benchmark x binder x seed x constraint)
 // jobs across a std::thread pool.
 //
-// Every job runs the standard Pipeline on a FlowContext that is memoised
-// per (benchmark, scheduler, rc, width, reg_seed) — jobs that share a
-// setup share the schedule, register binding and SA cache, computed once.
+// Every job runs the Pipeline on a FlowContext that is memoised per
+// (benchmark, scheduler, rc, width, reg_seed) — jobs that share a setup
+// share the schedule, register binding and SA cache, computed once.
 // On top of that, jobs that differ ONLY in stimulus seed are coalesced
 // (default on, see set_coalescing) into one Pipeline::run_batch invocation:
 // the head stages run once and the seeds ride the word-parallel simulator
@@ -149,14 +149,13 @@ class ExperimentRunner {
   /// The memoised context a job maps to (creating it if needed).
   FlowContext& context_for(const Job& job);
 
-  /// The exact ArtifactKey the standard pipeline would probe/publish for
-  /// this job's bind-fus..time span: the context's store scope (runner
-  /// key + CDFG digest), binding_hash under the default map/timing
-  /// parameters and the RESOLVED SA mode — mirroring
-  /// Pipeline::make_cursor. Needs no store configured (the
-  /// explorer diffs steps with it; `hlp_store gc --keep-manifest` derives
-  /// live addresses from it); resolving rc may run the context's probe
-  /// schedule.
+  /// The exact ArtifactKey the pipeline would probe/publish for this
+  /// job's bind-fus..time span: the context's store scope (runner key +
+  /// CDFG digest), binding_hash under the default map/timing parameters
+  /// and the RESOLVED SA mode — mirroring the pipeline head's probe.
+  /// Needs no store configured (the explorer diffs steps with it;
+  /// `hlp_store gc --keep-manifest` derives live addresses from it);
+  /// resolving rc may run the context's probe schedule.
   store::ArtifactKey artifact_key_for(const Job& job);
 
   /// The cache contexts of (`width`, `mode`) share: the external cache

@@ -83,7 +83,9 @@ class FlowContext {
 
   /// Context-owned cache of the per-binding pipeline artifacts (bind-fus
   /// through time), keyed by binding_hash(). The pipeline consults it so a
-  /// sweep that revisits a binding skips straight to simulate.
+  /// sweep that revisits a binding skips straight to simulate. Its entries
+  /// hold the run's datapath and mapped LUT netlist, which outcomes do not
+  /// carry: callers that need the netlist read it here.
   StageCache& stage_cache() { return *stage_cache_; }
 
   /// Back the StageCache with a persistent ArtifactStore (non-owning,

@@ -24,11 +24,13 @@
 //    merges worker outputs deterministically (stable job order) no matter
 //    which worker ran which unit or which finished first.
 //
-// One outcome field is intentionally NOT carried: the mapped LUT netlist
-// structure (FlowResult::mapped.lut_netlist), which is a large
-// intermediate artifact; its summary (num_luts, depth) and every metric
-// derived from it (timing, toggles, power) are. `same_outcome` is the
-// single definition of result equality used by tests and benches.
+// A JobResult carries the map summary (num_luts, depth) and every metric
+// derived from the mapped LUT netlist (timing, toggles, power), never the
+// netlist itself: that large intermediate lives in the StageCache entry of
+// the context that ran the job (and in the artifact store, when one is
+// bound). So a result has the same shape in process and after a frame
+// round trip. `same_outcome` is the single definition of result equality
+// used by tests and benches.
 #pragma once
 
 #include <cstddef>
@@ -126,13 +128,16 @@ void save_unit_response(std::ostream& os, std::size_t id,
 /// mismatched trailer, a truncated body or a malformed record throws.
 UnitResponse load_unit_response(std::istream& is);
 
-/// Result equality over every serialised field EXCEPT execution metadata
-/// (seconds, per-stage timings, group_size, cached_stages — wall clock and
-/// batching shape legitimately differ between a threaded run and a
-/// sharded run). This is the "bit-identical JobResult" relation of the
-/// distributed acceptance test: job fields, ok/error, the binding, mux
-/// stats, map summary, clock period, per-net toggle counts, sim counters
-/// and the power report must all agree exactly (doubles to the last bit).
+/// Result equality over every serialised outcome field EXCEPT execution
+/// metadata (seconds, per-stage timings, group_size, cached_stages — wall
+/// clock and batching shape legitimately differ between a threaded run
+/// and a sharded run). This is the "bit-identical JobResult" relation of
+/// the distributed acceptance test: ok/error, the binding, mux stats, map
+/// summary, clock period, per-net toggle counts, sim counters and the
+/// power report must all agree exactly (doubles to the last bit). The
+/// `job` fields are NOT compared: a results record carries the job's grid
+/// index, not the job, so a loaded result's `job` is default-constructed
+/// (the benchmark's expected-results check relies on this).
 bool same_outcome(const JobResult& a, const JobResult& b);
 
 }  // namespace hlp::flow

@@ -20,7 +20,7 @@ double PipelineOutcome::stage_seconds(const std::string& name) const {
 }
 
 std::shared_ptr<const StageCache::Entry> StageCache::find(
-    const std::string& key) {
+    const std::string& key, const std::string& sa) {
   std::shared_ptr<const Entry> entry;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -28,30 +28,15 @@ std::shared_ptr<const StageCache::Entry> StageCache::find(
     if (it != entries_.end()) entry = it->second;
   }
   ++(entry ? hits_ : misses_);
-  return entry;
-}
-
-std::shared_ptr<const StageCache::Entry> StageCache::find(
-    const std::string& key, const std::string& sa) {
-  auto entry = find(key);  // counts the memory hit/miss either way
   if (entry || !store_) return entry;
   entry = store_->find(store::ArtifactKey{store_scope_, key, sa});
-  if (entry) {
-    ++disk_hits_;
-    std::lock_guard<std::mutex> lock(mu_);
-    entries_.emplace(key, entry);
-  }
-  return entry;
-}
-
-void StageCache::insert(const std::string& key, Entry entry) {
-  auto holder = std::make_shared<const Entry>(std::move(entry));
+  if (!entry) return entry;
   std::lock_guard<std::mutex> lock(mu_);
-  entries_.emplace(key, std::move(holder));
+  return entries_.emplace(key, std::move(entry)).first->second;
 }
 
-void StageCache::insert(const std::string& key, const std::string& sa,
-                        Entry entry) {
+std::shared_ptr<const StageCache::Entry> StageCache::insert(
+    const std::string& key, const std::string& sa, Entry entry) {
   auto holder = std::make_shared<const Entry>(std::move(entry));
   // Persist first: a publish conflict (two incompatible configurations
   // sharing one store) must surface as this run's error, not after the
@@ -59,7 +44,7 @@ void StageCache::insert(const std::string& key, const std::string& sa,
   if (store_)
     store_->publish(store::ArtifactKey{store_scope_, key, sa}, *holder);
   std::lock_guard<std::mutex> lock(mu_);
-  entries_.emplace(key, std::move(holder));
+  return entries_.emplace(key, std::move(holder)).first->second;
 }
 
 void StageCache::bind_store(store::ArtifactStore* store, std::string scope) {
@@ -73,120 +58,112 @@ std::size_t StageCache::size() const {
   return entries_.size();
 }
 
-void StageCache::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-}
-
 namespace {
 
-void stage_schedule(PipelineState& st) { st.schedule = st.ctx.schedule(); }
+using Clock = std::chrono::steady_clock;
 
-void stage_bind_regs(PipelineState& st) { st.regs = st.ctx.regs(); }
-
-void stage_bind_fus(PipelineState& st) {
-  const BinderFn& binder = binder_registry().at(st.spec.binder.name);
-  st.out.fus = binder(st.ctx, st.spec.binder);
-}
-
-void stage_refine(PipelineState& st) {
-  if (!st.spec.binder.refine) return;
-  st.out.refine = refine_ports(st.ctx.cdfg(), st.regs, st.out.fus,
-                               st.ctx.sa_cache(),
-                               edge_weight_params(st.spec.binder));
-  st.out.fus = st.out.refine.fus;
-  st.out.refined = true;
-}
-
-void stage_elaborate(PipelineState& st) {
-  st.datapath =
-      elaborate_datapath(st.ctx.cdfg(), st.schedule,
-                         Binding{st.regs, st.out.fus},
-                         DatapathParams{st.ctx.width()});
-  st.out.flow.mux_stats =
-      compute_datapath_stats(st.ctx.cdfg(), st.regs, st.out.fus);
-}
-
-void stage_map(PipelineState& st) {
-  st.out.flow.mapped = tech_map(st.datapath.netlist, st.spec.map);
-}
-
-void stage_time(PipelineState& st) {
-  // The levelized arrival sweep (levelize.hpp) is bit-identical to
-  // clock_period_ns, so StageCache entries and distributed same_outcome
-  // comparisons are unaffected by the swap.
-  st.out.flow.clock_period_ns =
-      levelized_clock_period_ns(st.out.flow.mapped.lut_netlist,
-                                st.spec.timing);
-}
-
-void stage_simulate(PipelineState& st) {
-  // Stimulus identical to run_flow (same seed, same sequence). The word
-  // width only matters for the batched engine; every width is
-  // bit-identical, so the width picked here cannot change the result,
-  // only the wall clock.
-  const auto samples =
-      random_samples(st.spec.num_vectors, st.ctx.cdfg().num_inputs(),
-                     st.ctx.width(), st.spec.seed);
-  const auto frames = make_frames(st.datapath, samples);
-  // Lanes = consecutive cycles here, so the auto width is sized to the
-  // frame count (it is essentially always >= 512 for real vector counts).
-  const SimdMode simd =
-      st.spec.sim_engine == SimEngine::kBatched
-          ? effective_simd_mode(SimdMode::kAuto, frames.size())
-          : SimdMode::kU64;
-  st.out.flow.sim = simulate_frames(st.out.flow.mapped.lut_netlist, frames,
-                                    st.spec.sim_engine, simd);
+// Run `fn` as the stage `name`, appending its wall clock to `out.timings`.
+template <typename Fn>
+void timed(PipelineOutcome& out, const char* name, Fn&& fn) {
+  const auto t0 = Clock::now();
+  fn();
+  out.timings.push_back(
+      {name, std::chrono::duration<double>(Clock::now() - t0).count()});
 }
 
 // The span of stages whose artifacts a StageCache entry carries. Stages
 // before it are memoised on the context already; stages after it depend on
 // the stimulus seed.
-bool is_cached_stage(const std::string& name) {
-  return name == "bind-fus" || name == "refine" || name == "elaborate" ||
-         name == "map" || name == "time";
-}
+constexpr const char* kSpanStages[] = {"bind-fus", "refine", "elaborate",
+                                       "map", "time"};
 
-// Install one stage's slice of a cache entry instead of running the stage.
-void apply_cached(PipelineState& st, const std::string& name,
-                  const StageCache::Entry& e) {
-  if (name == "bind-fus") {
-    st.out.fus = e.fus;
-  } else if (name == "refine") {
-    st.out.refine = e.refine;
-    st.out.refined = e.refined;
-  } else if (name == "elaborate") {
-    st.datapath = e.datapath;
-    st.out.flow.mux_stats = e.mux_stats;
-  } else if (name == "map") {
-    st.out.flow.mapped = e.mapped;
-  } else if (name == "time") {
-    st.out.flow.clock_period_ns = e.clock_period_ns;
+// The head shared by run() and run_batch(): `schedule` and `bind-regs`,
+// then the bind-fus..time span — served from the context's StageCache when
+// published there, else computed into a new entry and published. Fills
+// `out` with the seven head timings and the span's summary, and returns
+// the span for `simulate` and `power` to read in place.
+std::shared_ptr<const StageCache::Entry> run_head(FlowContext& ctx,
+                                                  const RunSpec& spec,
+                                                  PipelineOutcome& out) {
+  // RunSpec::sa pins the SA backend: a concrete request must match what
+  // the context's cache actually runs (specs and contexts resolved under
+  // different HLP_SA_MODE values would silently mix backends otherwise).
+  HLP_REQUIRE(!spec.sa || *spec.sa == ctx.sa_cache().mode(),
+              "RunSpec pins SA mode '"
+                  << sa_mode_name(*spec.sa) << "' but the context's SaCache "
+                  << "runs '" << sa_mode_name(ctx.sa_cache().mode()) << "'");
+  const std::string key = ctx.binding_hash(spec.binder, spec.map, spec.timing);
+  // The persistent store also checks the SA backend resolved (it changes
+  // values).
+  const std::string sa = sa_mode_name(ctx.sa_cache().mode());
+  out.timings.reserve(Pipeline::stage_names().size());
+
+  const Schedule* schedule = nullptr;
+  const RegisterBinding* regs = nullptr;
+  timed(out, "schedule", [&] { schedule = &ctx.schedule(); });
+  timed(out, "bind-regs", [&] { regs = &ctx.regs(); });
+
+  std::shared_ptr<const StageCache::Entry> span =
+      ctx.stage_cache().find(key, sa);
+  if (span) {
+    for (const char* name : kSpanStages) {
+      out.timings.push_back({name, 0.0});
+      out.cached_stages.push_back(name);
+    }
+  } else {
+    StageCache::Entry e;
+    timed(out, "bind-fus", [&] {
+      e.fus = binder_registry().at(spec.binder.name)(ctx, spec.binder);
+    });
+    timed(out, "refine", [&] {
+      if (!spec.binder.refine) return;
+      e.refine = refine_ports(ctx.cdfg(), *regs, e.fus, ctx.sa_cache(),
+                              edge_weight_params(spec.binder));
+      e.fus = e.refine.fus;
+      e.refined = true;
+    });
+    timed(out, "elaborate", [&] {
+      e.datapath = elaborate_datapath(ctx.cdfg(), *schedule,
+                                      Binding{*regs, e.fus},
+                                      DatapathParams{ctx.width()});
+      e.mux_stats = compute_datapath_stats(ctx.cdfg(), *regs, e.fus);
+    });
+    timed(out, "map",
+          [&] { e.mapped = tech_map(e.datapath.netlist, spec.map); });
+    // The levelized arrival sweep (levelize.hpp) is bit-identical to
+    // clock_period_ns, so StageCache entries and distributed same_outcome
+    // comparisons are unaffected by the swap.
+    timed(out, "time", [&] {
+      e.clock_period_ns =
+          levelized_clock_period_ns(e.mapped.lut_netlist, spec.timing);
+    });
+    span = ctx.stage_cache().insert(key, sa, std::move(e));
   }
+  out.bind_seconds =
+      out.stage_seconds("bind-fus") + out.stage_seconds("refine");
+  out.fus = span->fus;
+  out.refine = span->refine;
+  out.refined = span->refined;
+  out.flow.mux_stats = span->mux_stats;
+  out.flow.mapped.num_luts = span->mapped.num_luts;
+  out.flow.mapped.depth = span->mapped.depth;
+  out.flow.clock_period_ns = span->clock_period_ns;
+  return span;
 }
 
-// Snapshot the bind-fus..time artifacts once the `time` stage has run.
-StageCache::Entry capture_entry(const PipelineState& st) {
-  StageCache::Entry e;
-  e.fus = st.out.fus;
-  e.refine = st.out.refine;
-  e.refined = st.out.refined;
-  e.mux_stats = st.out.flow.mux_stats;
-  e.datapath = st.datapath;
-  e.mapped = st.out.flow.mapped;
-  e.clock_period_ns = st.out.flow.clock_period_ns;
-  return e;
-}
-
-void stage_power(PipelineState& st) {
-  const auto& sim = st.out.flow.sim;
-  const double functional_per_cycle =
-      sim.num_cycles ? static_cast<double>(sim.functional_transitions) /
-                           static_cast<double>(sim.num_cycles)
-                     : 0.0;
-  st.out.flow.report = power_from_toggles(
-      st.out.flow.mapped.lut_netlist, sim.toggles, sim.num_cycles,
-      st.out.flow.clock_period_ns, functional_per_cycle, st.spec.power);
+// The `power` stage: one run's toggles -> dynamic power report.
+void run_power(const StageCache::Entry& span, const RunSpec& spec,
+               PipelineOutcome& out) {
+  timed(out, "power", [&] {
+    const auto& sim = out.flow.sim;
+    const double functional_per_cycle =
+        sim.num_cycles ? static_cast<double>(sim.functional_transitions) /
+                             static_cast<double>(sim.num_cycles)
+                       : 0.0;
+    out.flow.report = power_from_toggles(
+        span.mapped.lut_netlist, sim.toggles, sim.num_cycles,
+        span.clock_period_ns, functional_per_cycle, spec.power);
+  });
 }
 
 }  // namespace
@@ -198,113 +175,41 @@ const std::vector<std::string>& Pipeline::stage_names() {
   return kNames;
 }
 
-Pipeline Pipeline::standard() {
-  Pipeline p;
-  p.stages_ = {{"schedule", stage_schedule}, {"bind-regs", stage_bind_regs},
-               {"bind-fus", stage_bind_fus}, {"refine", stage_refine},
-               {"elaborate", stage_elaborate}, {"map", stage_map},
-               {"time", stage_time},         {"simulate", stage_simulate},
-               {"power", stage_power}};
-  return p;
-}
-
-Pipeline& Pipeline::replace(const std::string& name, StageFn fn) {
-  for (auto& stage : stages_) {
-    if (stage.name == name) {
-      stage.fn = std::move(fn);
-      // A custom stage body up to `time` invalidates StageCache reuse: the
-      // binding hash only sees the spec, not the override.
-      if (name != "simulate" && name != "power") cache_safe_ = false;
-      return *this;
-    }
-  }
-  HLP_REQUIRE(false, "pipeline has no stage named '" << name << "'");
-}
-
-namespace {
-
-// RunSpec::sa pins the SA backend: a concrete request must match what the
-// context's cache actually runs (specs and contexts resolved under
-// different HLP_SA_MODE values would silently mix backends otherwise).
-void check_sa_pin(FlowContext& ctx, const RunSpec& spec) {
-  HLP_REQUIRE(!spec.sa || *spec.sa == ctx.sa_cache().mode(),
-              "RunSpec pins SA mode '"
-                  << sa_mode_name(*spec.sa) << "' but the context's SaCache "
-                  << "runs '" << sa_mode_name(ctx.sa_cache().mode()) << "'");
-}
-
-}  // namespace
-
-Pipeline::CacheCursor Pipeline::make_cursor(FlowContext& ctx,
-                                            const RunSpec& spec) const {
-  CacheCursor cursor;
-  cursor.enabled = cache_safe_ && spec.use_stage_cache;
-  if (cursor.enabled) {
-    cursor.key = ctx.binding_hash(spec.binder, spec.map, spec.timing);
-    // The persistent store also checks the SA backend resolved (it
-    // changes values).
-    cursor.sa = sa_mode_name(ctx.sa_cache().mode());
-  }
-  return cursor;
-}
-
-void Pipeline::run_stage(PipelineState& st, const Stage& stage,
-                         CacheCursor& cursor) const {
-  using Clock = std::chrono::steady_clock;
-  const bool cacheable = cursor.enabled && is_cached_stage(stage.name);
-  if (cacheable && !cursor.probed) {
-    cursor.probed = true;  // one hit/miss per run, probed at bind-fus
-    cursor.hit = st.ctx.stage_cache().find(cursor.key, cursor.sa);
-  }
-  const auto t0 = Clock::now();
-  if (cacheable && cursor.hit) {
-    apply_cached(st, stage.name, *cursor.hit);
-    st.out.cached_stages.push_back(stage.name);
-  } else {
-    stage.fn(st);
-  }
-  const double secs = std::chrono::duration<double>(Clock::now() - t0).count();
-  st.out.timings.push_back({stage.name, secs});
-  if (stage.name == "bind-fus" || stage.name == "refine")
-    st.out.bind_seconds += secs;
-  if (cursor.enabled && !cursor.hit && stage.name == "time")
-    st.ctx.stage_cache().insert(cursor.key, cursor.sa, capture_entry(st));
-}
-
-PipelineOutcome Pipeline::run(FlowContext& ctx, const RunSpec& spec) const {
-  check_sa_pin(ctx, spec);
-  PipelineState st(ctx, spec);
-  st.out.timings.reserve(stages_.size());
-  CacheCursor cursor = make_cursor(ctx, spec);
-  for (const auto& stage : stages_) run_stage(st, stage, cursor);
-  return std::move(st.out);
+PipelineOutcome Pipeline::run(FlowContext& ctx, const RunSpec& spec) {
+  PipelineOutcome out;
+  const auto span = run_head(ctx, spec, out);
+  timed(out, "simulate", [&] {
+    // Stimulus identical to run_flow (same seed, same sequence). The word
+    // width only matters for the batched engine; every width is
+    // bit-identical, so the width picked here cannot change the result,
+    // only the wall clock.
+    const auto samples = random_samples(
+        spec.num_vectors, ctx.cdfg().num_inputs(), ctx.width(), spec.seed);
+    const auto frames = make_frames(span->datapath, samples);
+    // Lanes = consecutive cycles here, so the auto width is sized to the
+    // frame count (it is essentially always >= 512 for real vector counts).
+    const SimdMode simd =
+        spec.sim_engine == SimEngine::kBatched
+            ? effective_simd_mode(SimdMode::kAuto, frames.size())
+            : SimdMode::kU64;
+    out.flow.sim = simulate_frames(span->mapped.lut_netlist, frames,
+                                   spec.sim_engine, simd);
+  });
+  run_power(*span, spec, out);
+  return out;
 }
 
 std::vector<PipelineOutcome> Pipeline::run_batch(
     FlowContext& ctx, const RunSpec& spec,
-    const std::vector<std::uint64_t>& seeds) const {
-  using Clock = std::chrono::steady_clock;
+    const std::vector<std::uint64_t>& seeds) {
   std::vector<PipelineOutcome> outs;
   if (seeds.empty()) return outs;
-  check_sa_pin(ctx, spec);
-
-  PipelineState st(ctx, spec);
-  st.out.timings.reserve(stages_.size());
-  CacheCursor cursor = make_cursor(ctx, spec);
 
   // Shared head: every stage before `simulate` runs once for the whole
-  // seed group (overrides and the stage cache both apply).
-  bool found_simulate = false;
-  std::size_t tail_begin = stages_.size();
-  for (std::size_t s = 0; s < stages_.size(); ++s) {
-    if (stages_[s].name == "simulate") {
-      found_simulate = true;
-      tail_begin = s + 1;
-      break;
-    }
-    run_stage(st, stages_[s], cursor);
-  }
-  HLP_REQUIRE(found_simulate, "run_batch needs a `simulate` stage");
+  // seed group.
+  PipelineOutcome head;
+  const auto span = run_head(ctx, spec, head);
+  const Netlist& luts = span->mapped.lut_netlist;
 
   // Word-parallel simulate: the same stimulus run() would generate per
   // seed, packed one seed per lane and chunked to the selected word width
@@ -320,52 +225,41 @@ std::vector<PipelineOutcome> Pipeline::run_batch(
       batched ? effective_simd_mode(SimdMode::kAuto, seeds.size())
               : SimdMode::kU64;
   const std::size_t chunk_lanes = static_cast<std::size_t>(simd_lanes(simd));
-  const auto t0 = Clock::now();
   std::vector<CycleSimStats> sims(seeds.size());
-  for (std::size_t g0 = 0; g0 < seeds.size(); g0 += chunk_lanes) {
-    const std::size_t count =
-        std::min<std::size_t>(chunk_lanes, seeds.size() - g0);
-    std::vector<CycleSimStats> chunk;
-    if (batched) {
-      LaneSamples lane_samples(count);
-      for (std::size_t i = 0; i < count; ++i)
-        lane_samples[i] =
-            random_samples(spec.num_vectors, ctx.cdfg().num_inputs(),
-                           ctx.width(), seeds[g0 + i]);
-      chunk = simulate_seed_chunk(st.out.flow.mapped.lut_netlist, st.datapath,
-                                  lane_samples, simd);
-    } else {
-      std::vector<std::vector<std::vector<char>>> runs(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        const auto samples =
-            random_samples(spec.num_vectors, ctx.cdfg().num_inputs(),
-                           ctx.width(), seeds[g0 + i]);
-        runs[i] = make_frames(st.datapath, samples);
+  timed(head, "simulate", [&] {
+    for (std::size_t g0 = 0; g0 < seeds.size(); g0 += chunk_lanes) {
+      const std::size_t count =
+          std::min<std::size_t>(chunk_lanes, seeds.size() - g0);
+      std::vector<CycleSimStats> chunk;
+      if (batched) {
+        LaneSamples lane_samples(count);
+        for (std::size_t i = 0; i < count; ++i)
+          lane_samples[i] =
+              random_samples(spec.num_vectors, ctx.cdfg().num_inputs(),
+                             ctx.width(), seeds[g0 + i]);
+        chunk = simulate_seed_chunk(luts, span->datapath, lane_samples, simd);
+      } else {
+        std::vector<std::vector<std::vector<char>>> runs(count);
+        for (std::size_t i = 0; i < count; ++i) {
+          const auto samples =
+              random_samples(spec.num_vectors, ctx.cdfg().num_inputs(),
+                             ctx.width(), seeds[g0 + i]);
+          runs[i] = make_frames(span->datapath, samples);
+        }
+        chunk = simulate_runs(luts, runs, spec.sim_engine);
       }
-      chunk =
-          simulate_runs(st.out.flow.mapped.lut_netlist, runs, spec.sim_engine);
+      for (std::size_t i = 0; i < count; ++i)
+        sims[g0 + i] = std::move(chunk[i]);
     }
-    for (std::size_t i = 0; i < count; ++i) sims[g0 + i] = std::move(chunk[i]);
-  }
-  st.out.timings.push_back(
-      {"simulate",
-       std::chrono::duration<double>(Clock::now() - t0).count()});
+  });
 
-  // Per-seed tail: install each seed's sim stats and run the remaining
-  // stages (power, plus any custom additions) on a per-seed copy.
-  const std::vector<StageTiming> shared_timings = st.out.timings;
+  // Per-seed tail: each seed's outcome is the head's summary plus its own
+  // sim stats and power report.
   outs.reserve(seeds.size());
   for (std::size_t i = 0; i < seeds.size(); ++i) {
-    st.out.flow.sim = std::move(sims[i]);
-    st.out.timings = shared_timings;
-    for (std::size_t s = tail_begin; s < stages_.size(); ++s) {
-      const auto t1 = Clock::now();
-      stages_[s].fn(st);
-      st.out.timings.push_back(
-          {stages_[s].name,
-           std::chrono::duration<double>(Clock::now() - t1).count()});
-    }
-    outs.push_back(st.out);
+    PipelineOutcome& out = outs.emplace_back(head);
+    out.flow.sim = std::move(sims[i]);
+    run_power(*span, spec, out);
   }
   return outs;
 }

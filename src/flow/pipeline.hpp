@@ -1,6 +1,6 @@
-// Staged evaluation pipeline — the decomposition of `run_flow` (the
-// paper's Section 6.1 Quartus stand-in) into named, individually
-// overridable stages with per-stage wall-clock timing:
+// The evaluation pipeline — `run_flow` (the paper's Section 6.1 Quartus
+// stand-in) as one fixed sequence of nine named stages with per-stage
+// wall-clock timing:
 //
 //   schedule -> bind-regs -> bind-fus -> refine -> elaborate -> map ->
 //   time -> simulate -> power
@@ -13,9 +13,12 @@
 // bit (asserted by tests/flow_test.cpp).
 //
 // Two amortisation layers ride on top, both result-preserving:
-//  - StageCache: the bind-fus..time artifacts are memoised per context
-//    under FlowContext::binding_hash(), so re-running a binding skips
-//    straight to simulate (tests/pipeline_cache_test.cpp).
+//  - StageCache: the bind-fus..time span is computed once per binding
+//    into a StageCache entry under FlowContext::binding_hash(), and
+//    `simulate` and `power` read that entry in place, so re-running a
+//    binding skips straight to simulate and copies nothing
+//    (tests/pipeline_cache_test.cpp). Outcomes carry the span's summary,
+//    not its datapath or LUT netlist.
 //  - run_batch: many stimulus seeds of one RunSpec share a single head
 //    pass, then ride the word-parallel simulator's lanes — one seed per
 //    bit, in the narrowest word that covers the seed group: 64 per u64
@@ -24,7 +27,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -71,20 +73,16 @@ struct RunSpec {
   /// absent value accepts whatever the context resolved. This knob
   /// changes VALUES, which is why it pins rather than switches per run.
   std::optional<SaMode> sa;
-  /// Consult the context's StageCache for the bind-fus..time artifacts
-  /// (hits skip those stages; results are identical either way). Ignored —
-  /// always off — on a pipeline whose pre-simulate stages were replace()d,
-  /// since the cache key cannot see a custom stage body.
-  bool use_stage_cache = true;
 };
 
 /// Memoised per-binding artifacts of the pipeline's bind-fus -> refine ->
 /// elaborate -> map -> time span, keyed by FlowContext::binding_hash().
 /// One cache per FlowContext (the key does not encode the CDFG), so a
 /// design-space sweep that revisits a binding on its context skips from
-/// bind-fus straight to simulate. Thread-safe; concurrent misses on one
-/// key both compute (value-identical by determinism) and the first insert
-/// wins.
+/// bind-fus straight to simulate. Published entries are immutable and
+/// shared: the pipeline's simulate and power stages read them in place.
+/// Thread-safe; concurrent misses on one key both compute
+/// (value-identical by determinism) and the first insert wins.
 class StageCache {
  public:
   struct Entry {
@@ -97,35 +95,30 @@ class StageCache {
     double clock_period_ns = 0.0;
   };
 
-  /// The published entry for `key`, or null. Counts one hit or miss.
-  std::shared_ptr<const Entry> find(const std::string& key);
-  /// Store-aware probe: a memory miss (still counted as a miss) falls
-  /// through to the bound ArtifactStore; a disk hit (counted via
-  /// disk_hits) repopulates the memory map so later probes stay local.
-  /// `sa` is the resolved SA mode name the stored entry must carry (the
-  /// in-memory map keys on binding_hash() alone, which already encodes
-  /// it). Without a bound store this is exactly find(key).
+  /// The published entry for `key`, or null. Counts one hit or miss. A
+  /// memory miss (still counted as a miss) falls through to the bound
+  /// ArtifactStore, and a disk hit repopulates the memory map so later
+  /// probes stay local. `sa` is the resolved SA mode name the stored
+  /// entry must carry (the in-memory map keys on binding_hash() alone,
+  /// which already encodes it).
   std::shared_ptr<const Entry> find(const std::string& key,
                                     const std::string& sa);
-  /// Publish the artifacts for `key` (first writer wins).
-  void insert(const std::string& key, Entry entry);
-  /// Store-aware publish: also persists the entry to the bound
-  /// ArtifactStore (atomic write-then-rename, overlap-must-agree) before
-  /// inserting it into the memory map.
-  void insert(const std::string& key, const std::string& sa, Entry entry);
+  /// Publish the artifacts for `key`: persist them to the bound
+  /// ArtifactStore (atomic write-then-rename, overlap-must-agree), then
+  /// insert them into the memory map. The first writer wins, and the
+  /// entry published under `key` is returned — for a racing loser, the
+  /// winner's value-identical entry.
+  std::shared_ptr<const Entry> insert(const std::string& key,
+                                      const std::string& sa, Entry entry);
 
   /// Bind a persistent ArtifactStore (non-owning; null unbinds). `scope`
   /// is the context-identity half of every ArtifactKey this cache reads
   /// or writes — see FlowContext::set_artifact_store.
   void bind_store(store::ArtifactStore* store, std::string scope);
-  store::ArtifactStore* store() const { return store_; }
 
   std::uint64_t hits() const { return hits_.load(); }
   std::uint64_t misses() const { return misses_.load(); }
-  /// Memory misses satisfied from the bound ArtifactStore.
-  std::uint64_t disk_hits() const { return disk_hits_.load(); }
   std::size_t size() const;
-  void clear();
 
  private:
   mutable std::mutex mu_;
@@ -134,7 +127,6 @@ class StageCache {
   std::string store_scope_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> disk_hits_{0};
 };
 
 struct StageTiming {
@@ -145,17 +137,20 @@ struct StageTiming {
 struct PipelineOutcome {
   /// The bound FUs (after refinement, when requested).
   FuBinding fus;
-  /// Same shape as run_flow's result: mapping, clock, sim, power, mux.
+  /// Same shape as run_flow's result — clock, sim, power, mux — except
+  /// that `flow.mapped` holds only the map summary (num_luts, depth): its
+  /// `lut_netlist` is empty. The mapped netlist and the datapath live in
+  /// the context's StageCache entry for the run's binding_hash().
   FlowResult flow;
   /// Valid iff `refined` (the refine stage ran).
   PortRefineResult refine;
   bool refined = false;
   /// Wall-clock of every stage, in pipeline order. A batched run records
-  /// the whole word-parallel batch under `simulate`.
+  /// the whole word-parallel batch under `simulate`; stages served from
+  /// the StageCache record 0 s.
   std::vector<StageTiming> timings;
   /// Names of the stages whose artifacts came from the context's
-  /// StageCache instead of being recomputed (empty on a cache miss or
-  /// when caching is off).
+  /// StageCache instead of being recomputed (empty on a cache miss).
   std::vector<std::string> cached_stages;
   /// Seconds spent in the `bind-fus` stage (+ `refine` when it ran) — the
   /// "HLPower runtime" column of Table 2.
@@ -165,74 +160,27 @@ struct PipelineOutcome {
   double stage_seconds(const std::string& name) const;
 };
 
-/// Mutable state threaded through the stages. Custom stage overrides
-/// read/write whichever artifacts they care about.
-struct PipelineState {
-  PipelineState(FlowContext& c, const RunSpec& s) : ctx(c), spec(s) {}
-
-  FlowContext& ctx;
-  const RunSpec& spec;
-  Schedule schedule;
-  RegisterBinding regs;
-  Datapath datapath;
-  PipelineOutcome out;
-};
-
-using StageFn = std::function<void(PipelineState&)>;
-
+/// The fixed nine-stage pipeline; stateless, so every entry point is
+/// static.
 class Pipeline {
  public:
-  struct Stage {
-    std::string name;
-    StageFn fn;
-  };
-
-  /// The canonical nine-stage pipeline.
-  static Pipeline standard();
-  /// The canonical stage names, in order.
+  /// The stage names, in order.
   static const std::vector<std::string>& stage_names();
 
-  /// Replace the implementation of one named stage (throws if unknown).
-  Pipeline& replace(const std::string& name, StageFn fn);
-
   /// Run every stage in order, timing each.
-  PipelineOutcome run(FlowContext& ctx, const RunSpec& spec = {}) const;
+  static PipelineOutcome run(FlowContext& ctx, const RunSpec& spec = {});
 
   /// Seed-batched run: the word-parallel fast path behind ExperimentRunner
   /// job coalescing. The stages before `simulate` run ONCE (stage-cache
-  /// aware, custom overrides honoured), then the built-in simulate stage
-  /// evaluates every seed in `seeds` on the word-parallel simulator — one
-  /// stimulus seed per lane, in the narrowest word (64..512 lanes) that
-  /// covers the seed group, chunked to that word width — and the
-  /// post-simulate stages run per seed. Outcome i is
+  /// aware), then `simulate` evaluates every seed in `seeds` on the
+  /// word-parallel simulator — one stimulus seed per lane, in the
+  /// narrowest word (64..512 lanes) that covers the seed group, chunked to
+  /// that word width — and `power` runs per seed. Outcome i is
   /// bit-identical to run() with spec.seed = seeds[i] at ANY width;
-  /// spec.seed itself is ignored. A replace()d `simulate` stage is NOT
-  /// honoured here (the batch path owns stimulus generation).
-  std::vector<PipelineOutcome> run_batch(
+  /// spec.seed itself is ignored.
+  static std::vector<PipelineOutcome> run_batch(
       FlowContext& ctx, const RunSpec& spec,
-      const std::vector<std::uint64_t>& seeds) const;
-
-  const std::vector<Stage>& stages() const { return stages_; }
-
- private:
-  /// Per-run cursor over the context's StageCache.
-  struct CacheCursor {
-    bool enabled = false;
-    bool probed = false;
-    std::string key;
-    std::string sa;  // resolved SA mode name for the store probe/publish
-    std::shared_ptr<const StageCache::Entry> hit;
-  };
-
-  CacheCursor make_cursor(FlowContext& ctx, const RunSpec& spec) const;
-  /// Run (or satisfy from cache) one stage, recording its timing.
-  void run_stage(PipelineState& st, const Stage& stage,
-                 CacheCursor& cursor) const;
-
-  std::vector<Stage> stages_;
-  /// False once a pre-simulate stage was replace()d: the StageCache key
-  /// cannot encode a custom stage body, so caching would be unsound.
-  bool cache_safe_ = true;
+      const std::vector<std::uint64_t>& seeds);
 };
 
 }  // namespace hlp::flow

@@ -279,6 +279,41 @@ TEST(JobIo, ResultsRoundTripIsBitExact) {
   EXPECT_EQ(back[1].result.error, failed.result.error);
 }
 
+TEST(JobIo, InProcessResultsHaveTheRoundTripShape) {
+  // A threaded JobResult carries the map summary but not the mapped LUT
+  // netlist (that lives in the context's StageCache entry), so it has the
+  // shape every result has after a results-frame round trip — whether its
+  // job rode a coalesced seed group or ran alone.
+  std::vector<flow::Job> jobs = flow::ExperimentRunner::grid(
+      {"pr"}, {flow::BinderSpec{"hlpower"}}, {1, 2, 3}, {}, small_job("pr"));
+  flow::Job alone = small_job("pr");
+  alone.binder.name = "lopass";
+  jobs.push_back(alone);
+  flow::ExperimentRunner runner(2);
+  runner.set_coalescing(true);
+  const std::vector<flow::JobResult> got = runner.run(jobs);
+  ASSERT_EQ(got.size(), 4u);
+  EXPECT_EQ(got[0].group_size, 3u);
+  EXPECT_EQ(got[3].group_size, 1u);
+
+  std::vector<flow::ManifestResult> frame;
+  for (std::size_t i = 0; i < got.size(); ++i) frame.push_back({i, got[i]});
+  std::ostringstream text;
+  flow::save_results(text, frame);
+  std::istringstream in(text.str());
+  const auto back = flow::load_results(in);
+  ASSERT_EQ(back.size(), got.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(got[i].ok) << got[i].error;
+    const MapResult& mapped = got[i].outcome.flow.mapped;
+    EXPECT_GT(mapped.num_luts, 0) << "job " << i;
+    EXPECT_EQ(mapped.lut_netlist.num_nets(),
+              back[i].result.outcome.flow.mapped.lut_netlist.num_nets())
+        << "job " << i;
+    EXPECT_TRUE(flow::same_outcome(got[i], back[i].result)) << "job " << i;
+  }
+}
+
 TEST(JobIo, TruncatedAndCorruptResultsRejected) {
   std::vector<flow::ManifestResult> results = {synthetic_result()};
   std::ostringstream text;

@@ -39,7 +39,8 @@ namespace {
 using Sim = BitSimulatorT<std::uint64_t>;
 
 // Mapped LUT netlist of one paper benchmark at width 4 (small widths keep
-// the enumeration spaces and the pipeline head cheap). The SA mode is
+// the enumeration spaces and the pipeline head cheap), read from the
+// context's StageCache entry the pipeline run published. The SA mode is
 // pinned to estimate so the binding itself never depends on HLP_SA_MODE —
 // this test exercises exact_activity directly, not the cache.
 Netlist benchmark_netlist(const std::string& name) {
@@ -49,7 +50,12 @@ Netlist benchmark_netlist(const std::string& name) {
   flow::FlowContext ctx(make_paper_benchmark(name), {0, 0}, std::move(opt));
   flow::RunSpec rs;
   rs.num_vectors = 2;  // the simulate/power tail is irrelevant here
-  return flow::Pipeline::standard().run(ctx, rs).flow.mapped.lut_netlist;
+  flow::Pipeline::run(ctx, rs);
+  const auto entry = ctx.stage_cache().find(
+      ctx.binding_hash(rs.binder, rs.map, rs.timing),
+      sa_mode_name(SaMode::kEstimated));
+  HLP_REQUIRE(entry, "the pipeline run published no StageCache entry");
+  return entry->mapped.lut_netlist;
 }
 
 // Exhaustively enumerate every (prev, curr) frame pair of one support set

@@ -209,16 +209,18 @@ TEST(ExperimentBatch, GroupFailureIsCapturedOnEveryMemberJob) {
 }
 
 TEST(SeedChunkWidths, EveryWidthMatchesScalarPerSeed) {
-  // The datapath and LUT netlist of one standard pipeline run on pr.
+  // The datapath and LUT netlist of one pipeline run on pr, read from the
+  // StageCache entry it published.
   flow::ExperimentRunner runner(1);
   flow::Job job = small_job();
   job.benchmark = "pr";
   flow::FlowContext& ctx = runner.context_for(job);
   flow::RunSpec spec;
   spec.num_vectors = job.num_vectors;
-  flow::Pipeline::standard().run(ctx, spec);
+  flow::Pipeline::run(ctx, spec);
   const auto entry = ctx.stage_cache().find(
-      ctx.binding_hash(spec.binder, spec.map, spec.timing));
+      ctx.binding_hash(spec.binder, spec.map, spec.timing),
+      sa_mode_name(ctx.sa_cache().mode()));
   ASSERT_TRUE(entry);
   const Netlist& n = entry->mapped.lut_netlist;
   const Datapath& dp = entry->datapath;

@@ -17,7 +17,6 @@
 #include "flow/flow_context.hpp"
 #include "flow/pipeline.hpp"
 #include "flow/registry.hpp"
-#include "lopass/lopass.hpp"
 #include "power/sa_mode.hpp"
 #include "rtl/flow.hpp"
 #include "sched/list_scheduler.hpp"
@@ -65,7 +64,7 @@ TEST(Registry, AsapAlapSchedulersRunThroughPipeline) {
     flow::FlowContext ctx(make_paper_benchmark("pr"), {0, 0}, std::move(opt));
     flow::RunSpec rs;
     rs.num_vectors = 10;
-    const flow::PipelineOutcome out = flow::Pipeline::standard().run(ctx, rs);
+    const flow::PipelineOutcome out = flow::Pipeline::run(ctx, rs);
     EXPECT_GT(out.flow.sim.total_transitions, 0u) << sched;
   }
 }
@@ -133,7 +132,7 @@ TEST(Pipeline, MatchesLegacyRunFlow) {
   spec.binder.name = "hlpower";
   spec.num_vectors = kVectors;
   spec.sa = SaMode::kEstimated;
-  const flow::PipelineOutcome out = flow::Pipeline::standard().run(ctx, spec);
+  const flow::PipelineOutcome out = flow::Pipeline::run(ctx, spec);
 
   EXPECT_EQ(out.fus.fu_of_op, fus.fu_of_op);
   EXPECT_EQ(out.flow.mapped.num_luts, legacy.mapped.num_luts);
@@ -158,7 +157,7 @@ TEST(Pipeline, RecordsEveryStageTiming) {
   flow::FlowContext ctx(make_paper_benchmark("pr"), {2, 2}, small_options());
   flow::RunSpec spec;
   spec.num_vectors = 10;
-  const flow::PipelineOutcome out = flow::Pipeline::standard().run(ctx, spec);
+  const flow::PipelineOutcome out = flow::Pipeline::run(ctx, spec);
   const auto& names = flow::Pipeline::stage_names();
   ASSERT_EQ(out.timings.size(), names.size());
   for (std::size_t i = 0; i < names.size(); ++i) {
@@ -170,31 +169,6 @@ TEST(Pipeline, RecordsEveryStageTiming) {
             out.bind_seconds);
 }
 
-TEST(Pipeline, StageOverrideReplacesBinder) {
-  flow::FlowContext ctx(make_paper_benchmark("pr"), {2, 2}, small_options());
-  flow::Pipeline pipeline = flow::Pipeline::standard();
-  // Override bind-fus with the lopass binder, bypassing the spec.
-  pipeline.replace("bind-fus", [](flow::PipelineState& st) {
-    st.out.fus = bind_fus_lopass(st.ctx.cdfg(), st.schedule, st.regs,
-                                 st.ctx.rc(), LopassParams{st.ctx.width()});
-  });
-  flow::RunSpec spec;
-  spec.binder.name = "hlpower";  // ignored by the override
-  spec.num_vectors = 10;
-  const flow::PipelineOutcome overridden = pipeline.run(ctx, spec);
-
-  flow::RunSpec lopass_spec;
-  lopass_spec.binder.name = "lopass";
-  lopass_spec.num_vectors = 10;
-  const flow::PipelineOutcome direct =
-      flow::Pipeline::standard().run(ctx, lopass_spec);
-  EXPECT_EQ(overridden.fus.fu_of_op, direct.fus.fu_of_op);
-  EXPECT_EQ(overridden.flow.mapped.num_luts, direct.flow.mapped.num_luts);
-
-  EXPECT_THROW(pipeline.replace("no-such-stage", [](flow::PipelineState&) {}),
-               Error);
-}
-
 TEST(Pipeline, BatchedAndScalarEnginesAgreeBitForBit) {
   // The simulate stage's batched default must reproduce the scalar oracle
   // exactly: same toggles, same functional/glitch split, same power report.
@@ -203,10 +177,8 @@ TEST(Pipeline, BatchedAndScalarEnginesAgreeBitForBit) {
   scalar_spec.num_vectors = batched_spec.num_vectors = kVectors;
   scalar_spec.sim_engine = SimEngine::kScalar;
   batched_spec.sim_engine = SimEngine::kBatched;
-  const flow::PipelineOutcome a =
-      flow::Pipeline::standard().run(ctx, scalar_spec);
-  const flow::PipelineOutcome b =
-      flow::Pipeline::standard().run(ctx, batched_spec);
+  const flow::PipelineOutcome a = flow::Pipeline::run(ctx, scalar_spec);
+  const flow::PipelineOutcome b = flow::Pipeline::run(ctx, batched_spec);
   EXPECT_EQ(a.flow.sim.toggles, b.flow.sim.toggles);
   EXPECT_EQ(a.flow.sim.total_transitions, b.flow.sim.total_transitions);
   EXPECT_EQ(a.flow.sim.functional_transitions,
@@ -222,7 +194,7 @@ TEST(Pipeline, RefineStageRunsWhenRequested) {
   flow::RunSpec spec;
   spec.binder.refine = true;
   spec.num_vectors = 10;
-  const flow::PipelineOutcome out = flow::Pipeline::standard().run(ctx, spec);
+  const flow::PipelineOutcome out = flow::Pipeline::run(ctx, spec);
   EXPECT_TRUE(out.refined);
   EXPECT_LE(out.refine.cost_after, out.refine.cost_before);
 }

@@ -1,9 +1,9 @@
 // Tests for the per-binding StageCache: hits skip the bind-fus..time span
 // (elaborate/map included), binding_hash() cannot collide across differing
-// BinderSpec/rc/width, cached and uncached outcomes are equal, and custom
-// stage overrides opt the pipeline out of caching entirely — plus the
-// persistent tier underneath it (HLP_STORE / ExperimentRunner store
-// wiring): a warm second run against the same artifact store skips
+// BinderSpec/rc/width, a hit's outcome equals the miss that published it,
+// and threads racing the first run of one binding publish one entry —
+// plus the persistent tier underneath it (HLP_STORE / ExperimentRunner
+// store wiring): a warm second run against the same artifact store skips
 // elaborate/map/time bit-identically from a cold process.
 //
 // The direct-FlowContext tests construct their contexts by hand, which
@@ -13,8 +13,10 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <latch>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cdfg/benchmarks.hpp"
@@ -66,32 +68,36 @@ void expect_equal_outcomes(const flow::PipelineOutcome& a,
 
 TEST(StageCache, SecondRunHitsAndSkipsElaborateAndMap) {
   flow::FlowContext ctx(make_paper_benchmark("pr"), {2, 2}, small_options());
-  const flow::Pipeline pipeline = flow::Pipeline::standard();
 
-  const flow::PipelineOutcome first = pipeline.run(ctx, hlp_spec());
+  const flow::PipelineOutcome first = flow::Pipeline::run(ctx, hlp_spec());
   EXPECT_TRUE(first.cached_stages.empty());
   EXPECT_EQ(ctx.stage_cache().hits(), 0u);
   EXPECT_EQ(ctx.stage_cache().misses(), 1u);
   EXPECT_EQ(ctx.stage_cache().size(), 1u);
 
-  const flow::PipelineOutcome second = pipeline.run(ctx, hlp_spec());
+  const flow::PipelineOutcome second = flow::Pipeline::run(ctx, hlp_spec());
   EXPECT_EQ(ctx.stage_cache().hits(), 1u);
   EXPECT_EQ(ctx.stage_cache().misses(), 1u);
   // The whole bind-fus..time span came from the cache, elaborate and map
-  // included; the seed-dependent tail (simulate, power) still ran.
+  // included, and took no time; the seed-dependent tail (simulate, power)
+  // still ran.
   for (const char* stage :
-       {"bind-fus", "refine", "elaborate", "map", "time"})
+       {"bind-fus", "refine", "elaborate", "map", "time"}) {
     EXPECT_TRUE(cached(second, stage)) << stage;
+    EXPECT_EQ(second.stage_seconds(stage), 0.0) << stage;
+  }
   EXPECT_FALSE(cached(second, "simulate"));
   EXPECT_FALSE(cached(second, "power"));
   // The timing ledger still has one entry per stage, in order.
-  ASSERT_EQ(second.timings.size(), flow::Pipeline::stage_names().size());
+  const auto& names = flow::Pipeline::stage_names();
+  ASSERT_EQ(second.timings.size(), names.size());
+  for (std::size_t i = 0; i < names.size(); ++i)
+    EXPECT_EQ(second.timings[i].name, names[i]);
   expect_equal_outcomes(first, second);
 }
 
 TEST(StageCache, DistinctSpecsMissAndCoexist) {
   flow::FlowContext ctx(make_paper_benchmark("pr"), {2, 2}, small_options());
-  const flow::Pipeline pipeline = flow::Pipeline::standard();
 
   flow::RunSpec lopass;
   lopass.binder.name = "lopass";
@@ -100,14 +106,14 @@ TEST(StageCache, DistinctSpecsMissAndCoexist) {
   flow::RunSpec one = hlp_spec();
   one.binder.alpha = 1.0;
 
-  pipeline.run(ctx, lopass);
-  pipeline.run(ctx, half);
-  pipeline.run(ctx, one);
+  flow::Pipeline::run(ctx, lopass);
+  flow::Pipeline::run(ctx, half);
+  flow::Pipeline::run(ctx, one);
   EXPECT_EQ(ctx.stage_cache().size(), 3u);
   EXPECT_EQ(ctx.stage_cache().hits(), 0u);
 
   // Revisiting any of the three hits its own entry.
-  const auto again = pipeline.run(ctx, lopass);
+  const auto again = flow::Pipeline::run(ctx, lopass);
   EXPECT_EQ(ctx.stage_cache().hits(), 1u);
   EXPECT_TRUE(cached(again, "elaborate"));
 }
@@ -148,49 +154,40 @@ TEST(StageCache, TimingModelIsPartOfTheKey) {
   // model — two runs differing only in RunSpec::timing must not share an
   // entry (regression: a hit used to install the first model's clock).
   flow::FlowContext ctx(make_paper_benchmark("pr"), {2, 2}, small_options());
-  const flow::Pipeline pipeline = flow::Pipeline::standard();
   flow::RunSpec fast = hlp_spec();
   flow::RunSpec slow = hlp_spec();
   slow.timing.lut_delay_ns = 2 * fast.timing.lut_delay_ns;
-  const auto a = pipeline.run(ctx, fast);
-  const auto b = pipeline.run(ctx, slow);
+  const auto a = flow::Pipeline::run(ctx, fast);
+  const auto b = flow::Pipeline::run(ctx, slow);
   EXPECT_EQ(ctx.stage_cache().hits(), 0u);
   EXPECT_EQ(ctx.stage_cache().size(), 2u);
   EXPECT_GT(b.flow.clock_period_ns, a.flow.clock_period_ns);
   // Re-running each spec hits its own entry with its own clock.
-  const auto b2 = pipeline.run(ctx, slow);
+  const auto b2 = flow::Pipeline::run(ctx, slow);
   EXPECT_EQ(ctx.stage_cache().hits(), 1u);
   EXPECT_EQ(b2.flow.clock_period_ns, b.flow.clock_period_ns);
 }
 
 TEST(StageCache, CachedAndUncachedOutcomesAreEqual) {
-  // Same context, caching on vs off: identical numbers either way.
+  // Same context: the run that computes and publishes the span and the run
+  // served from it report identical numbers.
   flow::FlowContext ctx(make_paper_benchmark("wang"), {2, 2}, small_options());
-  const flow::Pipeline pipeline = flow::Pipeline::standard();
-
-  flow::RunSpec uncached_spec = hlp_spec();
-  uncached_spec.use_stage_cache = false;
-  const auto uncached1 = pipeline.run(ctx, uncached_spec);
-  const auto uncached2 = pipeline.run(ctx, uncached_spec);
-  EXPECT_EQ(ctx.stage_cache().size(), 0u);
-  EXPECT_EQ(ctx.stage_cache().hits() + ctx.stage_cache().misses(), 0u);
-
-  const auto miss = pipeline.run(ctx, hlp_spec());   // populates
-  const auto hit = pipeline.run(ctx, hlp_spec());    // reuses
+  const auto miss = flow::Pipeline::run(ctx, hlp_spec());  // populates
+  const auto hit = flow::Pipeline::run(ctx, hlp_spec());   // reuses
+  EXPECT_EQ(ctx.stage_cache().misses(), 1u);
   EXPECT_EQ(ctx.stage_cache().hits(), 1u);
-  expect_equal_outcomes(uncached1, uncached2);
-  expect_equal_outcomes(uncached1, miss);
-  expect_equal_outcomes(uncached1, hit);
+  EXPECT_TRUE(miss.cached_stages.empty());
+  EXPECT_TRUE(cached(hit, "map"));
+  expect_equal_outcomes(miss, hit);
 }
 
 TEST(StageCache, RefineArtifactsRoundTrip) {
   flow::FlowContext ctx(make_paper_benchmark("pr"), {2, 2}, small_options());
-  const flow::Pipeline pipeline = flow::Pipeline::standard();
   flow::RunSpec spec = hlp_spec();
   spec.binder.refine = true;
 
-  const auto first = pipeline.run(ctx, spec);
-  const auto second = pipeline.run(ctx, spec);
+  const auto first = flow::Pipeline::run(ctx, spec);
+  const auto second = flow::Pipeline::run(ctx, spec);
   ASSERT_TRUE(first.refined);
   ASSERT_TRUE(second.refined);
   EXPECT_TRUE(cached(second, "refine"));
@@ -199,29 +196,25 @@ TEST(StageCache, RefineArtifactsRoundTrip) {
   expect_equal_outcomes(first, second);
 }
 
-TEST(StageCache, ReplacedStageOptsOutOfCaching) {
-  // A pipeline with a custom pre-simulate stage must not read OR write the
-  // cache: the binding hash cannot see the override's body, so caching
-  // would serve another pipeline's artifacts for the same spec.
+TEST(StageCache, ConcurrentMissesPublishOneEntry) {
+  // Threads racing the first run of one binding may each miss and compute
+  // the span, but the first insert wins and every run reads the published
+  // (value-identical) entry: one entry, one probe per run, equal outcomes.
   flow::FlowContext ctx(make_paper_benchmark("pr"), {2, 2}, small_options());
-  flow::Pipeline custom = flow::Pipeline::standard();
-  int calls = 0;
-  custom.replace("map", [&calls](flow::PipelineState& st) {
-    ++calls;
-    st.out.flow.mapped = tech_map(st.datapath.netlist, st.spec.map);
-  });
-  custom.run(ctx, hlp_spec());
-  custom.run(ctx, hlp_spec());
-  EXPECT_EQ(calls, 2);  // no hit short-circuited the override
-  EXPECT_EQ(ctx.stage_cache().size(), 0u);
-  EXPECT_EQ(ctx.stage_cache().hits() + ctx.stage_cache().misses(), 0u);
-
-  // Replacing only a post-simulate stage keeps caching sound and on.
-  flow::Pipeline tail = flow::Pipeline::standard();
-  tail.replace("power", [](flow::PipelineState&) {});
-  tail.run(ctx, hlp_spec());
-  EXPECT_EQ(ctx.stage_cache().misses(), 1u);
+  constexpr int kThreads = 4;
+  std::vector<flow::PipelineOutcome> outs(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t)
+    pool.emplace_back([&, t] {
+      start.arrive_and_wait();
+      outs[t] = flow::Pipeline::run(ctx, hlp_spec());
+    });
+  for (auto& th : pool) th.join();
   EXPECT_EQ(ctx.stage_cache().size(), 1u);
+  EXPECT_EQ(ctx.stage_cache().hits() + ctx.stage_cache().misses(),
+            static_cast<std::uint64_t>(kThreads));
+  for (int t = 1; t < kThreads; ++t) expect_equal_outcomes(outs[0], outs[t]);
 }
 
 TEST(StageCache, BatchRunsShareTheCacheWithSingleRuns) {
@@ -229,9 +222,8 @@ TEST(StageCache, BatchRunsShareTheCacheWithSingleRuns) {
   // versa — a seed sweep after a single probe run skips straight to
   // simulate.
   flow::FlowContext ctx(make_paper_benchmark("pr"), {2, 2}, small_options());
-  const flow::Pipeline pipeline = flow::Pipeline::standard();
-  const auto probe = pipeline.run(ctx, hlp_spec());
-  const auto batch = pipeline.run_batch(ctx, hlp_spec(), {5, 6, 7});
+  const auto probe = flow::Pipeline::run(ctx, hlp_spec());
+  const auto batch = flow::Pipeline::run_batch(ctx, hlp_spec(), {5, 6, 7});
   ASSERT_EQ(batch.size(), 3u);
   EXPECT_EQ(ctx.stage_cache().hits(), 1u);
   for (const auto& out : batch) {
@@ -241,7 +233,7 @@ TEST(StageCache, BatchRunsShareTheCacheWithSingleRuns) {
     EXPECT_EQ(out.flow.clock_period_ns, probe.flow.clock_period_ns);
   }
   // Seed 42 is the probe's default: lane results match the single run.
-  const auto again = pipeline.run_batch(ctx, hlp_spec(), {42});
+  const auto again = flow::Pipeline::run_batch(ctx, hlp_spec(), {42});
   EXPECT_EQ(again[0].flow.sim.toggles, probe.flow.sim.toggles);
   EXPECT_EQ(again[0].flow.report.dynamic_power_mw,
             probe.flow.report.dynamic_power_mw);
