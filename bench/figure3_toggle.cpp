@@ -1,8 +1,8 @@
 // Figure 3: average toggle rate (millions of transitions per second) for
 // LOPASS, HLPower alpha=1 and HLPower alpha=0.5 on every benchmark, plus
 // the average decrease of the alpha=0.5 configuration — and the throughput
-// of the bit-parallel batch simulation engine against the scalar oracle on
-// the same stimulus.
+// of the pipeline's batched simulation engine (one input sample per lane)
+// against the scalar oracle on the same stimulus.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -11,8 +11,8 @@
 #include "bench_common.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
+#include "flow/seed_chunk.hpp"
 #include "rtl/datapath.hpp"
-#include "sim/bit_sim.hpp"
 #include "sim/vectors.hpp"
 
 namespace {
@@ -47,14 +47,17 @@ void print_figure3() {
             << "%  (paper: a=1 -8.4%, a=0.5 -21.9%)\n\n";
 }
 
-// Scalar vs bit-parallel batched simulation of the paper's toggle runs:
-// identical stimulus, bit-identical counts, wall-clock side by side.
+// Scalar vs batched simulation of the paper's toggle runs, the batched
+// side being the engine and word width the pipeline's `simulate` stage
+// runs: identical stimulus, bit-identical counts, wall-clock side by side.
 void print_batch_comparison() {
   using namespace hlp;
   using namespace hlp::bench;
   using Clock = std::chrono::steady_clock;
   AsciiTable t({"Bench", "scalar (ms)", "batched (ms)", "speedup",
                 "identical"});
+  const SimdMode simd = effective_simd_mode(
+      SimdMode::kAuto, static_cast<std::size_t>(bench_vectors()));
   double total_scalar = 0.0, total_batched = 0.0;
   for (const auto& name : names()) {
     flow::FlowContext& ctx = context(name);
@@ -67,13 +70,13 @@ void print_batch_comparison() {
     const auto samples = random_samples(
         bench_vectors(), ctx.cdfg().num_inputs(), bench_width(),
         hlp::flow::RunSpec{}.seed);
-    const auto frames = make_frames(dp, samples);
 
     const auto t0 = Clock::now();
-    const CycleSimStats scalar = simulate_frames(mapped.lut_netlist, frames);
+    const CycleSimStats scalar =
+        simulate_frames(mapped.lut_netlist, make_frames(dp, samples));
     const auto t1 = Clock::now();
-    const CycleSimStats batched =
-        simulate_frames_batched(mapped.lut_netlist, frames);
+    const CycleSimStats batched = flow::simulate_sample_lanes(
+        mapped.lut_netlist, dp, samples, simd);
     const auto t2 = Clock::now();
     const double s = std::chrono::duration<double>(t1 - t0).count();
     const double b = std::chrono::duration<double>(t2 - t1).count();
@@ -90,7 +93,8 @@ void print_batch_comparison() {
         .add(s / b, 1)
         .add(identical ? "yes" : "NO");
   }
-  std::cout << "Batch simulation: scalar vs bit-parallel (64 cycles/word, "
+  std::cout << "Batch simulation: scalar vs bit-parallel (one sample per "
+            << "lane, " << simd_mode_name(simd) << " word, "
             << bench::bench_vectors() << " vectors)\n";
   t.print(std::cout);
   std::cout << "Overall speedup: " << fmt_fixed(total_scalar / total_batched, 1)
@@ -125,10 +129,10 @@ void BM_SimulateBatchedPr(benchmark::State& state) {
   const MapResult mapped = tech_map(dp.netlist);
   const auto samples = std::vector<std::vector<std::uint64_t>>(
       10, std::vector<std::uint64_t>(ctx.cdfg().num_inputs(), 0x5a));
-  const auto frames = make_frames(dp, samples);
+  const SimdMode simd = effective_simd_mode(SimdMode::kAuto, samples.size());
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        simulate_frames_batched(mapped.lut_netlist, frames));
+        flow::simulate_sample_lanes(mapped.lut_netlist, dp, samples, simd));
 }
 BENCHMARK(BM_SimulateBatchedPr)->Unit(benchmark::kMillisecond);
 

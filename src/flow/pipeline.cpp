@@ -179,21 +179,20 @@ PipelineOutcome Pipeline::run(FlowContext& ctx, const RunSpec& spec) {
   PipelineOutcome out;
   const auto span = run_head(ctx, spec, out);
   timed(out, "simulate", [&] {
-    // Stimulus identical to run_flow (same seed, same sequence). The word
-    // width only matters for the batched engine; every width is
-    // bit-identical, so the width picked here cannot change the result,
-    // only the wall clock.
+    // Stimulus identical to run_flow (same seed, same sequence). The
+    // batched engine puts one sample per lane, so its auto width is sized
+    // to the sample count; every width is bit-identical, so the width
+    // picked here cannot change the result, only the wall clock. The
+    // scalar oracle goes through the char-frame path.
     const auto samples = random_samples(
         spec.num_vectors, ctx.cdfg().num_inputs(), ctx.width(), spec.seed);
-    const auto frames = make_frames(span->datapath, samples);
-    // Lanes = consecutive cycles here, so the auto width is sized to the
-    // frame count (it is essentially always >= 512 for real vector counts).
-    const SimdMode simd =
+    const Netlist& luts = span->mapped.lut_netlist;
+    out.flow.sim =
         spec.sim_engine == SimEngine::kBatched
-            ? effective_simd_mode(SimdMode::kAuto, frames.size())
-            : SimdMode::kU64;
-    out.flow.sim = simulate_frames(span->mapped.lut_netlist, frames,
-                                   spec.sim_engine, simd);
+            ? simulate_sample_lanes(
+                  luts, span->datapath, samples,
+                  effective_simd_mode(SimdMode::kAuto, samples.size()))
+            : simulate_frames(luts, make_frames(span->datapath, samples));
   });
   run_power(*span, spec, out);
   return out;

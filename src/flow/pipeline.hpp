@@ -23,6 +23,10 @@
 //    pass, then ride the word-parallel simulator's lanes — one seed per
 //    bit, in the narrowest word that covers the seed group: 64 per u64
 //    word up to 512 per avx512 word (tests/experiment_batch_test.cpp).
+//
+// A single-seed run's `simulate` rides the lanes too: one input sample per
+// bit (flow/seed_chunk.hpp), in the narrowest word that covers the sample
+// count.
 #pragma once
 
 #include <atomic>
@@ -62,7 +66,7 @@ struct RunSpec {
   /// is kept as the reference oracle (results are bit-identical). The
   /// batched engine's word width is not a setting: each batch takes the
   /// narrowest CPU-supported word that covers its lane demand (seed-group
-  /// size / frame count; effective_simd_mode), and every width is
+  /// size / sample count; effective_simd_mode), and every width is
   /// bit-identical.
   SimEngine sim_engine = SimEngine::kBatched;
   /// Requested SA backend (power/sa_mode.hpp). The cache actually used

@@ -1,4 +1,4 @@
-// AVX-512 instantiation of the seed-chunk simulation (512 seeds per
+// AVX-512 instantiations of the datapath engines (512 samples or seeds per
 // __m512i word). Compiled with -mavx512f; reached only through runtime CPU
 // dispatch.
 #if defined(__AVX512F__)
@@ -6,6 +6,12 @@
 #include "flow/seed_chunk.hpp"
 
 namespace hlp::flow::detail {
+
+CycleSimStats simulate_sample_lanes_avx512(const Netlist& n,
+                                           const Datapath& dp,
+                                           const Samples& samples) {
+  return simulate_sample_lanes_t<AvxWord512>(n, dp, samples);
+}
 
 std::vector<CycleSimStats> simulate_seed_chunk_avx512(
     const Netlist& n, const Datapath& dp, const LaneSamples& lane_samples) {

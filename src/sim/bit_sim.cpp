@@ -269,19 +269,4 @@ std::vector<CycleSimStats> simulate_runs(
   return results;
 }
 
-std::vector<CycleSimStats> simulate_batch(
-    const std::vector<const Netlist*>& netlists,
-    const std::vector<std::vector<char>>& frames, SimdMode simd) {
-  for (const Netlist* n : netlists) {
-    HLP_REQUIRE(n != nullptr, "null netlist in shared-stimulus batch");
-    HLP_REQUIRE(n->inputs().size() == netlists.front()->inputs().size(),
-                "shared-stimulus batch requires equal input counts");
-  }
-  std::vector<CycleSimStats> results;
-  results.reserve(netlists.size());
-  for (const Netlist* n : netlists)
-    results.push_back(simulate_frames_batched(*n, frames, simd));
-  return results;
-}
-
 }  // namespace hlp

@@ -17,27 +17,32 @@
 // path (asserted across widths by tests/bit_sim_test.cpp), so the mode
 // only changes wall-clock.
 //
-// Two batching axes are provided:
+// What a lane means is the caller's choice. The entry points here take
+// char frames (one row of primary-input bits per cycle) and offer two
+// lane axes:
 //
 //  - simulate_frames_batched: ONE stimulus sequence, one word of
-//    consecutive cycles at a time. Cycles are made independent by
-//    splitting the run into a cheap scalar phase that advances only the
+//    consecutive CYCLES at a time. Cycles are made independent by
+//    splitting the run into a scalar phase that advances only the
 //    latch-state recurrence (zero-delay evaluation of the latch-D fanin
 //    cone) and a word-parallel phase that replays each cycle block: a
 //    single topological pass yields all settled states, then one
 //    event-driven unit-delay settle on words reproduces every transient,
-//    glitches included.
+//    glitches included. simulate_activity (the `sim` SA tables) runs it on
+//    combinational partial datapaths, where the scalar phase is empty. In
+//    an elaborated datapath the latch-D cone is almost the whole netlist,
+//    so the pipeline does not use this axis.
 //
-//  - simulate_batch: MANY independent stimulus sequences (e.g. many seeds
-//    of one binding) as lanes. Latch state lives per lane inside the word,
-//    so the whole cycle loop — clock edge, settle, counting — is word
-//    parallel with no scalar phase at all. Runs may have different
-//    lengths; finished lanes are frozen by re-staging their previous
-//    source values.
+//  - simulate_batch: MANY independent stimulus sequences as lanes, one
+//    RUN per lane. Latch state lives per lane inside the word, so the
+//    whole cycle loop — clock edge, settle, counting — is word parallel
+//    with no scalar phase at all. Runs may have different lengths;
+//    finished lanes are frozen by re-staging their previous source values.
 //
-// A shared-stimulus overload evaluates many bindings' netlists against one
-// frame sequence (the paper's controlled comparison) through the batched
-// single-run path.
+// The flow pipeline simulates elaborated datapaths with the engines in
+// flow/seed_chunk.hpp, which stage input samples directly as words: one
+// SAMPLE per lane for a single-seed run (simulate_sample_lanes) and one
+// SEED per lane for a coalesced seed group (simulate_seed_chunk).
 #pragma once
 
 #include <cstdint>
@@ -99,14 +104,5 @@ std::vector<CycleSimStats> simulate_batch(
 std::vector<CycleSimStats> simulate_runs(
     const Netlist& n, const std::vector<std::vector<std::vector<char>>>& runs,
     SimEngine engine, SimdMode simd = SimdMode::kU64);
-
-/// Many bindings' netlists sharing one stimulus (the paper's controlled
-/// comparison): each netlist is evaluated with the batched single-run path
-/// at the requested word width. All netlists must have the same number of
-/// primary inputs.
-std::vector<CycleSimStats> simulate_batch(
-    const std::vector<const Netlist*>& netlists,
-    const std::vector<std::vector<char>>& frames,
-    SimdMode simd = SimdMode::kU64);
 
 }  // namespace hlp

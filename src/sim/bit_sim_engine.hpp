@@ -133,11 +133,11 @@ class LaneCountersT {
 };
 
 /// Word-parallel netlist evaluator: WordTraits<W>::kLanes lanes per word,
-/// one word per net. Lane semantics (cycles vs runs vs seeds) are chosen
-/// by the caller; the engine only knows about source words, zero-delay
-/// passes and unit-delay event settling with per-net popcount toggle
-/// counters. All instantiations are bit-identical per lane to the scalar
-/// reference simulator.
+/// one word per net. Lane semantics (cycles, runs, seeds or samples) are
+/// chosen by the caller; the engine only knows about source words,
+/// zero-delay passes and unit-delay event settling with per-net popcount
+/// toggle counters. All instantiations are bit-identical per lane to the
+/// scalar reference simulator.
 template <typename W>
 class BitSimulatorT {
   using T = WordTraits<W>;

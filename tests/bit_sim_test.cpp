@@ -180,17 +180,6 @@ TEST(BitSim, BatchOfManyRunsCrossesLaneGroups) {
                      "run " + std::to_string(i));
 }
 
-TEST(BitSim, SharedStimulusAcrossNetlists) {
-  // Many "bindings" sharing one stimulus: netlists with equal PI counts.
-  const Netlist a = random_netlist(51, 5, 25, 3);
-  const Netlist b = random_netlist(52, 5, 35, 2);
-  const auto frames = random_vectors(90, 5, 61);
-  const auto batched = simulate_batch({&a, &b}, frames);
-  ASSERT_EQ(batched.size(), 2u);
-  expect_identical(simulate_frames(a, frames), batched[0], "netlist a");
-  expect_identical(simulate_frames(b, frames), batched[1], "netlist b");
-}
-
 TEST(BitSim, EngineDispatchAgrees) {
   const Netlist n = random_netlist(71);
   const auto frames =

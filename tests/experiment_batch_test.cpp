@@ -2,12 +2,14 @@
 // grids (mixed benchmarks, binders, 1-200 seeds, group sizes that are not
 // multiples of 64), the coalesced runner must produce JobResults that are
 // bit-identical to a runner with coalescing disabled, in the same order,
-// with failures still captured per job. The seed-chunk simulation under
-// the coalesced path is checked against the scalar oracle at every word
-// width the build and CPU support.
+// with failures still captured per job. Both datapath engines under the
+// pipeline — the seed chunks of the coalesced path and the sample lanes of
+// a single-seed run — are checked against the scalar oracle at every word
+// width the build and CPU support, and must reject ragged stimulus.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 #include <random>
 #include <set>
 #include <string>
@@ -208,45 +210,172 @@ TEST(ExperimentBatch, GroupFailureIsCapturedOnEveryMemberJob) {
   expect_all_identical(results, run_independent(jobs));
 }
 
+// Every concrete SimdMode this build + CPU can execute.
+std::vector<SimdMode> supported_modes() {
+  std::vector<SimdMode> modes;
+  for (const SimdMode mode : all_simd_modes())
+    if (mode != SimdMode::kAuto && simd_mode_supported(mode))
+      modes.push_back(mode);
+  return modes;
+}
+
+// The bind-fus..time span of one pipeline run of `job`: the datapath and
+// LUT netlist the `simulate` stage reads, from the StageCache entry the run
+// published on the runner's context.
+std::shared_ptr<const flow::StageCache::Entry> published_span(
+    flow::ExperimentRunner& runner, const flow::Job& job) {
+  flow::FlowContext& ctx = runner.context_for(job);
+  flow::RunSpec spec;
+  spec.binder = job.binder;
+  spec.num_vectors = job.num_vectors;
+  flow::Pipeline::run(ctx, spec);
+  return ctx.stage_cache().find(
+      ctx.binding_hash(spec.binder, spec.map, spec.timing),
+      sa_mode_name(ctx.sa_cache().mode()));
+}
+
+void expect_same_stats(const CycleSimStats& got, const CycleSimStats& want) {
+  EXPECT_EQ(got.num_cycles, want.num_cycles);
+  EXPECT_EQ(got.toggles, want.toggles);
+  EXPECT_EQ(got.functional_transitions, want.functional_transitions);
+  EXPECT_EQ(got.total_transitions, want.total_transitions);
+}
+
 TEST(SeedChunkWidths, EveryWidthMatchesScalarPerSeed) {
-  // The datapath and LUT netlist of one pipeline run on pr, read from the
-  // StageCache entry it published.
   flow::ExperimentRunner runner(1);
   flow::Job job = small_job();
   job.benchmark = "pr";
-  flow::FlowContext& ctx = runner.context_for(job);
-  flow::RunSpec spec;
-  spec.num_vectors = job.num_vectors;
-  flow::Pipeline::run(ctx, spec);
-  const auto entry = ctx.stage_cache().find(
-      ctx.binding_hash(spec.binder, spec.map, spec.timing),
-      sa_mode_name(ctx.sa_cache().mode()));
+  const auto entry = published_span(runner, job);
   ASSERT_TRUE(entry);
   const Netlist& n = entry->mapped.lut_netlist;
   const Datapath& dp = entry->datapath;
+  const int num_inputs = runner.context_for(job).cdfg().num_inputs();
 
   // 61 seeds leave one partial word at every width.
   flow::LaneSamples lane_samples;
   std::vector<CycleSimStats> want;
   for (std::uint64_t seed = 500; seed < 561; ++seed) {
-    lane_samples.push_back(random_samples(
-        spec.num_vectors, ctx.cdfg().num_inputs(), ctx.width(), seed));
+    lane_samples.push_back(
+        random_samples(job.num_vectors, num_inputs, kWidth, seed));
     want.push_back(simulate_frames(n, make_frames(dp, lane_samples.back())));
   }
-  for (const SimdMode mode : all_simd_modes()) {
-    if (mode == SimdMode::kAuto || !simd_mode_supported(mode)) continue;
+  for (const SimdMode mode : supported_modes()) {
     SCOPED_TRACE(simd_mode_name(mode));
     const auto got = flow::simulate_seed_chunk(n, dp, lane_samples, mode);
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t l = 0; l < want.size(); ++l) {
-      EXPECT_EQ(got[l].num_cycles, want[l].num_cycles) << "seed #" << l;
-      EXPECT_EQ(got[l].toggles, want[l].toggles) << "seed #" << l;
-      EXPECT_EQ(got[l].functional_transitions,
-                want[l].functional_transitions)
-          << "seed #" << l;
-      EXPECT_EQ(got[l].total_transitions, want[l].total_transitions)
-          << "seed #" << l;
+      SCOPED_TRACE("seed #" + std::to_string(l));
+      expect_same_stats(got[l], want[l]);
     }
+  }
+}
+
+TEST(SeedChunk, RaggedInputThrows) {
+  flow::ExperimentRunner runner(1);
+  flow::Job job = small_job();
+  job.benchmark = "pr";
+  const auto entry = published_span(runner, job);
+  ASSERT_TRUE(entry);
+  const Netlist& n = entry->mapped.lut_netlist;
+  const Datapath& dp = entry->datapath;
+  const std::size_t num_inputs = dp.data_input_pos.size();
+  const int inputs = static_cast<int>(num_inputs);
+
+  // Seed lanes of different lengths.
+  const flow::LaneSamples ragged = {random_samples(20, inputs, kWidth, 1),
+                                    random_samples(5, inputs, kWidth, 2)};
+  EXPECT_THROW(flow::simulate_seed_chunk(n, dp, ragged, SimdMode::kU64),
+               Error);
+
+  // A sample short of words, in either engine, fails as make_frames does.
+  flow::Samples short_sample = random_samples(3, inputs, kWidth, 3);
+  short_sample[1].resize(1);
+  const std::string want = "sample has 1 words, datapath expects " +
+                           std::to_string(num_inputs);
+  const auto expect_short = [&](const auto& call) {
+    try {
+      call();
+      ADD_FAILURE() << "short sample accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_short([&] {
+    flow::simulate_seed_chunk(n, dp, {short_sample, short_sample},
+                              SimdMode::kU64);
+  });
+  expect_short([&] {
+    flow::simulate_sample_lanes(n, dp, short_sample, SimdMode::kU64);
+  });
+  expect_short([&] { make_frames(dp, short_sample); });
+}
+
+TEST(SampleLaneWidths, EveryWidthMatchesScalar) {
+  // Eight datapaths (pr and wang, schedule-minimum and Table 2
+  // allocation, both binders), each run at one sample count. Together the
+  // counts cross every word boundary: empty, one lane, a u64 word less,
+  // exactly and more than full, and partial x2, x4 and x8/avx512 words.
+  // One count per datapath keeps the test under a second; the full cross
+  // product spends about 4 s in the scalar oracle.
+  constexpr std::size_t kCounts[] = {513, 257, 129, 65, 64, 63, 1, 0};
+  flow::ExperimentRunner runner(1);
+  const std::size_t* count = kCounts;
+  for (const char* bench : {"pr", "wang"})
+    for (const ResourceConstraint rc :
+         {ResourceConstraint{0, 0}, ResourceConstraint{2, 2}})
+      for (const char* binder : {"lopass", "hlpower"}) {
+        flow::Job job = small_job();
+        job.benchmark = bench;
+        job.rc = rc;
+        job.binder.name = binder;
+        SCOPED_TRACE(std::string(bench) + " rc=" + std::to_string(rc.adders) +
+                     " " + binder + ", " + std::to_string(*count) +
+                     " samples");
+        const auto entry = published_span(runner, job);
+        ASSERT_TRUE(entry);
+        const Netlist& n = entry->mapped.lut_netlist;
+        const Datapath& dp = entry->datapath;
+        const flow::Samples samples = random_samples(
+            static_cast<int>(*count++),
+            static_cast<int>(dp.data_input_pos.size()), kWidth, 77);
+        const CycleSimStats want = simulate_frames(n, make_frames(dp, samples));
+        for (const SimdMode mode : supported_modes()) {
+          SCOPED_TRACE(simd_mode_name(mode));
+          expect_same_stats(flow::simulate_sample_lanes(n, dp, samples, mode),
+                            want);
+        }
+      }
+}
+
+TEST(SampleLanes, StateThatNeverForgetsStaysExact) {
+  // A 2-bit free-running counter (D = Q+1) never forgets: with 3 phases a
+  // sample ends 3 counts past where it started, so every sample's start
+  // state depends on every earlier sample and no lane's first guess is
+  // right unless it happens to match the count. The fix-up loop must still
+  // converge to the scalar run exactly.
+  Datapath dp;
+  Netlist& n = dp.netlist;
+  const NetId a = n.add_input("a");
+  const NetId sel = n.add_input("sel");
+  const NetId q0 = n.add_net("q0");
+  const NetId q1 = n.add_net("q1");
+  n.add_latch(q0, n.add_gate_net("d0", {q0}, TruthTable::not1()));
+  n.add_latch(q1, n.add_gate_net("d1", {q0, q1}, TruthTable::xor2()));
+  n.add_output(n.add_gate_net("y", {a, q0}, TruthTable::and2()));
+  n.add_output(n.add_gate_net("z", {sel, q1}, TruthTable::xor2()));
+  dp.width = 1;
+  dp.num_phases = 3;
+  dp.data_input_pos = {0};
+  dp.controls.push_back(ControlGroup{"sel", {1}, {0, 1, 1}});
+
+  const flow::Samples samples = random_samples(600, 1, 1, 5);
+  const CycleSimStats want = simulate_frames(n, make_frames(dp, samples));
+  ASSERT_GT(want.functional_transitions, 0u);
+  for (const SimdMode mode : supported_modes()) {
+    SCOPED_TRACE(simd_mode_name(mode));
+    expect_same_stats(flow::simulate_sample_lanes(n, dp, samples, mode),
+                      want);
   }
 }
 
