@@ -11,8 +11,8 @@
 #include "bench_common.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
-#include "flow/seed_chunk.hpp"
 #include "rtl/datapath.hpp"
+#include "rtl/lane_sim.hpp"
 #include "sim/vectors.hpp"
 
 namespace {
@@ -75,8 +75,8 @@ void print_batch_comparison() {
     const CycleSimStats scalar =
         simulate_frames(mapped.lut_netlist, make_frames(dp, samples));
     const auto t1 = Clock::now();
-    const CycleSimStats batched = flow::simulate_sample_lanes(
-        mapped.lut_netlist, dp, samples, simd);
+    const CycleSimStats batched =
+        simulate_sample_lanes(mapped.lut_netlist, dp, samples, simd);
     const auto t2 = Clock::now();
     const double s = std::chrono::duration<double>(t1 - t0).count();
     const double b = std::chrono::duration<double>(t2 - t1).count();
@@ -132,7 +132,7 @@ void BM_SimulateBatchedPr(benchmark::State& state) {
   const SimdMode simd = effective_simd_mode(SimdMode::kAuto, samples.size());
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        flow::simulate_sample_lanes(mapped.lut_netlist, dp, samples, simd));
+        simulate_sample_lanes(mapped.lut_netlist, dp, samples, simd));
 }
 BENCHMARK(BM_SimulateBatchedPr)->Unit(benchmark::kMillisecond);
 

@@ -5,10 +5,9 @@
 
 #include "binding/datapath_stats.hpp"
 #include "common/error.hpp"
-#include "flow/seed_chunk.hpp"
 #include "store/artifact_store.hpp"
 #include "netlist/timing.hpp"
-#include "sim/levelize.hpp"
+#include "rtl/lane_sim.hpp"
 #include "sim/vectors.hpp"
 
 namespace hlp::flow {
@@ -130,12 +129,8 @@ std::shared_ptr<const StageCache::Entry> run_head(FlowContext& ctx,
     });
     timed(out, "map",
           [&] { e.mapped = tech_map(e.datapath.netlist, spec.map); });
-    // The levelized arrival sweep (levelize.hpp) is bit-identical to
-    // clock_period_ns, so StageCache entries and distributed same_outcome
-    // comparisons are unaffected by the swap.
     timed(out, "time", [&] {
-      e.clock_period_ns =
-          levelized_clock_period_ns(e.mapped.lut_netlist, spec.timing);
+      e.clock_period_ns = clock_period_ns(e.mapped.lut_netlist, spec.timing);
     });
     span = ctx.stage_cache().insert(key, sa, std::move(e));
   }
@@ -214,7 +209,7 @@ std::vector<PipelineOutcome> Pipeline::run_batch(
   // seed, packed one seed per lane and chunked to the selected word width
   // (64 lanes for u64, up to 512 under avx512 — chunking also keeps
   // stimulus memory bounded at one lane group). The batched engine stages
-  // sample words directly (flow/seed_chunk.hpp); the scalar oracle goes
+  // sample words directly (rtl/lane_sim.hpp); the scalar oracle goes
   // through the char-frame path per seed. One `simulate` timing entry
   // covers the batch.
   const bool batched = spec.sim_engine == SimEngine::kBatched;
@@ -238,14 +233,13 @@ std::vector<PipelineOutcome> Pipeline::run_batch(
                              ctx.width(), seeds[g0 + i]);
         chunk = simulate_seed_chunk(luts, span->datapath, lane_samples, simd);
       } else {
-        std::vector<std::vector<std::vector<char>>> runs(count);
         for (std::size_t i = 0; i < count; ++i) {
           const auto samples =
               random_samples(spec.num_vectors, ctx.cdfg().num_inputs(),
                              ctx.width(), seeds[g0 + i]);
-          runs[i] = make_frames(span->datapath, samples);
+          chunk.push_back(
+              simulate_frames(luts, make_frames(span->datapath, samples)));
         }
-        chunk = simulate_runs(luts, runs, spec.sim_engine);
       }
       for (std::size_t i = 0; i < count; ++i)
         sims[g0 + i] = std::move(chunk[i]);

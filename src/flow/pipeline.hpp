@@ -25,7 +25,7 @@
 //    word up to 512 per avx512 word (tests/experiment_batch_test.cpp).
 //
 // A single-seed run's `simulate` rides the lanes too: one input sample per
-// bit (flow/seed_chunk.hpp), in the narrowest word that covers the sample
+// bit (rtl/lane_sim.hpp), in the narrowest word that covers the sample
 // count.
 #pragma once
 

@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "power/probability.hpp"
+#include "rtl/lane_sim.hpp"
 #include "sim/vectors.hpp"
 
 namespace hlp {
@@ -142,7 +143,8 @@ SimActivityResult simulate_activity(const Netlist& n, int num_vectors,
   const auto frames = random_vectors(
       num_vectors, static_cast<int>(n.inputs().size()), seed);
   SimActivityResult r;
-  r.stats = simulate_frames(n, frames, engine);
+  r.stats = engine == SimEngine::kScalar ? simulate_frames(n, frames)
+                                         : simulate_frames_batched(n, frames);
   r.vectors_used = static_cast<int>(r.stats.num_cycles);
   r.seed = seed;
   r.engine = engine;

@@ -22,6 +22,7 @@
 #include "netlist/netlist.hpp"
 #include "netlist/truth_table.hpp"
 #include "sim/bit_sim.hpp"
+#include "sim/schedule_sim.hpp"
 
 namespace hlp {
 

@@ -331,8 +331,7 @@ ExactActivityResult exact_activity(const Netlist& n,
   // the sampler covers only what the budget priced out.
   if (r.fell_back) {
     const SimActivityResult sim =
-        simulate_activity(n, opt.fallback_vectors, opt.fallback_seed,
-                          opt.fallback_engine);
+        simulate_activity(n, opt.fallback_vectors, opt.fallback_seed);
     for (const NetId net : sampled) r.sa[net] = sim.sa[net];
   }
 

@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "netlist/netlist.hpp"
-#include "sim/bit_sim.hpp"
 
 namespace hlp {
 
@@ -70,7 +69,6 @@ struct ExactActivityOptions {
   /// executed if at least one cone blew the budget).
   int fallback_vectors = 256;
   std::uint64_t fallback_seed = 1;
-  SimEngine fallback_engine = SimEngine::kBatched;
 };
 
 struct ExactActivityResult {

@@ -1,6 +1,8 @@
-#include "flow/seed_chunk.hpp"
+#include "rtl/lane_sim.hpp"
 
-namespace hlp::flow {
+#include <numeric>
+
+namespace hlp {
 
 CycleSimStats simulate_sample_lanes(const Netlist& n, const Datapath& dp,
                                     const Samples& samples, SimdMode simd) {
@@ -49,4 +51,27 @@ std::vector<CycleSimStats> simulate_seed_chunk(
   HLP_CHECK(false, "unreachable SIMD dispatch (seed chunk)");
 }
 
-}  // namespace hlp::flow
+CycleSimStats simulate_frames_batched(
+    const Netlist& n, const std::vector<std::vector<char>>& frames,
+    SimdMode simd) {
+  // A frame is a one-phase sample whose data inputs are 1 bit wide, one
+  // per primary input, with no control plan.
+  const std::size_t inputs = n.inputs().size();
+  Datapath plan;
+  plan.width = 1;
+  plan.num_phases = 1;
+  plan.data_input_pos.resize(inputs);
+  std::iota(plan.data_input_pos.begin(), plan.data_input_pos.end(), 0);
+  Samples samples;
+  samples.reserve(frames.size());
+  for (const auto& frame : frames) {
+    HLP_REQUIRE(frame.size() == inputs, "frame has " << frame.size()
+                                                     << " bits, netlist has "
+                                                     << inputs << " inputs");
+    auto& sample = samples.emplace_back(inputs);
+    for (std::size_t j = 0; j < inputs; ++j) sample[j] = frame[j] != 0;
+  }
+  return simulate_sample_lanes(n, plan, samples, simd);
+}
+
+}  // namespace hlp

@@ -1,6 +1,7 @@
-// Word-parallel simulation of an elaborated datapath — the engine room of
-// the pipeline's `simulate` stage. Stimulus is staged directly as words
-// instead of materialised per-cycle char frames, on one of two lane axes:
+// Word-parallel simulation of a registered netlist driven by a datapath
+// control plan — the engine room of the pipeline's `simulate` stage and of
+// simulate_activity. Stimulus is staged directly as words instead of
+// materialised per-cycle char frames, on one of two lane axes:
 //
 //  - simulate_sample_lanes: ONE stimulus sequence, one input SAMPLE per
 //    lane (all dp.num_phases cycles of it), behind Pipeline::run. The only
@@ -18,6 +19,12 @@
 //    lockstep, behind Pipeline::run_batch's seed coalescing. Latch state
 //    lives per lane, so no lane depends on another.
 //
+// Char frames (one row of primary-input bits per cycle, what
+// simulate_frames takes) are the one-phase case of the first axis:
+// simulate_frames_batched reads each frame as a sample of 1-bit data
+// inputs under a plan with no controls and hands it to
+// simulate_sample_lanes, one frame per lane.
+//
 // Both rest on the same two facts, and share one staging helper
 // (detail::PhaseStager): a sample's data bits are constant across its
 // phases (gathered into words once per sample; re-staging an unchanged
@@ -27,8 +34,8 @@
 //
 // The templates are word-generic like the engine they drive; each
 // dispatcher picks the backend from a SimdMode, with the AVX-512
-// instantiations living in seed_chunk_avx512.cpp (compiled with
-// -mavx512f, reached only after a runtime CPU check).
+// instantiations living in lane_sim_avx512.cpp (compiled with -mavx512f,
+// reached only after a runtime CPU check).
 #pragma once
 
 #include <algorithm>
@@ -38,9 +45,10 @@
 #include "common/error.hpp"
 #include "rtl/datapath.hpp"
 #include "sim/bit_sim_engine.hpp"
+#include "sim/schedule_sim.hpp"
 #include "sim/simd_mode.hpp"
 
-namespace hlp::flow {
+namespace hlp {
 
 /// One stimulus sequence: samples[s][p] is sample s's word for data input
 /// p (random_samples' shape).
@@ -54,6 +62,15 @@ using LaneSamples = std::vector<Samples>;
 /// bit-identical to simulate_frames(n, make_frames(dp, samples)).
 CycleSimStats simulate_sample_lanes(const Netlist& n, const Datapath& dp,
                                     const Samples& samples, SimdMode simd);
+
+/// One stimulus sequence of char frames through `n`: frames[t] holds one
+/// value per primary input in netlist input order, any nonzero byte
+/// reading as 1. Throws hlp::Error, with simulate_frames' message, on a
+/// frame of the wrong arity. Bit-identical to simulate_frames(n, frames)
+/// at every width.
+CycleSimStats simulate_frames_batched(
+    const Netlist& n, const std::vector<std::vector<char>>& frames,
+    SimdMode simd = SimdMode::kU64);
 
 /// Evaluate one chunk of stimulus seeds, `simd` lanes per word; chunk size
 /// must fit one word of the chosen backend and every lane must hold the
@@ -268,7 +285,7 @@ std::vector<CycleSimStats> simulate_seed_chunk_t(
 
 namespace detail {
 
-/// Per-ISA entries, defined in seed_chunk_avx512.cpp when the toolchain
+/// Per-ISA entries, defined in lane_sim_avx512.cpp when the toolchain
 /// supports the flag (HLP_HAVE_AVX512).
 CycleSimStats simulate_sample_lanes_avx512(const Netlist& n,
                                            const Datapath& dp,
@@ -278,4 +295,4 @@ std::vector<CycleSimStats> simulate_seed_chunk_avx512(
 
 }  // namespace detail
 
-}  // namespace hlp::flow
+}  // namespace hlp

@@ -3,9 +3,9 @@
 // dispatch.
 #if defined(__AVX512F__)
 
-#include "flow/seed_chunk.hpp"
+#include "rtl/lane_sim.hpp"
 
-namespace hlp::flow::detail {
+namespace hlp::detail {
 
 CycleSimStats simulate_sample_lanes_avx512(const Netlist& n,
                                            const Datapath& dp,
@@ -18,6 +18,6 @@ std::vector<CycleSimStats> simulate_seed_chunk_avx512(
   return simulate_seed_chunk_t<AvxWord512>(n, dp, lane_samples);
 }
 
-}  // namespace hlp::flow::detail
+}  // namespace hlp::detail
 
 #endif  // __AVX512F__

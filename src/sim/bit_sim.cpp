@@ -4,9 +4,6 @@
 #include <bit>
 #include <utility>
 
-#include "common/error.hpp"
-#include "sim/bit_sim_isa.hpp"
-
 namespace hlp {
 
 namespace detail {
@@ -162,111 +159,6 @@ GatePlan build_gate_plan(const Netlist& n) {
   return plan;
 }
 
-ConeEvaluator::ConeEvaluator(const Netlist& n,
-                             const std::vector<int>& gate_ids) {
-  in_start.push_back(0);
-  for (int gi : gate_ids) {
-    const Gate& g = n.gates()[gi];
-    tt.push_back(g.tt.bits());
-    k.push_back(static_cast<int>(g.ins.size()));
-    out.push_back(g.out);
-    for (NetId in : g.ins) in_nets.push_back(in);
-    in_start.push_back(static_cast<int>(in_nets.size()));
-  }
-}
-
-void ConeEvaluator::eval(std::vector<char>& value) const {
-  for (std::size_t i = 0; i < tt.size(); ++i) {
-    std::uint32_t m = 0;
-    for (int j = 0; j < k[i]; ++j)
-      m |= static_cast<std::uint32_t>(value[in_nets[in_start[i] + j]] & 1)
-           << j;
-    value[out[i]] = static_cast<char>((tt[i] >> m) & 1u);
-  }
-}
-
-void check_frame_arity(const Netlist& n,
-                       const std::vector<std::vector<char>>& frames) {
-  for (const auto& frame : frames)
-    HLP_REQUIRE(frame.size() == n.inputs().size(),
-                "frame has " << frame.size() << " bits, netlist has "
-                             << n.inputs().size() << " inputs");
-}
-
 }  // namespace detail
-
-// ---- runtime dispatch over the word width --------------------------------
-//
-// The portable widths instantiate here at baseline ISA; avx512 routes to
-// its per-ISA TU (bit_sim_isa.hpp). resolve_simd_mode() has already
-// rejected modes the build or CPU cannot honour, so the unreachable
-// HLP_CHECKs only guard against an enum/dispatch mismatch.
-
-CycleSimStats simulate_frames_batched(
-    const Netlist& n, const std::vector<std::vector<char>>& frames,
-    SimdMode simd) {
-  switch (resolve_simd_mode(simd)) {
-    case SimdMode::kU64:
-      return simulate_frames_batched_t<std::uint64_t>(n, frames);
-    case SimdMode::kX2:
-      return simulate_frames_batched_t<SimdX2>(n, frames);
-    case SimdMode::kX4:
-      return simulate_frames_batched_t<SimdX4>(n, frames);
-    case SimdMode::kX8:
-      return simulate_frames_batched_t<SimdX8>(n, frames);
-    case SimdMode::kAvx512:
-#if defined(HLP_HAVE_AVX512)
-      return detail::simulate_frames_batched_avx512(n, frames);
-#else
-      break;
-#endif
-    case SimdMode::kAuto:
-      break;  // resolve_simd_mode never returns kAuto
-  }
-  HLP_CHECK(false, "unreachable SIMD dispatch (frames)");
-}
-
-CycleSimStats simulate_frames(const Netlist& n,
-                              const std::vector<std::vector<char>>& frames,
-                              SimEngine engine, SimdMode simd) {
-  return engine == SimEngine::kScalar
-             ? simulate_frames(n, frames)
-             : simulate_frames_batched(n, frames, simd);
-}
-
-std::vector<CycleSimStats> simulate_batch(
-    const Netlist& n, const std::vector<std::vector<std::vector<char>>>& runs,
-    SimdMode simd) {
-  switch (resolve_simd_mode(simd)) {
-    case SimdMode::kU64:
-      return simulate_batch_t<std::uint64_t>(n, runs);
-    case SimdMode::kX2:
-      return simulate_batch_t<SimdX2>(n, runs);
-    case SimdMode::kX4:
-      return simulate_batch_t<SimdX4>(n, runs);
-    case SimdMode::kX8:
-      return simulate_batch_t<SimdX8>(n, runs);
-    case SimdMode::kAvx512:
-#if defined(HLP_HAVE_AVX512)
-      return detail::simulate_batch_avx512(n, runs);
-#else
-      break;
-#endif
-    case SimdMode::kAuto:
-      break;
-  }
-  HLP_CHECK(false, "unreachable SIMD dispatch (batch)");
-}
-
-std::vector<CycleSimStats> simulate_runs(
-    const Netlist& n, const std::vector<std::vector<std::vector<char>>>& runs,
-    SimEngine engine, SimdMode simd) {
-  if (engine == SimEngine::kBatched)
-    return simulate_batch(n, runs, simd);
-  std::vector<CycleSimStats> results;
-  results.reserve(runs.size());
-  for (const auto& run : runs) results.push_back(simulate_frames(n, run));
-  return results;
-}
 
 }  // namespace hlp

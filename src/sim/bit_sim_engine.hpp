@@ -7,20 +7,19 @@
 // so every instantiation computes the identical per-lane function — the
 // width only changes how many lanes one traversal covers.
 //
-// The public entry points (bit_sim.hpp) wrap these templates behind the
-// SimdMode runtime dispatch; the per-ISA translation unit
-// (bit_sim_avx512.cpp) instantiates them for the intrinsic word type.
+// The lane engines (rtl/lane_sim.hpp) drive these templates behind the
+// SimdMode runtime dispatch; their per-ISA translation unit
+// (rtl/lane_sim_avx512.cpp) instantiates them for the intrinsic word type.
 // Gate classification is word-independent and lives in one non-template
 // GatePlan built once per netlist (bit_sim.cpp).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "netlist/netlist.hpp"
-#include "sim/schedule_sim.hpp"
 #include "sim/simd_word.hpp"
 
 namespace hlp {
@@ -74,30 +73,14 @@ struct GatePlan {
 /// baseline ISA.
 GatePlan build_gate_plan(const Netlist& n);
 
-/// Scalar zero-delay evaluator for the frames path's latch-state
-/// recurrence (phase 1). Word-independent; defined in bit_sim.cpp.
-struct ConeEvaluator {
-  std::vector<std::uint64_t> tt;
-  std::vector<int> k;
-  std::vector<NetId> out;
-  std::vector<int> in_start;
-  std::vector<NetId> in_nets;
-
-  ConeEvaluator(const Netlist& n, const std::vector<int>& gate_ids);
-  void eval(std::vector<char>& value) const;
-};
-
-void check_frame_arity(const Netlist& n,
-                       const std::vector<std::vector<char>>& frames);
-
 }  // namespace detail
 
 /// Bit-sliced per-lane counters over an arbitrary word width: plane p
 /// carries bit p of WordTraits<W>::kLanes independent counts, so
 /// `counts[item][lane] += (mask >> lane) & 1` for every lane is a short
 /// ripple-carry of word ops (amortised ~2 per add) instead of a
-/// per-set-bit scalar scatter. This is what keeps the multi-run batch
-/// path's toggle accounting word-parallel at any width: the increment cost
+/// per-set-bit scalar scatter. This is what keeps the seed-chunk path's
+/// toggle accounting word-parallel at any width: the increment cost
 /// never scales with the number of lanes that toggled. 32 planes bound
 /// each count at 2^32-1, far beyond any feasible run length.
 template <typename W>
@@ -133,8 +116,8 @@ class LaneCountersT {
 };
 
 /// Word-parallel netlist evaluator: WordTraits<W>::kLanes lanes per word,
-/// one word per net. Lane semantics (cycles, runs, seeds or samples) are
-/// chosen by the caller; the engine only knows about source words,
+/// one word per net. Lane semantics (samples or seeds) are chosen by the
+/// caller; the engine only knows about source words,
 /// zero-delay passes and unit-delay event settling with per-net popcount
 /// toggle counters. All instantiations are bit-identical per lane to the
 /// scalar reference simulator.
@@ -194,20 +177,9 @@ class BitSimulatorT {
 
   /// Unit-delay event settle from the staged sources, lockstep across all
   /// lanes. Per-net transition counts (summed over lanes) accumulate into
-  /// `toggles_total` when non-null. When `per_lane` is non-null it
-  /// receives one counter vector per lane (kLanes of them), exactly
-  /// matching what kLanes independent scalar simulations would count.
-  /// Returns unit steps to quiescence (the max over lanes).
-  int settle(std::vector<std::uint64_t>* toggles_total,
-             std::vector<std::vector<std::uint64_t>>* per_lane = nullptr) {
-    if (per_lane) {
-      return settle_events([&](NetId net, const W& diff) {
-        if (toggles_total)
-          (*toggles_total)[net] +=
-              static_cast<std::uint64_t>(T::popcount(diff));
-        T::for_each_lane(diff, [&](int lane) { ++(*per_lane)[lane][net]; });
-      });
-    }
+  /// `toggles_total` when non-null. Returns unit steps to quiescence (the
+  /// max over lanes).
+  int settle(std::vector<std::uint64_t>* toggles_total) {
     if (toggles_total) {
       return settle_events([&](NetId net, const W& diff) {
         (*toggles_total)[net] += static_cast<std::uint64_t>(T::popcount(diff));
@@ -216,7 +188,7 @@ class BitSimulatorT {
     return settle_events([](NetId, const W&) {});
   }
 
-  /// Unit-delay settle specialised for the multi-run batch path: per-net
+  /// Unit-delay settle specialised for the seed-chunk path: per-net
   /// per-lane transition counts accumulate into `toggles` (bit-sliced, no
   /// per-lane scatter), and every net whose value changed is appended once
   /// to `touched` with its pre-settle word stored in `before` — the caller
@@ -384,213 +356,5 @@ class BitSimulatorT {
   std::vector<W> new_words_;
   std::vector<NetId> changed_, next_changed_;
 };
-
-/// Word-generic simulate_frames_batched: ONE stimulus sequence, kLanes
-/// consecutive cycles per word. A cheap scalar phase advances only the
-/// latch-state recurrence (zero-delay evaluation of the latch-D fanin
-/// cone); the word-parallel phase replays each kLanes-cycle block — a
-/// single topological pass yields all settled states, then one
-/// event-driven unit-delay settle reproduces every transient, glitches
-/// included. Bit-identical to the scalar path at every width.
-template <typename W>
-CycleSimStats simulate_frames_batched_t(
-    const Netlist& n, const std::vector<std::vector<char>>& frames) {
-  using T = WordTraits<W>;
-  constexpr int kLanes = T::kLanes;
-  detail::check_frame_arity(n, frames);
-  const int num_nets = n.num_nets();
-  CycleSimStats stats;
-  stats.num_cycles = frames.size();
-  stats.toggles.assign(num_nets, 0);
-  const std::size_t num_frames = frames.size();
-  if (num_frames == 0) return stats;
-
-  BitSimulatorT<W> sim(n);
-  // Initial settled state s0 (all sources 0): one zero-delay word pass
-  // with every lane identical, then read lane 0.
-  sim.settle_zero_delay();
-  std::vector<char> sval(num_nets);
-  for (NetId net = 0; net < num_nets; ++net)
-    sval[net] = static_cast<char>(T::lane(sim.word(net), 0));
-  const std::vector<char> s0 = sval;
-
-  const auto& pis = n.inputs();
-  const auto& latches = n.latches();
-  std::vector<NetId> sources(pis);
-  for (const auto& l : latches) sources.push_back(l.q);
-
-  // Phase 1 — scalar latch-state recurrence. Only the fanin cone of the
-  // latch D pins must be evaluated per cycle; everything else is replayed
-  // word-parallel in phase 2. Source values per cycle are packed into one
-  // bit lane per cycle (kLanes cycles per word).
-  const std::size_t blocks = (num_frames + kLanes - 1) / kLanes;
-  std::vector<std::vector<W>> packed(sources.size(),
-                                     std::vector<W>(blocks, T::zero()));
-  std::vector<char> need(num_nets, 0);
-  for (const auto& l : latches) need[l.d] = 1;
-  std::vector<int> cone;
-  const std::vector<int> topo = n.topo_gates();
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const Gate& g = n.gates()[*it];
-    if (!need[g.out]) continue;
-    cone.push_back(*it);
-    for (NetId in : g.ins) need[in] = 1;
-  }
-  std::reverse(cone.begin(), cone.end());
-  const detail::ConeEvaluator cone_eval(n, cone);
-
-  std::vector<char> qv(latches.size());
-  for (std::size_t t = 0; t < num_frames; ++t) {
-    // Clock edge: every Q samples its D from the previous settled state,
-    // simultaneously (matching UnitDelaySimulator::clock_edge).
-    for (std::size_t i = 0; i < latches.size(); ++i)
-      qv[i] = sval[latches[i].d];
-    for (std::size_t j = 0; j < pis.size(); ++j)
-      sval[pis[j]] = frames[t][j] ? 1 : 0;
-    for (std::size_t i = 0; i < latches.size(); ++i)
-      sval[latches[i].q] = qv[i];
-    cone_eval.eval(sval);
-    for (std::size_t s = 0; s < sources.size(); ++s)
-      T::or_lane(packed[s][t / kLanes],
-                 static_cast<int>(t % kLanes),
-                 static_cast<std::uint64_t>(sval[sources[s]] & 1));
-  }
-
-  // Phase 2 — word-parallel replay, kLanes consecutive cycles per block.
-  // Lane l of block b is cycle b*kLanes+l: a zero-delay pass over the
-  // source words yields every settled state at once; the initial state of
-  // each lane is the previous lane's settled state (shifted in, with a
-  // carry bit across blocks); a single event-driven unit-delay settle then
-  // reproduces all transients, glitches included.
-  std::vector<W> settled(num_nets), init(num_nets), src_words(sources.size());
-  std::vector<char> carry(num_nets, 0);
-  std::uint64_t functional = 0;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const int L = static_cast<int>(
-        std::min<std::size_t>(kLanes, num_frames - b * kLanes));
-    const W lowmask = T::mask_lo(L);
-    for (std::size_t s = 0; s < sources.size(); ++s) {
-      W w = packed[s][b];
-      if (L < kLanes) {
-        // Freeze inactive lanes by replicating the last active cycle's
-        // value: no source change, no activity, no miscounts.
-        if (T::lane(w, L - 1))
-          w = w | ~lowmask;
-        else
-          w = w & lowmask;
-      }
-      src_words[s] = w;
-      sim.stage_source(sources[s], w);
-    }
-    sim.settle_zero_delay();
-    std::copy(sim.state().begin(), sim.state().end(), settled.begin());
-    for (NetId net = 0; net < num_nets; ++net) {
-      init[net] = T::shl1(settled[net], b == 0 ? s0[net] : carry[net]);
-      functional +=
-          static_cast<std::uint64_t>(T::popcount(init[net] ^ settled[net]));
-      carry[net] = static_cast<char>(T::lane(settled[net], L - 1));
-    }
-    sim.load_state(init);
-    for (std::size_t s = 0; s < sources.size(); ++s)
-      sim.stage_source(sources[s], src_words[s]);
-    sim.settle(&stats.toggles);
-  }
-
-  stats.functional_transitions = functional;
-  for (auto v : stats.toggles) stats.total_transitions += v;
-  return stats;
-}
-
-/// Word-generic simulate_batch: MANY independent stimulus sequences (e.g.
-/// many seeds of one binding) as lanes, kLanes runs per word. Latch state
-/// lives per lane inside the word, so the whole cycle loop — clock edge,
-/// settle, counting — is word-parallel with no scalar phase at all. Runs
-/// may have different lengths; finished lanes are frozen by re-staging
-/// their previous source values. Bit-identical to per-run scalar
-/// simulation at every width.
-template <typename W>
-std::vector<CycleSimStats> simulate_batch_t(
-    const Netlist& n, const std::vector<std::vector<std::vector<char>>>& runs) {
-  using T = WordTraits<W>;
-  constexpr int kLanes = T::kLanes;
-  const int num_nets = n.num_nets();
-  for (const auto& run : runs) detail::check_frame_arity(n, run);
-  std::vector<CycleSimStats> results(runs.size());
-  if (runs.empty()) return results;
-
-  BitSimulatorT<W> sim(n);
-  const auto& pis = n.inputs();
-  const auto& latches = n.latches();
-
-  // Per-group scratch: bit-sliced counters keep every piece of per-lane
-  // accounting word-parallel — no loop in this function scales with the
-  // number of lanes that toggled.
-  std::vector<W> pi_bits(pis.size());
-  std::vector<NetId> touched;
-  std::vector<char> touched_flag(num_nets, 0);
-  std::vector<W> before(num_nets);
-  touched.reserve(num_nets);
-
-  for (std::size_t g0 = 0; g0 < runs.size(); g0 += kLanes) {
-    const int lanes =
-        static_cast<int>(std::min<std::size_t>(kLanes, runs.size() - g0));
-    // Reset to the all-zero-source settled state in every lane.
-    for (NetId pi : pis) sim.stage_source(pi, T::zero());
-    for (const auto& l : latches) sim.stage_source(l.q, T::zero());
-    sim.settle_zero_delay();
-
-    std::size_t t_max = 0;
-    for (int l = 0; l < lanes; ++l)
-      t_max = std::max(t_max, runs[g0 + l].size());
-    LaneCountersT<W> toggles(num_nets);
-    LaneCountersT<W> fn(1);
-
-    for (std::size_t t = 0; t < t_max; ++t) {
-      W active = T::zero();
-      for (int l = 0; l < lanes; ++l)
-        if (t < runs[g0 + l].size())
-          T::or_lane(active, l, 1);
-      // Stage everything from the pre-edge state before applying anything:
-      // primary inputs for active lanes (finished lanes are frozen by
-      // re-staging their current value), then the clock edge Q <- D.
-      // Lane-major gather: each lane's frame row is contiguous.
-      std::fill(pi_bits.begin(), pi_bits.end(), T::zero());
-      for (int l = 0; l < lanes; ++l) {
-        if (t >= runs[g0 + l].size()) continue;
-        const char* row = runs[g0 + l][t].data();
-        // Branchless: frame bits are random, so a conditional OR would
-        // mispredict half the time.
-        for (std::size_t j = 0; j < pis.size(); ++j)
-          T::or_lane(pi_bits[j], l,
-                     static_cast<std::uint64_t>(row[j] & 1));
-      }
-      for (std::size_t j = 0; j < pis.size(); ++j)
-        sim.stage_source(pis[j],
-                         (sim.word(pis[j]) & ~active) | (pi_bits[j] & active));
-      for (const auto& l : latches)
-        sim.stage_source(
-            l.q, (sim.word(l.d) & active) | (sim.word(l.q) & ~active));
-      sim.settle_batch(toggles, touched, touched_flag, before);
-      // Functional = settled value changed across the cycle; only nets
-      // that saw an event this cycle can have changed.
-      for (const NetId net : touched) {
-        touched_flag[net] = 0;
-        fn.add(0, before[net] ^ sim.word(net));
-      }
-      touched.clear();
-    }
-
-    for (int l = 0; l < lanes; ++l) {
-      CycleSimStats& st = results[g0 + l];
-      st.num_cycles = runs[g0 + l].size();
-      st.toggles.resize(num_nets);
-      for (NetId net = 0; net < num_nets; ++net)
-        st.toggles[net] = toggles.count(net, l);
-      st.functional_transitions = fn.count(0, l);
-      for (auto v : st.toggles) st.total_transitions += v;
-    }
-  }
-  return results;
-}
 
 }  // namespace hlp

@@ -13,9 +13,9 @@
 //                               when the translation unit is compiled with
 //                               AVX-512F enabled, so this header stays
 //                               includable from baseline TUs; the library
-//                               compiles it in dedicated per-ISA TUs
-//                               (bit_sim_avx512.cpp, seed_chunk_avx512.cpp)
-//                               behind runtime CPU dispatch (simd_mode.hpp).
+//                               compiles it in one dedicated per-ISA TU
+//                               (rtl/lane_sim_avx512.cpp) behind runtime
+//                               CPU dispatch (simd_mode.hpp).
 //
 // Every word type exposes the same contract through WordTraits<W>:
 // bitwise operators (&, |, ^, ~ — lane-wise boolean algebra), plus the
@@ -101,14 +101,6 @@ struct WordTraits<std::uint64_t> {
   static Word shl1(Word w, int carry_in) {
     return (w << 1) | static_cast<Word>(carry_in);
   }
-  /// Invoke `f(lane)` for every set lane, in ascending lane order.
-  template <typename F>
-  static void for_each_lane(Word w, F&& f) {
-    while (w) {
-      f(std::countr_zero(w));
-      w &= w - 1;
-    }
-  }
 };
 
 template <int N, int Tag>
@@ -163,16 +155,6 @@ struct WordTraits<SimdWord<N, Tag>> {
       carry = w.limb[i] >> 63;
     }
     return r;
-  }
-  template <typename F>
-  static void for_each_lane(const Word& w, F&& f) {
-    for (int i = 0; i < N; ++i) {
-      std::uint64_t bits = w.limb[i];
-      while (bits) {
-        f(i * 64 + std::countr_zero(bits));
-        bits &= bits - 1;
-      }
-    }
   }
 };
 
@@ -280,16 +262,6 @@ struct WordTraits<AvxWord512> {
       carry = w.limb[i] >> 63;
     }
     return r;
-  }
-  template <typename F>
-  static void for_each_lane(const Word& w, F&& f) {
-    for (int i = 0; i < 8; ++i) {
-      std::uint64_t bits = w.limb[i];
-      while (bits) {
-        f(i * 64 + std::countr_zero(bits));
-        bits &= bits - 1;
-      }
-    }
   }
 };
 

@@ -313,6 +313,49 @@ void save_entry(std::ostream& os, const ArtifactStore::Entry& e) {
   save_netlist(os, e.mapped.lut_netlist);
 }
 
+// The lane engines index the mapped netlist's inputs by the datapath plan
+// without a bounds check, so a plan that does not fit its netlists is as
+// corrupt as a bad checksum. tech_map keeps the input list, so both
+// netlists must have the same inputs.
+void check_plan_fits(const Reader& r, const ArtifactStore::Entry& e) {
+  const Datapath& dp = e.datapath;
+  HLP_REQUIRE(dp.width >= 1 && dp.width <= 64,
+              "artifact " << r.what() << ": datapath width " << dp.width
+                          << " outside [1, 64]");
+  HLP_REQUIRE(dp.num_phases >= 1, "artifact " << r.what()
+                                              << ": datapath num_phases "
+                                              << dp.num_phases << " < 1");
+  const std::size_t mapped_inputs = e.mapped.lut_netlist.inputs().size();
+  HLP_REQUIRE(dp.netlist.inputs().size() == mapped_inputs,
+              "artifact " << r.what() << ": datapath netlist has "
+                          << dp.netlist.inputs().size()
+                          << " inputs, mapped netlist has " << mapped_inputs);
+  const int inputs = static_cast<int>(mapped_inputs);
+  for (const int pos : dp.data_input_pos)
+    HLP_REQUIRE(pos >= 0 && pos <= inputs - dp.width,
+                "artifact " << r.what() << ": datapos bus at " << pos
+                            << " of width " << dp.width << " does not fit "
+                            << inputs << " inputs");
+  for (const ControlGroup& c : dp.controls) {
+    // Bit k of an int select value drives input position k.
+    HLP_REQUIRE(c.input_positions.size() <= 32,
+                "artifact " << r.what() << ": ctl '" << c.name << "' has "
+                            << c.input_positions.size()
+                            << " input positions, a select value holds 32");
+    for (const int pos : c.input_positions)
+      HLP_REQUIRE(pos >= 0 && pos < inputs,
+                  "artifact " << r.what() << ": ctl '" << c.name
+                              << "' input position " << pos << " outside "
+                              << inputs << " inputs");
+    HLP_REQUIRE(c.select_by_phase.size() ==
+                    static_cast<std::size_t>(dp.num_phases),
+                "artifact " << r.what() << ": ctl '" << c.name << "' has "
+                            << c.select_by_phase.size()
+                            << " selects, datapath has " << dp.num_phases
+                            << " phases");
+  }
+}
+
 ArtifactStore::Entry load_entry(Reader& r) {
   ArtifactStore::Entry e;
   e.fus = load_fus(r, "");
@@ -381,6 +424,7 @@ ArtifactStore::Entry load_entry(Reader& r) {
   }
   e.datapath.netlist = load_netlist(r);
   e.mapped.lut_netlist = load_netlist(r);
+  check_plan_fits(r, e);
   return e;
 }
 

@@ -85,12 +85,14 @@ ArtifactStore::Entry make_entry(double clock = 1.5) {
   e.mux_stats.mux_size_a = {2, 3};
   e.mux_stats.mux_size_b = {1, 2};
   e.mux_stats.muxdiff = {1, 1};
+  // A plan that fits the 2-input netlists (the loader checks it): a 1-bit
+  // data bus on input 0 and a select on input 1.
   e.datapath.netlist = small_netlist("dp");
-  e.datapath.width = 4;
+  e.datapath.width = 1;
   e.datapath.num_phases = 3;
-  e.datapath.data_input_pos = {0, 1};
+  e.datapath.data_input_pos = {0};
   // A name with spaces exercises the percent escaping.
-  e.datapath.controls.push_back({"mux sel 0", {0, 1}, {0, 2, 1}});
+  e.datapath.controls.push_back({"mux sel 0", {1}, {0, 1, 1}});
   e.mapped.lut_netlist = small_netlist("mapped");
   e.mapped.num_luts = 2;
   e.mapped.depth = 2;
@@ -316,6 +318,73 @@ TEST_F(ArtifactStoreFaults, TamperedModeTagIsRejected) {
   }
   store_->publish(key_, make_entry());
   EXPECT_EQ(read_file(path_), blob_);
+}
+
+TEST_F(ArtifactStoreFaults, DatapathPlanMustFitItsNetlist) {
+  // The lane engines index the mapped netlist's inputs by the datapath
+  // plan without a bounds check, so a well-formed object whose plan does
+  // not fit its 2-input netlists must fail the parse, naming the field,
+  // and read back from a store as a rejected miss.
+  struct Defect {
+    const char* field;  // what the error must name
+    void (*apply)(ArtifactStore::Entry&);
+  };
+  const Defect defects[] = {
+      {"datapath width 0",
+       [](ArtifactStore::Entry& e) { e.datapath.width = 0; }},
+      {"datapath width 65",
+       [](ArtifactStore::Entry& e) { e.datapath.width = 65; }},
+      {"datapath num_phases 0",
+       [](ArtifactStore::Entry& e) {
+         e.datapath.num_phases = 0;
+         e.datapath.controls.front().select_by_phase.clear();
+       }},
+      {"mapped netlist has 3",
+       [](ArtifactStore::Entry& e) { e.mapped.lut_netlist.add_input("c"); }},
+      {"datapos bus at -1",
+       [](ArtifactStore::Entry& e) { e.datapath.data_input_pos = {-1}; }},
+      {"datapos bus at 0 of width 3",
+       [](ArtifactStore::Entry& e) { e.datapath.width = 3; }},
+      {"datapos bus at 2",
+       [](ArtifactStore::Entry& e) { e.datapath.data_input_pos = {0, 2}; }},
+      {"input position 7",
+       [](ArtifactStore::Entry& e) {
+         e.datapath.controls.front().input_positions = {7};
+       }},
+      {"input position -1",
+       [](ArtifactStore::Entry& e) {
+         e.datapath.controls.front().input_positions = {-1};
+       }},
+      {"has 33 input positions",
+       [](ArtifactStore::Entry& e) {
+         e.datapath.controls.front().input_positions.assign(33, 1);
+       }},
+      {"has 1 selects",
+       [](ArtifactStore::Entry& e) {
+         e.datapath.controls.front().select_by_phase = {0};
+       }},
+  };
+  std::uint64_t rejected = 0;
+  for (const Defect& d : defects) {
+    ArtifactStore::Entry bad = make_entry();
+    d.apply(bad);
+    const std::string bytes = ArtifactStore::serialize(key_, bad);
+    try {
+      ArtifactStore::parse(bytes, "planted");
+      ADD_FAILURE() << d.field << ": plan accepted";
+    } catch (const Error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("artifact planted"), std::string::npos) << msg;
+      EXPECT_NE(msg.find(d.field), std::string::npos) << msg;
+    }
+    write_file(path_, bytes);
+    EXPECT_FALSE(store_->find(key_)) << d.field;
+    EXPECT_EQ(store_->rejected(), ++rejected) << d.field;
+  }
+  // The unmodified fixture fits, so none of the above was noise.
+  store_->publish(key_, make_entry());
+  EXPECT_TRUE(store_->find(key_));
+  EXPECT_EQ(store_->rejected(), rejected);
 }
 
 TEST_F(ArtifactStoreFaults, OlderVersionObjectsAreRejectedByVersion) {

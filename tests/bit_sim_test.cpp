@@ -1,12 +1,13 @@
 // Tests for the bit-parallel batched simulation engine: randomized
-// netlists x seeds asserting simulate_frames_batched / simulate_batch
-// reproduce the scalar simulate_frames exactly — per-net toggles, total and
-// functional transition counts, and the glitch split — including
-// non-multiple-of-64 frame counts and mixed-length run batches, and the
-// same equivalence for every SIMD word width the build/CPU supports
-// (u64/x2/x4/x8 portable limbs plus the AVX-512 backend): one randomized
-// grid, every backend, bit for bit. The SimdMode tests pin how `auto`
-// picks a word.
+// netlists x seeds asserting simulate_frames_batched (char frames as
+// one-phase samples on the sample-lane engine, whose fix-up loop these
+// sequential netlists drive) reproduces the scalar simulate_frames exactly
+// — per-net toggles, total and functional transition counts, and the
+// glitch split — including non-multiple-of-64 frame counts, and the same
+// equivalence for every SIMD word width the build/CPU supports (u64/x2/
+// x4/x8 portable limbs plus the AVX-512 backend): one randomized grid,
+// every backend, bit for bit. The SimdMode tests pin how `auto` picks a
+// word.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,9 +19,8 @@
 #include "common/rng.hpp"
 #include "mapper/techmap.hpp"
 #include "netlist/modules.hpp"
-#include "netlist/timing.hpp"
+#include "rtl/lane_sim.hpp"
 #include "sim/bit_sim.hpp"
-#include "sim/levelize.hpp"
 #include "sim/schedule_sim.hpp"
 #include "sim/simulator.hpp"
 #include "sim/vectors.hpp"
@@ -30,8 +30,8 @@ namespace {
 
 // A random LUT DAG with registers: `num_inputs` PIs, `num_gates` gates of
 // random fanin 1..4 and random truth tables over earlier nets, and
-// `num_latches` register bits fed from random nets (so the batched
-// latch-state recurrence is exercised).
+// `num_latches` register bits fed from random nets (so each lane's start
+// state depends on the lanes before it).
 Netlist random_netlist(std::uint64_t seed, int num_inputs = 5,
                        int num_gates = 30, int num_latches = 4) {
   Rng rng(seed);
@@ -91,7 +91,7 @@ TEST(BitSim, MatchesScalarOnRandomNetlists) {
 }
 
 TEST(BitSim, MatchesScalarOnPureCombinational) {
-  // No latches: the batched path's phase 1 degenerates to frame packing.
+  // No latches: every lane's end state depends on its own frame only.
   const Netlist n = random_netlist(11, 6, 40, /*num_latches=*/0);
   const auto frames =
       random_vectors(100, static_cast<int>(n.inputs().size()), 13);
@@ -105,8 +105,11 @@ TEST(BitSim, MatchesScalarOnMappedMultiplier) {
   // the simulate stage (K-LUTs, deep glitchy logic).
   const MapResult mapped = tech_map(make_multiplier(4));
   const Netlist& n = mapped.lut_netlist;
-  const auto frames =
-      random_vectors(200, static_cast<int>(n.inputs().size()), 17);
+  auto frames = random_vectors(200, static_cast<int>(n.inputs().size()), 17);
+  // Any nonzero byte is a 1, as the scalar oracle reads it: write the ones
+  // of every other frame as the byte 2.
+  for (std::size_t t = 1; t < frames.size(); t += 2)
+    for (char& bit : frames[t]) bit = static_cast<char>(bit * 2);
   const CycleSimStats scalar = simulate_frames(n, frames);
   expect_identical(scalar, simulate_frames_batched(n, frames), "mapped mult");
   EXPECT_GT(scalar.glitch_transitions(), 0u);  // the comparison is non-trivial
@@ -151,43 +154,6 @@ TEST(BitSim, EmptyFrameListAndArityChecks) {
   EXPECT_THROW(simulate_frames_batched(n, {{1, 0}}), Error);
 }
 
-TEST(BitSim, BatchOfRunsMatchesPerRunScalar) {
-  const Netlist n = random_netlist(31);
-  const int num_inputs = static_cast<int>(n.inputs().size());
-  // Mixed lengths, including empty and word-boundary-straddling runs.
-  const std::vector<int> lengths = {10, 0, 64, 65, 1, 33};
-  std::vector<std::vector<std::vector<char>>> runs;
-  for (std::size_t i = 0; i < lengths.size(); ++i)
-    runs.push_back(random_vectors(lengths[i], num_inputs, 100 + i));
-  const auto batched = simulate_batch(n, runs);
-  ASSERT_EQ(batched.size(), runs.size());
-  for (std::size_t i = 0; i < runs.size(); ++i)
-    expect_identical(simulate_frames(n, runs[i]), batched[i],
-                     "run " + std::to_string(i));
-}
-
-TEST(BitSim, BatchOfManyRunsCrossesLaneGroups) {
-  // > 64 runs forces a second lane group.
-  const Netlist n = random_netlist(41, 4, 15, 2);
-  const int num_inputs = static_cast<int>(n.inputs().size());
-  std::vector<std::vector<std::vector<char>>> runs;
-  for (int i = 0; i < 70; ++i)
-    runs.push_back(random_vectors(5 + (i % 3), num_inputs, 500 + i));
-  const auto batched = simulate_batch(n, runs);
-  ASSERT_EQ(batched.size(), 70u);
-  for (std::size_t i = 0; i < runs.size(); ++i)
-    expect_identical(simulate_frames(n, runs[i]), batched[i],
-                     "run " + std::to_string(i));
-}
-
-TEST(BitSim, EngineDispatchAgrees) {
-  const Netlist n = random_netlist(71);
-  const auto frames =
-      random_vectors(77, static_cast<int>(n.inputs().size()), 3);
-  expect_identical(simulate_frames(n, frames, SimEngine::kScalar),
-                   simulate_frames(n, frames, SimEngine::kBatched), "dispatch");
-}
-
 // Every concrete SimdMode this build + CPU can execute (kU64 first).
 std::vector<SimdMode> supported_modes() {
   std::vector<SimdMode> modes;
@@ -197,74 +163,23 @@ std::vector<SimdMode> supported_modes() {
   return modes;
 }
 
-TEST(BitSimWidths, BatchOfRunsMatchesScalarAtEveryWidth) {
-  // Mixed-length runs, sized so every width sees a partially-filled word
-  // (70 runs: 2 words at u64, 1 partial word at every wider backend) and
-  // per-lane accounting is exercised well past lane 63.
-  const Netlist n = random_netlist(91, 4, 20, 3);
-  const int num_inputs = static_cast<int>(n.inputs().size());
-  std::vector<std::vector<std::vector<char>>> runs;
-  for (int i = 0; i < 70; ++i)
-    runs.push_back(random_vectors(3 + (i % 5), num_inputs, 900 + i));
-  std::vector<CycleSimStats> scalar;
-  for (const auto& run : runs) scalar.push_back(simulate_frames(n, run));
-  for (const SimdMode mode : supported_modes()) {
-    const auto batched = simulate_batch(n, runs, mode);
-    ASSERT_EQ(batched.size(), runs.size()) << simd_mode_name(mode);
-    for (std::size_t i = 0; i < runs.size(); ++i)
-      expect_identical(scalar[i], batched[i],
-                       std::string(simd_mode_name(mode)) + " run " +
-                           std::to_string(i));
-  }
-}
-
-TEST(BitSimWidths, SmallBatchFillsOneWordAtEveryWidth) {
-  // Fewer runs than any word has lanes: the engine must freeze the unused
-  // lanes without perturbing the active ones.
-  const Netlist n = random_netlist(92, 5, 25, 2);
-  const int num_inputs = static_cast<int>(n.inputs().size());
-  std::vector<std::vector<std::vector<char>>> runs;
-  for (int i = 0; i < 3; ++i)
-    runs.push_back(random_vectors(40 + i, num_inputs, 700 + i));
-  for (const SimdMode mode : supported_modes()) {
-    const auto batched = simulate_batch(n, runs, mode);
-    for (std::size_t i = 0; i < runs.size(); ++i)
-      expect_identical(simulate_frames(n, runs[i]), batched[i],
-                       std::string(simd_mode_name(mode)) + " run " +
-                           std::to_string(i));
-  }
-}
-
 TEST(BitSimWidths, FramesBatchedMatchesScalarAtEveryWidth) {
   // Frame counts straddling every word boundary: 1 (deep partial word),
   // 130 (partial at >=256 lanes), 513 (partial at 512 lanes, multi-block
   // at every width) — the cross-block latch-state carry must line up at
-  // every lane count.
+  // every lane count. kAuto rides along: it resolves to the widest word.
   const Netlist n = random_netlist(93);
   const int num_inputs = static_cast<int>(n.inputs().size());
+  std::vector<SimdMode> modes = supported_modes();
+  modes.push_back(SimdMode::kAuto);
   for (const int num_frames : {1, 130, 513}) {
     const auto frames = random_vectors(num_frames, num_inputs, 811);
     const CycleSimStats scalar = simulate_frames(n, frames);
-    for (const SimdMode mode : supported_modes())
+    for (const SimdMode mode : modes)
       expect_identical(scalar, simulate_frames_batched(n, frames, mode),
                        std::string(simd_mode_name(mode)) + " T=" +
                            std::to_string(num_frames));
   }
-}
-
-TEST(BitSimWidths, AutoModeDispatchesAndAgrees) {
-  // kAuto resolves to the widest supported backend; the dispatcher must
-  // accept it directly and agree with the u64 reference.
-  const Netlist n = random_netlist(94, 4, 18, 2);
-  const int num_inputs = static_cast<int>(n.inputs().size());
-  std::vector<std::vector<std::vector<char>>> runs;
-  for (int i = 0; i < 10; ++i)
-    runs.push_back(random_vectors(7, num_inputs, 300 + i));
-  const auto reference = simulate_batch(n, runs, SimdMode::kU64);
-  const auto automatic = simulate_batch(n, runs, SimdMode::kAuto);
-  for (std::size_t i = 0; i < runs.size(); ++i)
-    expect_identical(reference[i], automatic[i],
-                     "auto run " + std::to_string(i));
 }
 
 // ---- word selection ------------------------------------------------------
@@ -369,23 +284,6 @@ TEST(BitSimSteps, SettleStepsAreTheMaxOverLanesOfScalarSteps) {
   EXPECT_EQ(sim.settle(&toggles), 0);
   EXPECT_EQ(toggles, std::vector<std::uint64_t>(n.num_nets(), 0));
   EXPECT_EQ(sim.state(), before);
-}
-
-// ---- levelized timing ----------------------------------------------------
-
-TEST(LevelizedTiming, ArrivalSweepMatchesNetLevelDepth) {
-  for (std::uint64_t seed : {1u, 7u, 13u}) {
-    const Netlist n = random_netlist(seed, 5, 40, 3);
-    EXPECT_EQ(levelized_logic_depth(n), logic_depth(n)) << "seed " << seed;
-  }
-  const MapResult mapped = tech_map(make_multiplier(4));
-  EXPECT_EQ(levelized_logic_depth(mapped.lut_netlist),
-            logic_depth(mapped.lut_netlist));
-  // Bit-exact doubles, not just close: stage caches and distributed
-  // same_outcome compare clock periods with operator==.
-  const TimingModel model;
-  EXPECT_EQ(levelized_clock_period_ns(mapped.lut_netlist, model),
-            clock_period_ns(mapped.lut_netlist, model));
 }
 
 TEST(BitSimulator, WordEvalMatchesTruthTable) {

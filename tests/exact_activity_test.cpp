@@ -256,8 +256,7 @@ TEST(ExactActivity, BlownBudgetFallsBackToTheSampledAnswer) {
 
   EXPECT_TRUE(r.fell_back);
   const SimActivityResult sim =
-      simulate_activity(n, opt.fallback_vectors, opt.fallback_seed,
-                        opt.fallback_engine);
+      simulate_activity(n, opt.fallback_vectors, opt.fallback_seed);
   int sources = 0;
   double total = 0.0;
   for (NetId net = 0; net < n.num_nets(); ++net) {

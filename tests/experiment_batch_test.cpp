@@ -8,6 +8,7 @@
 // width the build and CPU support, and must reject ragged stimulus.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <random>
@@ -17,8 +18,8 @@
 
 #include "flow/experiment.hpp"
 #include "flow/pipeline.hpp"
-#include "flow/seed_chunk.hpp"
 #include "rtl/datapath.hpp"
+#include "rtl/lane_sim.hpp"
 #include "sim/schedule_sim.hpp"
 #include "sim/simd_mode.hpp"
 #include "sim/vectors.hpp"
@@ -156,8 +157,8 @@ TEST(ExperimentBatch, DuplicateSeedsShareALaneEach) {
 }
 
 TEST(ExperimentBatch, ScalarEngineGroupsCoalesceViaReferencePath) {
-  // kScalar groups coalesce too (shared head stages); simulate_runs loops
-  // the scalar oracle per lane, so results still match exactly.
+  // kScalar groups coalesce too (shared head stages); run_batch loops the
+  // scalar oracle per seed, so results still match exactly.
   flow::Job base = small_job();
   base.sim_engine = SimEngine::kScalar;
   const auto jobs = flow::ExperimentRunner::grid(
@@ -251,21 +252,29 @@ TEST(SeedChunkWidths, EveryWidthMatchesScalarPerSeed) {
   const Datapath& dp = entry->datapath;
   const int num_inputs = runner.context_for(job).cdfg().num_inputs();
 
-  // 61 seeds leave one partial word at every width.
-  flow::LaneSamples lane_samples;
+  // 130 seeds, chunked to the word as run_batch chunks them: two full
+  // words and a partial one at u64, a full and a partial one at x2, and
+  // one partial word, with lanes past 63 in use, at every wider backend.
+  LaneSamples lane_samples;
   std::vector<CycleSimStats> want;
-  for (std::uint64_t seed = 500; seed < 561; ++seed) {
+  for (std::uint64_t seed = 500; seed < 630; ++seed) {
     lane_samples.push_back(
         random_samples(job.num_vectors, num_inputs, kWidth, seed));
     want.push_back(simulate_frames(n, make_frames(dp, lane_samples.back())));
   }
   for (const SimdMode mode : supported_modes()) {
     SCOPED_TRACE(simd_mode_name(mode));
-    const auto got = flow::simulate_seed_chunk(n, dp, lane_samples, mode);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t l = 0; l < want.size(); ++l) {
-      SCOPED_TRACE("seed #" + std::to_string(l));
-      expect_same_stats(got[l], want[l]);
+    const std::size_t lanes = static_cast<std::size_t>(simd_lanes(mode));
+    for (std::size_t g0 = 0; g0 < want.size(); g0 += lanes) {
+      const std::size_t count = std::min(lanes, want.size() - g0);
+      const LaneSamples chunk(lane_samples.begin() + g0,
+                              lane_samples.begin() + g0 + count);
+      const auto got = simulate_seed_chunk(n, dp, chunk, mode);
+      ASSERT_EQ(got.size(), count);
+      for (std::size_t l = 0; l < count; ++l) {
+        SCOPED_TRACE("seed #" + std::to_string(g0 + l));
+        expect_same_stats(got[l], want[g0 + l]);
+      }
     }
   }
 }
@@ -282,13 +291,12 @@ TEST(SeedChunk, RaggedInputThrows) {
   const int inputs = static_cast<int>(num_inputs);
 
   // Seed lanes of different lengths.
-  const flow::LaneSamples ragged = {random_samples(20, inputs, kWidth, 1),
-                                    random_samples(5, inputs, kWidth, 2)};
-  EXPECT_THROW(flow::simulate_seed_chunk(n, dp, ragged, SimdMode::kU64),
-               Error);
+  const LaneSamples ragged = {random_samples(20, inputs, kWidth, 1),
+                              random_samples(5, inputs, kWidth, 2)};
+  EXPECT_THROW(simulate_seed_chunk(n, dp, ragged, SimdMode::kU64), Error);
 
   // A sample short of words, in either engine, fails as make_frames does.
-  flow::Samples short_sample = random_samples(3, inputs, kWidth, 3);
+  Samples short_sample = random_samples(3, inputs, kWidth, 3);
   short_sample[1].resize(1);
   const std::string want = "sample has 1 words, datapath expects " +
                            std::to_string(num_inputs);
@@ -302,11 +310,10 @@ TEST(SeedChunk, RaggedInputThrows) {
     }
   };
   expect_short([&] {
-    flow::simulate_seed_chunk(n, dp, {short_sample, short_sample},
-                              SimdMode::kU64);
+    simulate_seed_chunk(n, dp, {short_sample, short_sample}, SimdMode::kU64);
   });
   expect_short([&] {
-    flow::simulate_sample_lanes(n, dp, short_sample, SimdMode::kU64);
+    simulate_sample_lanes(n, dp, short_sample, SimdMode::kU64);
   });
   expect_short([&] { make_frames(dp, short_sample); });
 }
@@ -336,14 +343,13 @@ TEST(SampleLaneWidths, EveryWidthMatchesScalar) {
         ASSERT_TRUE(entry);
         const Netlist& n = entry->mapped.lut_netlist;
         const Datapath& dp = entry->datapath;
-        const flow::Samples samples = random_samples(
+        const Samples samples = random_samples(
             static_cast<int>(*count++),
             static_cast<int>(dp.data_input_pos.size()), kWidth, 77);
         const CycleSimStats want = simulate_frames(n, make_frames(dp, samples));
         for (const SimdMode mode : supported_modes()) {
           SCOPED_TRACE(simd_mode_name(mode));
-          expect_same_stats(flow::simulate_sample_lanes(n, dp, samples, mode),
-                            want);
+          expect_same_stats(simulate_sample_lanes(n, dp, samples, mode), want);
         }
       }
 }
@@ -369,13 +375,12 @@ TEST(SampleLanes, StateThatNeverForgetsStaysExact) {
   dp.data_input_pos = {0};
   dp.controls.push_back(ControlGroup{"sel", {1}, {0, 1, 1}});
 
-  const flow::Samples samples = random_samples(600, 1, 1, 5);
+  const Samples samples = random_samples(600, 1, 1, 5);
   const CycleSimStats want = simulate_frames(n, make_frames(dp, samples));
   ASSERT_GT(want.functional_transitions, 0u);
   for (const SimdMode mode : supported_modes()) {
     SCOPED_TRACE(simd_mode_name(mode));
-    expect_same_stats(flow::simulate_sample_lanes(n, dp, samples, mode),
-                      want);
+    expect_same_stats(simulate_sample_lanes(n, dp, samples, mode), want);
   }
 }
 

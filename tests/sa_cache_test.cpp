@@ -164,6 +164,35 @@ TEST(SaCache, EstimateTableIsPinned) {
   }
 }
 
+TEST(SaCache, SimulatedTableIsPinned) {
+  // The same keys under the `sim` backend, whose Monte-Carlo runs go
+  // through simulate_frames_batched: every engine change must leave these
+  // bits where they are.
+  struct Row {
+    OpKind kind;
+    int a, b;
+    double sa;
+  };
+  const Row rows[] = {
+      {OpKind::kAdd, 1, 1, 0x1.3c6p+4},
+      {OpKind::kAdd, 2, 3, 0x1.83ep+5},
+      {OpKind::kAdd, 5, 4, 0x1.74c8p+6},
+      {OpKind::kAdd, 12, 7, 0x1.8874p+7},
+      {OpKind::kAdd, 24, 23, 0x1.ddacp+8},
+      {OpKind::kMult, 1, 1, 0x1.0408p+6},
+      {OpKind::kMult, 2, 3, 0x1.9054p+6},
+      {OpKind::kMult, 5, 4, 0x1.2a4ep+7},
+      {OpKind::kMult, 12, 7, 0x1.140bp+8},
+      {OpKind::kMult, 24, 23, 0x1.1f788p+9},
+  };
+  SaCache c(8, SaMode::kSimulated);
+  for (const Row& r : rows) {
+    const double sa = c.switching_activity(r.kind, r.a, r.b);
+    EXPECT_EQ(sa, r.sa) << to_string(r.kind) << " " << r.a << " " << r.b
+                        << ": got " << std::hexfloat << sa;
+  }
+}
+
 TEST(SaCache, ShardedMissesStayExactUnderConcurrency) {
   // Distinct cold keys from many threads: every insertion lands in some
   // shard exactly once, and the summed miss counter equals the number of
