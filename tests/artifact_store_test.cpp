@@ -177,6 +177,59 @@ TEST(ArtifactStoreFormat, SerializeParseRoundTripIsExact) {
   EXPECT_EQ(ArtifactStore::serialize(art.key, art.entry), bytes);
 }
 
+// The exact bytes of the fixture object. Every `hlp-artifact v3` object
+// already on disk (and the CI cache keyed `hlp-store-v3`) is read by
+// today's parser, so a writer change that moves a byte must bump the
+// version instead of editing this literal.
+TEST(ArtifactStoreFormat, FixtureBytesArePinned) {
+  const std::string pinned =
+      "hlp-artifact v3\n"
+      "scope pr|list|2x2|4|42|gcafe\n"
+      "binding binder|0x1p-1|4\n"
+      "sa estimate\n"
+      "payload 37\n"
+      "fus 3 0 1 0\n"
+      "kinds 2 add mult\n"
+      "flips 3 0 1 0\n"
+      "refine 1 2 3 0x1.4p+0 0x1.4p-1\n"
+      "rfus 3 0 1 0\n"
+      "rkinds 2 add mult\n"
+      "rflips 3 0 1 0\n"
+      "mux 3 5 2 0x1p-1 0x1p-2\n"
+      "muxa 2 2 3\n"
+      "muxb 2 1 2\n"
+      "muxdiff 2 1 1\n"
+      "clock 0x1.8p+0\n"
+      "map 2 2\n"
+      "datapath 1 3\n"
+      "datapos 1 0\n"
+      "controls 1\n"
+      "ctl mux%20sel%200 1 1 3 0 1 1\n"
+      "netlist dp 5 2 1 1\n"
+      "net a 1\n"
+      "net b 1\n"
+      "net x 0\n"
+      "net q 0\n"
+      "net y 0\n"
+      "gate 2 2 8 2 0 1\n"
+      "gate 4 2 6 2 3 0\n"
+      "latch 3 2\n"
+      "outs 1 4\n"
+      "netlist mapped 5 2 1 1\n"
+      "net a 1\n"
+      "net b 1\n"
+      "net x 0\n"
+      "net q 0\n"
+      "net y 0\n"
+      "gate 2 2 8 2 0 1\n"
+      "gate 4 2 6 2 3 0\n"
+      "latch 3 2\n"
+      "outs 1 4\n"
+      "sum 9e138fcf038f6b66\n"
+      "end hlp-artifact 37\n";
+  EXPECT_EQ(ArtifactStore::serialize(make_key(), make_entry()), pinned);
+}
+
 TEST(ArtifactStore, PublishFindRoundTripAcrossHandles) {
   const std::string root = fresh_dir("art_roundtrip");
   const ArtifactKey key = make_key();

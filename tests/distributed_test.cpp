@@ -435,6 +435,71 @@ TEST(JobIo, UnitResponseFrameRoundTripAndTruncation) {
   EXPECT_THROW(flow::load_unit_response(wrong_in), Error);
 }
 
+// The exact bytes of one request and one response frame. A parent and its
+// workers may come from different builds (ssh fleets), so a writer change
+// that moves a byte is a protocol change, not a refactor.
+TEST(JobIo, FrameBytesArePinned) {
+  flow::ManifestJob mj;
+  mj.index = 3;
+  mj.job = small_job("pr");
+  mj.job.binder.alpha = 0.3;
+  mj.job.sa = SaMode::kSimulated;
+  mj.job.label = "pin 100% label";
+  std::ostringstream request;
+  flow::save_unit_request(request, 5, {mj});
+  EXPECT_EQ(request.str(),
+            "unit 5\n"
+            "hlp-manifest v1\n"
+            "count 1\n"
+            "job index=3 benchmark=pr scheduler=list binder=hlpower "
+            "alpha=0x1.3333333333333p-2 beta_add=-0x1p+0 beta_mult=-0x1p+0 "
+            "refine=0 adders=0 mults=0 width=4 vectors=40 seed=42 "
+            "reg_seed=42 min_latency=0 latency_slack=2 engine=batched sa=sim "
+            "label=pin%20100%25%20label\n"
+            "end hlp-manifest 1\n"
+            "endunit 5\n");
+
+  flow::ManifestResult failed;
+  failed.index = 2;
+  failed.result.ok = false;
+  failed.result.error = "worker said:\nno such benchmark";
+  failed.result.seconds = 0.5;
+  std::ostringstream response;
+  flow::save_unit_response(response, 5, {synthetic_result(), failed});
+  EXPECT_EQ(response.str(),
+            "unitdone 5\n"
+            "hlp-results v1\n"
+            "count 2\n"
+            "result index=7 ok=1 error= seconds=0x1.f9add3746f65fp-4 "
+            "group_size=17\n"
+            "fus 4 0 1 0 2\n"
+            "kinds 3 add mult add\n"
+            "flipped 4 0 1 0 0\n"
+            "refine refined=1 flips=2 passes=3 "
+            "cost_before=0x1.5555555555555p-2 "
+            "cost_after=0x1.3333333333334p-2\n"
+            "mux largest=4 length=9 fus=3 mean=0x1.8p+0 var=0x1p-2\n"
+            "muxa 2 2 3\n"
+            "muxb 2 1 4\n"
+            "muxdiff 2 1 1\n"
+            "map luts=123 depth=6 clock=0x1.dp+2\n"
+            "sim cycles=40 total=18 functional=12\n"
+            "toggles 5 0 5 11 0 2\n"
+            "power dyn=0x1p-2 clock=0x1.dp+2 luts=123 regs=31 "
+            "rate=0x1.3de4355555555p+28 tpc=0x1.2p+2 "
+            "glitch=0x1.2492492492492p-3\n"
+            "bind seconds=0x1.4f8b588e368f1p-17\n"
+            "cached 2 elaborate map\n"
+            "timing schedule 0x1p-1\n"
+            "timing simulate 0x1.5555555555555p-2\n"
+            "endresult\n"
+            "result index=2 ok=0 error=worker%20said:%0Ano%20such%20benchmark "
+            "seconds=0x1p-1 group_size=1\n"
+            "endresult\n"
+            "end hlp-results 2\n"
+            "endunit 5\n");
+}
+
 // ---- the distributed == threaded property --------------------------------
 
 TEST(Distributed, BitIdenticalToThreadedRunnerOnRandomGrid) {
