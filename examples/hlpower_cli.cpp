@@ -34,6 +34,7 @@
 #include "common/error.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
+#include "common/text_codec.hpp"
 #include "flow/experiment.hpp"
 #include "flow/pipeline.hpp"
 #include "flow/registry.hpp"
@@ -98,26 +99,20 @@ std::vector<std::string> split_names(const std::string& arg) {
   return out;
 }
 
-int parse_int(const std::string& flag, const std::string& value) {
+// `parse(value)` through the library's strict whole-token parsers, with a
+// bad value reported as a usage error naming the flag.
+template <typename Parse>
+auto parse_flag(const std::string& flag, const std::string& value,
+                Parse parse, const char* kind) {
   try {
-    std::size_t pos = 0;
-    const int v = std::stoi(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
-    throw UsageError(flag + " needs an integer, got '" + value + "'");
+    return parse(value);
+  } catch (const Error&) {
+    throw UsageError(flag + " needs " + kind + ", got '" + value + "'");
   }
 }
 
-double parse_double(const std::string& flag, const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
-    throw UsageError(flag + " needs a number, got '" + value + "'");
-  }
+int parse_int_flag(const std::string& flag, const std::string& value) {
+  return parse_flag(flag, value, parse_int, "an integer");
 }
 
 std::string joined(const std::vector<std::string>& names) {
@@ -139,16 +134,18 @@ Options parse(int argc, char** argv) {
       o.benches = arg == "all" ? bench_names_all()
                                : split_names(arg);
     } else if (a == "--cdfg") o.cdfg_file = need(i);
-    else if (a == "--adders") o.adders = parse_int(a, need(i));
-    else if (a == "--mults") o.mults = parse_int(a, need(i));
+    else if (a == "--adders") o.adders = parse_int_flag(a, need(i));
+    else if (a == "--mults") o.mults = parse_int_flag(a, need(i));
     else if (a == "--binder") o.binder = need(i);
-    else if (a == "--alpha") o.alpha = parse_double(a, need(i));
+    else if (a == "--alpha")
+      o.alpha = parse_flag(a, need(i), parse_double, "a number");
     else if (a == "--refine") o.refine = true;
     else if (a == "--scheduler") o.scheduler = need(i);
-    else if (a == "--jobs") o.jobs = parse_int(a, need(i));
-    else if (a == "--vectors") o.vectors = parse_int(a, need(i));
-    else if (a == "--width") o.width = parse_int(a, need(i));
-    else if (a == "--seed") o.seed = parse_int(a, need(i));
+    else if (a == "--jobs") o.jobs = parse_int_flag(a, need(i));
+    else if (a == "--vectors") o.vectors = parse_int_flag(a, need(i));
+    else if (a == "--width") o.width = parse_int_flag(a, need(i));
+    else if (a == "--seed")
+      o.seed = parse_flag(a, need(i), parse_u64, "a non-negative integer");
     else if (a == "--timings") o.timings = true;
     else if (a == "--vhdl") o.vhdl_out = need(i);
     else if (a == "--verilog") o.verilog_out = need(i);

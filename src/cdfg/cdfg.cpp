@@ -17,6 +17,12 @@ const char* to_string(OpKind k) {
   return "?";
 }
 
+OpKind op_kind_from_name(std::string_view name) {
+  for (const OpKind k : {OpKind::kAdd, OpKind::kMult})
+    if (name == to_string(k)) return k;
+  throw Error("unknown op kind '" + std::string(name) + "'");
+}
+
 int Cdfg::add_input(std::string name) {
   HLP_REQUIRE(!name.empty(), "input name must be non-empty");
   inputs_.push_back(std::move(name));

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace hlp {
@@ -21,6 +22,8 @@ namespace hlp {
 enum class OpKind : std::uint8_t { kAdd, kMult };
 
 const char* to_string(OpKind k);
+/// The kind whose to_string() is `name`; throws hlp::Error otherwise.
+OpKind op_kind_from_name(std::string_view name);
 
 /// Number of distinct OpKind values (for per-type arrays).
 inline constexpr int kNumOpKinds = 2;

@@ -62,14 +62,12 @@ Cdfg read_cdfg(std::istream& is) {
     } else if (tok[0] == "op") {
       HLP_REQUIRE(tok.size() == 5,
                   "line " << line_no << ": op <name> <kind> <lhs> <rhs>");
-      OpKind kind;
-      if (tok[2] == "add")
-        kind = OpKind::kAdd;
-      else if (tok[2] == "mult")
-        kind = OpKind::kMult;
-      else
-        HLP_REQUIRE(false, "line " << line_no << ": unknown op kind '"
-                                   << tok[2] << "'");
+      OpKind kind = OpKind::kAdd;
+      try {
+        kind = op_kind_from_name(tok[2]);
+      } catch (const Error& e) {
+        HLP_REQUIRE(false, "line " << line_no << ": " << e.what());
+      }
       const int idx = g.add_op(tok[1], kind, lookup(tok[3], line_no),
                                lookup(tok[4], line_no));
       HLP_REQUIRE(values.emplace(tok[1], ValueRef::op(idx)).second,

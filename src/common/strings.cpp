@@ -1,12 +1,12 @@
 #include "common/strings.hpp"
 
 #include <cctype>
-#include <cerrno>
 #include <climits>
 #include <cstdlib>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/text_codec.hpp"
 
 namespace hlp {
 
@@ -67,14 +67,15 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
 int env_int(const char* name, int fallback) {
   const char* env = std::getenv(name);
   if (!env || *env == '\0') return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(env, &end, 10);
-  HLP_REQUIRE(end != env && *end == '\0',
-              name << "='" << env << "' is not an integer");
-  HLP_REQUIRE(errno != ERANGE && v >= 1 && v <= INT_MAX,
+  int v = 0;
+  try {
+    v = parse_int(env);
+  } catch (const Error& e) {
+    HLP_REQUIRE(false, name << "='" << env << "': " << e.what());
+  }
+  HLP_REQUIRE(v >= 1,
               name << "='" << env << "' out of range [1, " << INT_MAX << "]");
-  return static_cast<int>(v);
+  return v;
 }
 
 }  // namespace hlp

@@ -1,10 +1,8 @@
 #include "explore/pareto.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <string>
 #include <tuple>
-
-#include "power/sa_mode.hpp"
 
 namespace hlp::explore {
 
@@ -34,21 +32,7 @@ bool dominates(const ParetoPoint& a, const ParetoPoint& b) {
 }
 
 std::string job_identity(const flow::Job& job) {
-  std::ostringstream id;
-  // Every axis of the runner's context and group keys plus the stimulus
-  // seed; hexfloat doubles so distinct knob values never alias. The SA
-  // mode is serialised RESOLVED for the same reason the distributed
-  // manifest resolves it: a job deferring to HLP_SA_MODE and its round
-  // trip through a worker (sa= pinned) must be the same identity.
-  id << job.benchmark << '|' << job.scheduler << '|' << job.rc.adders << 'x'
-     << job.rc.multipliers << '|' << job.width << '|' << job.reg_seed << '|'
-     << job.sched_spec.min_latency << '|' << job.sched_spec.latency_slack
-     << '|' << sa_mode_name(effective_sa_mode(job.sa)) << '|'
-     << job.binder.name << '|' << std::hexfloat << job.binder.alpha << '|'
-     << job.binder.beta_add << '|' << job.binder.beta_mult << '|'
-     << job.binder.refine << '|' << job.num_vectors << '|'
-     << static_cast<int>(job.sim_engine) << '|' << job.seed;
-  return id.str();
+  return flow::group_key(job) + '|' + std::to_string(job.seed);
 }
 
 ParetoPoint point_from_result(const flow::JobResult& result) {

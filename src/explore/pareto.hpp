@@ -55,10 +55,10 @@ struct ParetoPoint {
   friend bool operator==(const ParetoPoint&, const ParetoPoint&) = default;
 };
 
-/// The deterministic identity key of a job (ParetoPoint::id). Resolves
-/// the SA mode like the runner does, so a job that deferred to
-/// HLP_SA_MODE and its manifest round trip (which carries the resolved
-/// mode) agree on identity.
+/// The deterministic identity key of a job (ParetoPoint::id): its
+/// flow::group_key plus the stimulus seed. The group key resolves the SA
+/// mode, so a job that deferred to HLP_SA_MODE and its manifest round trip
+/// (which carries the resolved mode) agree on identity.
 std::string job_identity(const flow::Job& job);
 
 /// Extract the objective vector of a successful result. Precondition:

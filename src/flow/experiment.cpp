@@ -56,18 +56,6 @@ std::string context_key(const Job& job) {
   return key.str();
 }
 
-// Everything a job's pipeline invocation depends on EXCEPT the stimulus
-// seed: jobs with equal group keys can share one run_batch call. Doubles
-// are serialised in hexfloat so distinct knob values never alias.
-std::string group_key(const Job& job) {
-  std::ostringstream key;
-  key << context_key(job) << '|' << job.binder.name << '|' << std::hexfloat
-      << job.binder.alpha << '|' << job.binder.beta_add << '|'
-      << job.binder.beta_mult << '|' << job.binder.refine << '|'
-      << job.num_vectors << '|' << static_cast<int>(job.sim_engine);
-  return key.str();
-}
-
 RunSpec spec_for(const Job& job) {
   RunSpec spec;
   spec.binder = job.binder;
@@ -79,6 +67,15 @@ RunSpec spec_for(const Job& job) {
 }
 
 }  // namespace
+
+std::string group_key(const Job& job) {
+  std::ostringstream key;
+  key << context_key(job) << '|' << job.binder.name << '|' << std::hexfloat
+      << job.binder.alpha << '|' << job.binder.beta_add << '|'
+      << job.binder.beta_mult << '|' << job.binder.refine << '|'
+      << job.num_vectors << '|' << static_cast<int>(job.sim_engine);
+  return key.str();
+}
 
 std::vector<WorkUnit> plan_units(const std::vector<Job>& jobs, bool coalesce) {
   std::vector<WorkUnit> units;

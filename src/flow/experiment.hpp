@@ -109,6 +109,12 @@ struct WorkUnit {
   std::size_t group_size = 1;
 };
 
+/// Everything a job's pipeline invocation depends on except the stimulus
+/// seed, as one string (the SA mode resolved, doubles in hexfloat so
+/// distinct knob values never alias): jobs with equal group keys share one
+/// run_batch call, and a job's identity is its group key plus its seed.
+std::string group_key(const Job& job);
+
 /// The unit decomposition ExperimentRunner::run executes — and the quantum
 /// the DistributedRunner hands to its workers: jobs are grouped by
 /// everything except the stimulus seed, and each group is chunked to its
@@ -193,8 +199,6 @@ class ExperimentRunner {
   bool coalescing() const { return coalesce_; }
 
   int num_threads() const { return num_threads_; }
-  /// Resize the thread pool used by subsequent run() calls.
-  void set_num_threads(int n) { num_threads_ = std::max(1, n); }
 
   /// Cross product helper: one job per (benchmark, binder, seed, rc), all
   /// other fields copied from `base`. Empty seed/rc lists mean "just the

@@ -6,6 +6,7 @@
 
 #include "binding/register_binder.hpp"
 #include "common/error.hpp"
+#include "common/text_codec.hpp"
 #include "flow/pipeline.hpp"
 #include "sched/list_scheduler.hpp"
 
@@ -57,14 +58,8 @@ std::string cdfg_digest(const Cdfg& g) {
   for (const Output& out : g.outputs())
     os << out.name << ',' << static_cast<int>(out.value.kind) << ','
        << out.value.index << ';';
-  const std::string s = os.str();
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
   std::ostringstream hex;
-  hex << std::hex << h;
+  hex << std::hex << fnv1a64(os.str());
   return hex.str();
 }
 

@@ -9,17 +9,15 @@
 // diffed by eye. `hlp_store gc --keep-manifest` reads a manifest file, and
 // the repository benchmark keeps its expected outcomes as results files.
 //
-// Properties the distributed protocol depends on:
-//  - Round trips are exact. Doubles are serialised in hexfloat (parsed
-//    with strtod), so a value survives the trip bit for bit — the
-//    distributed==threaded property test compares results to the last
-//    bit. Strings (benchmark names, labels, error messages) are
-//    percent-escaped and may contain any byte.
-//  - Truncation is detectable. Both formats end in an `end <magic>
-//    <count>` footer; a frame cut short by a crashed or killed worker
-//    fails to load with a clear error instead of silently dropping
-//    records. The declared count is untrusted: an oversized one fails the
-//    same way.
+// The line format (hexfloat doubles, %-escaped strings, strict numbers,
+// counted lists, line-numbered errors) is common/text_codec.hpp. On top
+// of it the protocol depends on:
+//  - Exact round trips: the distributed==threaded property test compares
+//    results to the last bit.
+//  - Detectable truncation. Both formats end in an `end <magic> <count>`
+//    footer; a frame cut short by a crashed or killed worker fails to
+//    load with a clear error instead of silently dropping records. The
+//    declared count is untrusted: an oversized one fails the same way.
 //  - Records carry the job's index in the parent's grid, so the parent
 //    merges worker outputs deterministically (stable job order) no matter
 //    which worker ran which unit or which finished first.
@@ -54,12 +52,6 @@ struct ManifestResult {
   JobResult result;
 };
 
-/// Percent-escape (%XX) every byte that would break whitespace-delimited
-/// parsing: whitespace, '%', and non-printable bytes. Decode inverts
-/// exactly; decode of a malformed escape throws.
-std::string encode_token(const std::string& s);
-std::string decode_token(const std::string& s);
-
 /// Manifest: "manifest v1" header, one `job` line per entry, `end` footer.
 void save_manifest(std::ostream& os, const std::vector<ManifestJob>& jobs);
 std::vector<ManifestJob> load_manifest(std::istream& is);
@@ -83,11 +75,10 @@ std::vector<ManifestResult> load_results_file(const std::string& path);
 /// exchange framed per-unit records over stdin/stdout. A request
 /// frame wraps one work unit (a whole seed-coalescing chunk) in the v1
 /// manifest format; a response frame wraps the unit's results in the v1
-/// results format. Both reuse the hexfloat / percent-escape / footer
-/// conventions, and add an `endunit <id>` trailer so a frame cut short by
-/// a dying worker is detectable at the frame level too: the parent only
-/// parses byte ranges that end in a complete trailer line, and a
-/// truncated body still throws through the inner v1 loader.
+/// results format. Both add an `endunit <id>` trailer so a frame cut
+/// short by a dying worker is detectable at the frame level too: the
+/// parent only parses byte ranges that end in a complete trailer line,
+/// and a truncated body still throws through the inner v1 loader.
 ///
 ///   unit <id>                      unitdone <id>
 ///   hlp-manifest v1                hlp-results v1

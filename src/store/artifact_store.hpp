@@ -17,13 +17,12 @@
 //              it was produced under the same SA mode the runner groups
 //              by.
 //
-// One entry = one file, `objects/<fnv1a64(key)>.art`, in a line-oriented
-// text format that follows the flow/job_io conventions: hexfloat doubles
-// (bit-exact round trips), percent-escaped strings, a `hlp-artifact v3`
-// magic header and an `end hlp-artifact <count>` footer so truncation is
-// detectable, plus an FNV-1a checksum over the payload so bit flips are
-// too. Unlike the job wire format the payload carries the FULL mapped and
-// datapath netlists — the whole point is skipping elaborate/map/time.
+// One entry = one file, `objects/<fnv1a64(key)>.art`, in the line format
+// of common/text_codec.hpp: a `hlp-artifact v3` magic header and an `end
+// hlp-artifact <count>` footer so truncation is detectable, plus an FNV-1a
+// checksum over the payload so bit flips are too. Unlike the job wire
+// format the payload carries the FULL mapped and datapath netlists — the
+// whole point is skipping elaborate/map/time.
 //
 // Durability contract:
 //   - Commits are atomic: entries are serialised into a per-process

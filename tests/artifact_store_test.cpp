@@ -13,14 +13,20 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "common/strings.hpp"
+#include "common/text_codec.hpp"
 #include "store/artifact_store.hpp"
 
 namespace hlp {
@@ -165,6 +171,39 @@ void expect_entry_eq(const ArtifactStore::Entry& a,
   }
 }
 
+// The lines of `text`, without their newlines.
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> out;
+  std::istringstream is(text);
+  for (std::string line; std::getline(is, line);) out.push_back(line);
+  return out;
+}
+
+// The payload lines of a serialize() result: after the magic, the three
+// key tags and the payload count; before the sum and the footer.
+std::vector<std::string> payload_of(const std::string& object) {
+  const std::vector<std::string> lines = lines_of(object);
+  return {lines.begin() + 5, lines.end() - 2};
+}
+
+// `object` with its payload replaced by `payload` and the payload count,
+// checksum and footer recomputed, so the edit gets past the checksum and
+// reaches the payload parser.
+std::string with_payload(const std::string& object,
+                         const std::vector<std::string>& payload) {
+  const std::vector<std::string> lines = lines_of(object);
+  std::string body;
+  for (const std::string& line : payload) body += line + '\n';
+  char sum[17];
+  std::snprintf(sum, sizeof sum, "%016llx",
+                static_cast<unsigned long long>(fnv1a64(body)));
+  const std::string count = std::to_string(payload.size());
+  std::string out;
+  for (std::size_t i = 0; i < 4; ++i) out += lines[i] + '\n';
+  return out + "payload " + count + '\n' + body + "sum " + sum + '\n' +
+         "end hlp-artifact " + count + '\n';
+}
+
 TEST(ArtifactStoreFormat, SerializeParseRoundTripIsExact) {
   const ArtifactKey key = make_key();
   const ArtifactStore::Entry entry = make_entry();
@@ -228,6 +267,66 @@ TEST(ArtifactStoreFormat, FixtureBytesArePinned) {
       "sum 9e138fcf038f6b66\n"
       "end hlp-artifact 37\n";
   EXPECT_EQ(ArtifactStore::serialize(make_key(), make_entry()), pinned);
+}
+
+// Seeded mutation fuzzing of the object parser. Each input is the fixture
+// object with one payload token replaced by a boundary value, or one
+// payload line deleted or duplicated, and its checksum recomputed so the
+// edit reaches the payload parser. Every input must throw hlp::Error or
+// load, and a loaded entry must re-serialize to bytes that load and
+// re-serialize identically.
+TEST(ArtifactStoreFormat, MutatedPayloadsThrowOrRoundTrip) {
+  const std::string blob = ArtifactStore::serialize(make_key(), make_entry());
+  const std::vector<std::string> payload = payload_of(blob);
+  ASSERT_EQ(with_payload(blob, payload), blob);
+  const char* const kValues[] = {"0",
+                                 "1",
+                                 "-1",
+                                 "2147483647",
+                                 "2147483648",
+                                 "4294967296",
+                                 "9223372036854775808",
+                                 "18446744073709551615",
+                                 "",
+                                 "%zz"};
+  constexpr std::uint32_t kNumValues = sizeof kValues / sizeof kValues[0];
+  Rng rng(21);
+  int loaded = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    std::vector<std::string> edited = payload;
+    const std::size_t at =
+        rng.below(static_cast<std::uint32_t>(edited.size()));
+    switch (rng.below(3)) {
+      case 0: {
+        std::vector<std::string> toks = split_ws(edited[at]);
+        toks[rng.below(static_cast<std::uint32_t>(toks.size()))] =
+            kValues[rng.below(kNumValues)];
+        edited[at] = join(toks, " ");
+        break;
+      }
+      case 1:
+        edited.erase(edited.begin() + static_cast<std::ptrdiff_t>(at));
+        break;
+      default:
+        edited.insert(edited.begin() + static_cast<std::ptrdiff_t>(at),
+                      edited[at]);
+        break;
+    }
+    const std::string bytes = with_payload(blob, edited);
+    store::LoadedArtifact art;
+    try {
+      art = ArtifactStore::parse(bytes, "mutant");
+    } catch (const Error&) {
+      continue;
+    }
+    ++loaded;
+    const std::string again = ArtifactStore::serialize(art.key, art.entry);
+    const store::LoadedArtifact back = ArtifactStore::parse(again, "again");
+    EXPECT_EQ(ArtifactStore::serialize(back.key, back.entry), again) << bytes;
+  }
+  // Some edits are harmless (a 0 where a 0 was), so the loop also walks
+  // the accepting path.
+  EXPECT_GT(loaded, 0);
 }
 
 TEST(ArtifactStore, PublishFindRoundTripAcrossHandles) {
@@ -438,6 +537,31 @@ TEST_F(ArtifactStoreFaults, DatapathPlanMustFitItsNetlist) {
   store_->publish(key_, make_entry());
   EXPECT_TRUE(store_->find(key_));
   EXPECT_EQ(store_->rejected(), rejected);
+}
+
+TEST_F(ArtifactStoreFaults, HugeCtlCountIsRejectedNotOverrun) {
+  // A checksum-consistent object whose 'ctl' line declares 2^64-3 input
+  // positions. Checked as `tokens >= 4 + n`, that count wraps and the
+  // loader reads past the line's tokens; it must be checked against the
+  // tokens left instead, and fail naming the line.
+  std::vector<std::string> payload = payload_of(blob_);
+  const auto ctl =
+      std::find_if(payload.begin(), payload.end(), [](const std::string& l) {
+        return l.rfind("ctl ", 0) == 0;
+      });
+  ASSERT_NE(ctl, payload.end());
+  *ctl = "ctl sel 18446744073709551613 1";
+  const std::string planted = with_payload(blob_, payload);
+  try {
+    ArtifactStore::parse(planted, "planted");
+    FAIL() << "a wrapping 'ctl' count parsed";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'ctl' line"), std::string::npos)
+        << e.what();
+  }
+  write_file(path_, planted);
+  EXPECT_FALSE(store_->find(key_));
+  EXPECT_EQ(store_->rejected(), 1u);
 }
 
 TEST_F(ArtifactStoreFaults, OlderVersionObjectsAreRejectedByVersion) {

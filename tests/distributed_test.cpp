@@ -27,6 +27,8 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/strings.hpp"
+#include "common/text_codec.hpp"
 #include "flow/distributed.hpp"
 #include "flow/experiment.hpp"
 #include "flow/job_io.hpp"
@@ -94,13 +96,13 @@ std::string real_worker_binary() {
 
 TEST(JobIo, TokenRoundTrip) {
   const std::string nasty = "a b\tc\nd%e=f\x01g";
-  const std::string enc = flow::encode_token(nasty);
+  const std::string enc = encode_token(nasty);
   EXPECT_EQ(enc.find(' '), std::string::npos);
   EXPECT_EQ(enc.find('\n'), std::string::npos);
-  EXPECT_EQ(flow::decode_token(enc), nasty);
-  EXPECT_EQ(flow::decode_token(flow::encode_token("")), "");
-  EXPECT_THROW(flow::decode_token("bad%2"), Error);
-  EXPECT_THROW(flow::decode_token("bad%zz"), Error);
+  EXPECT_EQ(decode_token(enc), nasty);
+  EXPECT_EQ(decode_token(encode_token("")), "");
+  EXPECT_THROW(decode_token("bad%2"), Error);
+  EXPECT_THROW(decode_token("bad%zz"), Error);
 }
 
 TEST(JobIo, ManifestRoundTripIsExact) {
@@ -498,6 +500,102 @@ TEST(JobIo, FrameBytesArePinned) {
             "endresult\n"
             "end hlp-results 2\n"
             "endunit 5\n");
+}
+
+// Seeded mutation fuzzing of both frame loaders: job frames arrive on
+// worker stdout, so they are untrusted bytes. Each input is a request or
+// response frame shaped like the pinned ones with one edit: a token (or
+// a key=value field's value) replaced by a boundary value, a line deleted
+// or duplicated, a bit flipped, or the frame cut short. Every input must
+// throw hlp::Error or load, and a loaded frame must re-save to bytes that
+// load and re-save identically.
+TEST(JobIo, MutatedFramesThrowOrRoundTrip) {
+  flow::ManifestJob mj;
+  mj.index = 3;
+  mj.job = small_job("pr");
+  mj.job.binder.alpha = 0.3;
+  mj.job.sa = SaMode::kSimulated;
+  mj.job.label = "pin 100% label";
+  std::ostringstream request;
+  flow::save_unit_request(request, 5, {mj});
+  flow::ManifestResult failed;
+  failed.index = 2;
+  failed.result.error = "worker said:\nno such benchmark";
+  std::ostringstream response;
+  flow::save_unit_response(response, 5, {synthetic_result(), failed});
+
+  const auto resave_request = [](const std::string& frame) {
+    std::istringstream in(frame);
+    const flow::UnitRequest req = flow::load_unit_request(in);
+    std::ostringstream out;
+    if (!req.quit) flow::save_unit_request(out, req.id, req.jobs);
+    return out.str();
+  };
+  const auto resave_response = [](const std::string& frame) {
+    std::istringstream in(frame);
+    const flow::UnitResponse resp = flow::load_unit_response(in);
+    std::ostringstream out;
+    flow::save_unit_response(out, resp.id, resp.results);
+    return out.str();
+  };
+  const char* const kValues[] = {"0",
+                                 "1",
+                                 "-1",
+                                 "2147483647",
+                                 "2147483648",
+                                 "4294967296",
+                                 "9223372036854775808",
+                                 "18446744073709551615",
+                                 "",
+                                 "%zz"};
+  constexpr std::uint32_t kNumValues = sizeof kValues / sizeof kValues[0];
+  Rng rng(21);
+  for (const bool is_request : {true, false}) {
+    const std::string frame = is_request ? request.str() : response.str();
+    const auto resave = [&](const std::string& bytes) {
+      return is_request ? resave_request(bytes) : resave_response(bytes);
+    };
+    ASSERT_EQ(resave(frame), frame);
+    std::vector<std::string> lines = split_on(frame, '\n');
+    lines.pop_back();  // the empty field after the final newline
+    int loaded = 0;
+    for (int iter = 0; iter < 3000; ++iter) {
+      std::vector<std::string> edited = lines;
+      const std::size_t at =
+          rng.below(static_cast<std::uint32_t>(edited.size()));
+      const std::uint32_t edit = rng.below(5);
+      if (edit == 0) {
+        std::vector<std::string> toks = split_ws(edited[at]);
+        std::string& tok =
+            toks[rng.below(static_cast<std::uint32_t>(toks.size()))];
+        const std::size_t eq = tok.find('=');
+        const std::string value = kValues[rng.below(kNumValues)];
+        tok = eq != std::string::npos && rng.chance(0.5)
+                  ? tok.substr(0, eq + 1) + value
+                  : value;
+        edited[at] = join(toks, " ");
+      } else if (edit == 1) {
+        edited.erase(edited.begin() + static_cast<std::ptrdiff_t>(at));
+      } else if (edit == 2) {
+        edited.insert(edited.begin() + static_cast<std::ptrdiff_t>(at),
+                      edited[at]);
+      }
+      std::string bytes;
+      for (const std::string& line : edited) bytes += line + '\n';
+      const auto pos = rng.below(static_cast<std::uint32_t>(bytes.size()));
+      if (edit == 3) bytes[pos] ^= static_cast<char>(1u << rng.below(8));
+      if (edit == 4) bytes.resize(pos);
+      std::string again;
+      try {
+        again = resave(bytes);
+      } catch (const Error&) {
+        continue;
+      }
+      ++loaded;
+      EXPECT_EQ(resave(again), again) << bytes;
+    }
+    EXPECT_GT(loaded, 0);
+  }
 }
 
 // ---- the distributed == threaded property --------------------------------

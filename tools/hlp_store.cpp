@@ -29,15 +29,13 @@
 // before anything is written, overlaps must agree byte-for-byte, and a
 // corrupt source or a conflict rejects that whole source without partial
 // state.
-#include <cerrno>
-#include <climits>
-#include <cstdlib>
 #include <iostream>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/text_codec.hpp"
 #include "flow/experiment.hpp"
 #include "flow/job_io.hpp"
 #include "store/artifact_store.hpp"
@@ -55,13 +53,15 @@ int usage() {
 }
 
 std::int64_t parse_seconds(const std::string& s) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  HLP_REQUIRE(end && *end == '\0' && end != s.c_str() && errno != ERANGE &&
-                  v >= 0,
+  std::int64_t v = -1;
+  try {
+    v = hlp::parse_i64(s);
+  } catch (const hlp::Error&) {
+    v = -1;
+  }
+  HLP_REQUIRE(v >= 0,
               "--max-age-seconds '" << s << "' must be a non-negative integer");
-  return static_cast<std::int64_t>(v);
+  return v;
 }
 
 int run_fsck(const std::vector<std::string>& args) {

@@ -31,14 +31,13 @@
 //
 // The serve loop runs over any byte stream, so the same binary works over
 // ssh for multi-machine sharding.
-#include <cerrno>
-#include <climits>
 #include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/text_codec.hpp"
 #include "flow/experiment.hpp"
 #include "flow/job_io.hpp"
 
@@ -66,13 +65,12 @@ Options parse_args(int argc, char** argv) {
     if (flag == "--store") {
       opt.store = value;
     } else if (flag == "--jobs") {
-      char* end = nullptr;
-      errno = 0;
-      const long v = std::strtol(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0' || errno == ERANGE || v < 1 ||
-          v > INT_MAX)
-        usage("--jobs '" + value + "' must be an integer >= 1");
-      opt.jobs = static_cast<int>(v);
+      try {
+        opt.jobs = hlp::parse_int(value);
+      } catch (const hlp::Error&) {
+        opt.jobs = 0;
+      }
+      if (opt.jobs < 1) usage("--jobs '" + value + "' must be an integer >= 1");
     } else if (flag == "--coalesce") {
       if (value != "0" && value != "1") usage("--coalesce must be 0 or 1");
       opt.coalesce = value == "1";
