@@ -3,12 +3,19 @@
 // always reachable for single-cycle libraries).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <string>
+#include <utility>
+
 #include "binding/datapath_stats.hpp"
 #include "binding/register_binder.hpp"
 #include "cdfg/benchmarks.hpp"
 #include "common/error.hpp"
+#include "common/text_codec.hpp"
 #include "core/edge_weight.hpp"
 #include "core/hlpower.hpp"
+#include "flow/flow_context.hpp"
 #include "sched/list_scheduler.hpp"
 
 namespace hlp {
@@ -153,6 +160,60 @@ TEST(Hlpower, AlphaHalfBalancesBetterThanAlphaOneOnAverage) {
     diff_sum_a05 += compute_datapath_stats(g, rb, r05.fus).muxdiff_mean;
   }
   EXPECT_LE(diff_sum_a05, diff_sum_a1 + 1e-9);
+}
+
+// One FNV-1a digest over a binding's FU ids and operand flips, in op order.
+std::uint64_t binding_digest(const FuBinding& fus) {
+  std::string text;
+  for (std::size_t op = 0; op < fus.fu_of_op.size(); ++op)
+    text += std::to_string(fus.fu_of_op[op]) + ":" +
+            std::to_string(static_cast<int>(fus.flipped[op])) + " ";
+  return fnv1a64(text);
+}
+
+TEST(Hlpower, PaperDesignBindingsArePinned) {
+  // The seven paper designs at width 4, schedule-minimum allocation,
+  // alpha = 0.5, one estimate-mode cache shared in paper_benchmarks()
+  // order. A change to how the binder reads the SA table (batching,
+  // ordering, threads) must leave every binding, every iteration and edge
+  // count and the cache's miss count where they are.
+  struct Row {
+    const char* name;
+    std::uint64_t digest;
+    int iterations;
+    int edges;
+  };
+  const Row rows[] = {
+      {"chem", 0xee58a9ff0b74dde5ull, 175, 59870},
+      {"dir", 0xb794d0013601640eull, 83, 11004},
+      {"honda", 0xaeb88ec76befb938ull, 51, 4632},
+      {"mcm", 0xc62b88d6527262e6ull, 63, 4902},
+      {"pr", 0xe6a8f1e34abc9a8eull, 25, 890},
+      {"steam", 0x693c6d6004240292ull, 114, 24030},
+      {"wang", 0x5b7ece06706d8edeull, 25, 1112},
+  };
+  const auto& profiles = paper_benchmarks();
+  ASSERT_EQ(profiles.size(), std::size(rows));
+  SaCache cache(4, SaMode::kEstimated);
+  HlpowerParams params;
+  params.weight.alpha = 0.5;
+  for (std::size_t d = 0; d < profiles.size(); ++d) {
+    const Row& row = rows[d];
+    ASSERT_EQ(profiles[d].name, row.name);
+    flow::ContextOptions opt;
+    opt.width = 4;
+    opt.sa_mode = SaMode::kEstimated;
+    flow::FlowContext ctx(make_paper_benchmark(row.name), {0, 0},
+                          std::move(opt), &cache);
+    const HlpowerResult r = bind_fus_hlpower(
+        ctx.cdfg(), ctx.schedule(), ctx.regs(), ctx.rc(), cache, params);
+    EXPECT_EQ(binding_digest(r.fus), row.digest)
+        << row.name << ": got 0x" << std::hex << binding_digest(r.fus);
+    EXPECT_EQ(r.iterations, row.iterations) << row.name;
+    EXPECT_EQ(r.edges_evaluated, row.edges) << row.name;
+  }
+  EXPECT_EQ(cache.size(), 455u);
+  EXPECT_EQ(cache.misses(), 455u);
 }
 
 }  // namespace
