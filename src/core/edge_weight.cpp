@@ -6,11 +6,15 @@
 
 namespace hlp {
 
+void EdgeWeightParams::validate() const {
+  HLP_REQUIRE(alpha >= 0.0 && alpha <= 1.0,
+              "alpha must be in [0,1], got " << alpha);
+}
+
 EdgeWeightBreakdown edge_weight(OpKind kind, int n_mux_a, int n_mux_b,
                                 SaCache& cache,
                                 const EdgeWeightParams& params) {
-  HLP_REQUIRE(params.alpha >= 0.0 && params.alpha <= 1.0,
-              "alpha must be in [0,1], got " << params.alpha);
+  params.validate();
   EdgeWeightBreakdown out;
   out.mux_a = n_mux_a;
   out.mux_b = n_mux_b;

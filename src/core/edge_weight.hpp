@@ -28,6 +28,9 @@ struct EdgeWeightParams {
   double beta(OpKind k) const {
     return k == OpKind::kAdd ? beta_add : beta_mult;
   }
+
+  /// Throws hlp::Error unless alpha is in [0, 1].
+  void validate() const;
 };
 
 /// Ingredients of one candidate merge, exposed for tests and logging.

@@ -36,6 +36,24 @@ bool disjoint_sorted(const std::vector<int>& a, const std::vector<int>& b) {
   return true;
 }
 
+// |a ∪ b| for sorted, duplicate-free a and b: the mux size a merged group
+// would need, without building the merged list.
+int union_size(const std::vector<int>& a, const std::vector<int>& b) {
+  std::size_t i = 0, j = 0, common = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i] == b[j]) {
+      ++common;
+      ++i;
+      ++j;
+    } else if (a[i] < b[j]) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return static_cast<int>(a.size() + b.size() - common);
+}
+
 std::vector<int> merged_sorted(const std::vector<int>& a,
                                const std::vector<int>& b) {
   std::vector<int> out;
@@ -72,6 +90,7 @@ HlpowerResult bind_fus_hlpower(const Cdfg& g, const Schedule& s,
                               << " is below the schedule's max density "
                               << s.max_density(g, kind));
   }
+  params.weight.validate();
 
   HlpowerResult result;
 
@@ -112,11 +131,18 @@ HlpowerResult bind_fus_hlpower(const Cdfg& g, const Schedule& s,
       kind_active[k] = groups_of_kind(static_cast<OpKind>(k)) >
                        rc.limit(static_cast<OpKind>(k));
 
-    std::vector<std::vector<double>> weight(
-        u_groups.size(), std::vector<double>(v_groups.size(), 0.0));
-    std::vector<std::vector<char>> flip_choice(
-        u_groups.size(), std::vector<char>(v_groups.size(), 0));
-    bool any_edge = false;
+    // Lines 10-12: mux sizes if combined -> SA lookup -> Eq. 4. Both
+    // resource kinds are commutative, so the incoming group may also join
+    // with its operand orientation flipped (port assignment optimisation);
+    // keep the better of the two orientations. The iteration's mux sizes
+    // are collected first, so the SA table fills all of its misses in one
+    // batch (SaCache::fill, in parallel) before any edge is weighed.
+    struct Candidate {
+      std::size_t i, j;
+      int mux_a[2], mux_b[2];  // per orientation: [0] as is, [1] flipped
+    };
+    std::vector<Candidate> candidates;
+    std::vector<SaCache::Key> keys;
     for (std::size_t i = 0; i < u_groups.size(); ++i) {
       const Group& a = u_groups[i];
       if (!kind_active[op_kind_index(a.kind)]) continue;
@@ -124,33 +150,38 @@ HlpowerResult bind_fus_hlpower(const Cdfg& g, const Schedule& s,
         const Group& b = v_groups[j];
         if (b.kind != a.kind) continue;
         if (!disjoint_sorted(a.csteps, b.csteps)) continue;
-        // Lines 10-12: mux sizes if combined -> SA lookup -> Eq. 4. Both
-        // resource kinds are commutative, so the incoming group may also
-        // join with its operand orientation flipped (port assignment
-        // optimisation); keep the better of the two orientations.
-        double best_w = 0.0;
-        char best_flip = 0;
+        Candidate c{i, j, {}, {}};
         for (int flip = 0; flip < 2; ++flip) {
-          const auto& vr_a = flip ? b.regs_b : b.regs_a;
-          const auto& vr_b = flip ? b.regs_a : b.regs_b;
-          const auto ra = merged_sorted(a.regs_a, vr_a);
-          const auto rb = merged_sorted(a.regs_b, vr_b);
-          const auto w = edge_weight(a.kind, static_cast<int>(ra.size()),
-                                     static_cast<int>(rb.size()), cache,
-                                     params.weight);
-          ++result.edges_evaluated;
-          if (w.weight > best_w) {
-            best_w = w.weight;
-            best_flip = static_cast<char>(flip);
-          }
+          c.mux_a[flip] = union_size(a.regs_a, flip ? b.regs_b : b.regs_a);
+          c.mux_b[flip] = union_size(a.regs_b, flip ? b.regs_a : b.regs_b);
+          keys.push_back({a.kind, c.mux_a[flip], c.mux_b[flip]});
         }
-        weight[i][j] = best_w;
-        flip_choice[i][j] = best_flip;
-        any_edge = true;
+        candidates.push_back(c);
       }
     }
-    HLP_CHECK(any_edge,
+    HLP_CHECK(!candidates.empty(),
               "no compatible merge exists but the constraint is unmet");
+    cache.fill(keys);
+
+    std::vector<std::vector<double>> weight(
+        u_groups.size(), std::vector<double>(v_groups.size(), 0.0));
+    std::vector<std::vector<char>> flip_choice(
+        u_groups.size(), std::vector<char>(v_groups.size(), 0));
+    for (const Candidate& c : candidates) {
+      double best_w = 0.0;
+      char best_flip = 0;
+      for (int flip = 0; flip < 2; ++flip) {
+        const auto w = edge_weight(u_groups[c.i].kind, c.mux_a[flip],
+                                   c.mux_b[flip], cache, params.weight);
+        ++result.edges_evaluated;
+        if (w.weight > best_w) {
+          best_w = w.weight;
+          best_flip = static_cast<char>(flip);
+        }
+      }
+      weight[c.i][c.j] = best_w;
+      flip_choice[c.i][c.j] = best_flip;
+    }
 
     // Line 14: maximum-weight matching.
     const MatchingResult m = max_weight_matching(weight);

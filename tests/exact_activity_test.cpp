@@ -108,47 +108,61 @@ std::map<NetId, EnumCounts> enumerate_support(
   return out;
 }
 
-TEST(ExactActivity, MatchesEnumerationBitForBitOnAllBenchmarks) {
-  for (const auto& profile : paper_benchmarks()) {
-    SCOPED_TRACE(profile.name);
-    const Netlist n = benchmark_netlist(profile.name);
-    const ExactActivityResult r = exact_activity(n);
+std::vector<std::string> paper_design_names() {
+  std::vector<std::string> names;
+  for (const auto& profile : paper_benchmarks()) names.push_back(profile.name);
+  return names;
+}
 
-    // Sources carry the closed-form values by construction.
-    for (const NetId net : n.inputs()) {
-      EXPECT_EQ(r.sa[net], 0.5);
-      EXPECT_EQ(r.engine[net], ConeEngine::kExact);
-      EXPECT_EQ(r.support[net], std::vector<NetId>{net});
-    }
+// One case per paper design, so ctest can run the designs side by side
+// (CMakeLists.txt registers one entry per design).
+class ExactActivityOnDesign : public ::testing::TestWithParam<std::string> {};
 
-    // Group every exact gate net with <= 8 support sources by its support
-    // set; one enumeration per set validates all of its nets.
-    std::map<std::vector<NetId>, std::vector<NetId>> by_support;
-    int checked = 0;
-    for (NetId net = 0; net < n.num_nets(); ++net) {
-      if (n.is_comb_source(net)) continue;
-      if (r.engine[net] != ConeEngine::kExact) continue;
-      if (r.support[net].size() > 8) continue;
-      by_support[r.support[net]].push_back(net);
-      ++checked;
-    }
-    ASSERT_GT(checked, 0) << "benchmark has no enumerable cones";
+TEST_P(ExactActivityOnDesign, MatchesEnumerationBitForBit) {
+  const Netlist n = benchmark_netlist(GetParam());
+  const ExactActivityResult r = exact_activity(n);
 
-    for (const auto& [sup, targets] : by_support) {
-      const auto counts = enumerate_support(n, sup, targets);
-      const double pairs = std::pow(4.0, static_cast<double>(sup.size()));
-      for (const NetId net : targets) {
-        // Bit-for-bit: both sides are the same dyadic rational, so the
-        // doubles must be EQUAL, not just near.
-        EXPECT_EQ(r.sa[net], counts.at(net).toggles / pairs)
-            << "net '" << n.net_name(net) << "' (support " << sup.size()
-            << " sources)";
-        EXPECT_EQ(r.functional[net], counts.at(net).functional / pairs)
-            << "net '" << n.net_name(net) << "' functional";
-      }
+  // Sources carry the closed-form values by construction.
+  for (const NetId net : n.inputs()) {
+    EXPECT_EQ(r.sa[net], 0.5);
+    EXPECT_EQ(r.engine[net], ConeEngine::kExact);
+    EXPECT_EQ(r.support[net], std::vector<NetId>{net});
+  }
+
+  // Group every exact gate net with <= 8 support sources by its support
+  // set; one enumeration per set validates all of its nets.
+  std::map<std::vector<NetId>, std::vector<NetId>> by_support;
+  int checked = 0;
+  for (NetId net = 0; net < n.num_nets(); ++net) {
+    if (n.is_comb_source(net)) continue;
+    if (r.engine[net] != ConeEngine::kExact) continue;
+    if (r.support[net].size() > 8) continue;
+    by_support[r.support[net]].push_back(net);
+    ++checked;
+  }
+  ASSERT_GT(checked, 0) << "benchmark has no enumerable cones";
+
+  for (const auto& [sup, targets] : by_support) {
+    const auto counts = enumerate_support(n, sup, targets);
+    const double pairs = std::pow(4.0, static_cast<double>(sup.size()));
+    for (const NetId net : targets) {
+      // Bit-for-bit: both sides are the same dyadic rational, so the
+      // doubles must be EQUAL, not just near.
+      EXPECT_EQ(r.sa[net], counts.at(net).toggles / pairs)
+          << "net '" << n.net_name(net) << "' (support " << sup.size()
+          << " sources)";
+      EXPECT_EQ(r.functional[net], counts.at(net).functional / pairs)
+          << "net '" << n.net_name(net) << "' functional";
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperDesigns, ExactActivityOnDesign,
+    ::testing::ValuesIn(paper_design_names()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
 
 TEST(ExactActivity, KnownClosedFormsOnHandBuiltNetlists) {
   // y = a AND b: settled values are iid Bernoulli(1/4) across the frames,

@@ -4,6 +4,7 @@
 // estimated switching).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <ios>
 #include <sstream>
@@ -77,6 +78,46 @@ TEST(SaCache, PrecomputeFillsAllCombinations) {
   EXPECT_EQ(c.misses(), misses);
 }
 
+TEST(SaCache, FillMatchesOneKeyAtATime) {
+  // A batch fill must leave the table exactly as switching_activity one
+  // key at a time does: the same values to the bit, the same size and the
+  // same miss count. The list repeats every key, starts with one the table
+  // already holds, and holds more missing keys than the machine has
+  // threads, so every helper the budget grants gets work.
+  const std::size_t threads =
+      std::max(1u, std::thread::hardware_concurrency());
+  int m = 1;
+  while (static_cast<std::size_t>(kNumOpKinds * m * m) < threads + 4) ++m;
+  std::vector<SaCache::Key> grid;
+  for (int kind = 0; kind < kNumOpKinds; ++kind)
+    for (int a = 1; a <= m; ++a)
+      for (int b = 1; b <= m; ++b)
+        grid.push_back({static_cast<OpKind>(kind), a, b});
+  std::vector<SaCache::Key> keys = grid;
+  keys.insert(keys.end(), grid.rbegin(), grid.rend());
+
+  SaCache batch = small_cache();
+  SaCache single = small_cache();
+  for (SaCache* c : {&batch, &single})
+    c->switching_activity(grid[0].kind, grid[0].n_mux_a, grid[0].n_mux_b);
+  batch.fill({});  // an empty list is a no-op
+  EXPECT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch.misses(), 1u);
+
+  batch.fill(keys);
+  for (const SaCache::Key& k : keys)
+    single.switching_activity(k.kind, k.n_mux_a, k.n_mux_b);
+  EXPECT_EQ(batch.size(), grid.size());
+  EXPECT_EQ(batch.size(), single.size());
+  EXPECT_EQ(batch.misses(), single.misses());
+  const auto misses = batch.misses();
+  for (const SaCache::Key& k : grid)
+    EXPECT_EQ(batch.switching_activity(k.kind, k.n_mux_a, k.n_mux_b),
+              single.switching_activity(k.kind, k.n_mux_a, k.n_mux_b))
+        << to_string(k.kind) << " " << k.n_mux_a << " " << k.n_mux_b;
+  EXPECT_EQ(batch.misses(), misses) << "fill left a key uncomputed";
+}
+
 TEST(SaCache, SaveDumpsEveryEntryBitExactly) {
   SaCache c = small_cache();
   c.precompute(2, 2);
@@ -129,6 +170,20 @@ TEST(SaCache, RejectsBadArguments) {
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("1048575"), std::string::npos)
         << e.what();
+  }
+  // fill validates the whole list first: valid keys ahead of the bad one
+  // never reach the table.
+  for (const auto& [a, b] : {std::pair{0, 1}, std::pair{1, 0},
+                             std::pair{2, kTooBig}, std::pair{kTooBig, 2}}) {
+    try {
+      c.fill({{OpKind::kAdd, 1, 1},
+              {OpKind::kMult, 2, 2},
+              {OpKind::kAdd, a, b}});
+      FAIL() << "expected throw for " << a << " " << b;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("1048575"), std::string::npos)
+          << e.what();
+    }
   }
   EXPECT_EQ(c.size(), 0u);
   EXPECT_EQ(c.misses(), 0u);
@@ -194,28 +249,42 @@ TEST(SaCache, SimulatedTableIsPinned) {
 }
 
 TEST(SaCache, ShardedMissesStayExactUnderConcurrency) {
-  // Distinct cold keys from many threads: every insertion lands in some
-  // shard exactly once, and the summed miss counter equals the number of
-  // unique keys even though no single lock serialises the table.
-  SaCache c = small_cache();
+  // Cold keys from many threads: every insertion lands in some shard
+  // exactly once, and the summed miss counter equals the number of unique
+  // keys even though no single lock serialises the table. Two inputs: each
+  // thread looks every key up one at a time, or each thread fills an
+  // overlapping half of the keys in one batch (their helpers share one
+  // budget).
   constexpr int kThreads = 8;
   constexpr int kMaxMux = 4;
-  std::vector<std::thread> pool;
-  for (int t = 0; t < kThreads; ++t) {
-    pool.emplace_back([&c] {
-      for (int kind = 0; kind < kNumOpKinds; ++kind)
-        for (int a = 1; a <= kMaxMux; ++a)
-          for (int b = 1; b <= kMaxMux; ++b)
-            c.switching_activity(static_cast<OpKind>(kind), a, b);
-    });
+  std::vector<SaCache::Key> grid;
+  for (int kind = 0; kind < kNumOpKinds; ++kind)
+    for (int a = 1; a <= kMaxMux; ++a)
+      for (int b = 1; b <= kMaxMux; ++b)
+        grid.push_back({static_cast<OpKind>(kind), a, b});
+  for (const bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "fill" : "switching_activity");
+    SaCache c = small_cache();
+    std::vector<std::thread> pool;
+    for (int t = 0; t < kThreads; ++t) {
+      pool.emplace_back([&c, &grid, batched, t] {
+        if (!batched) {
+          for (const SaCache::Key& k : grid)
+            c.switching_activity(k.kind, k.n_mux_a, k.n_mux_b);
+          return;
+        }
+        std::vector<SaCache::Key> half;
+        for (std::size_t i = 0; i < grid.size() / 2; ++i)
+          half.push_back(grid[(t * grid.size() / kThreads + i) % grid.size()]);
+        c.fill(half);
+      });
+    }
+    for (auto& th : pool) th.join();
+    // Exactly one miss per unique key: racing duplicate computations
+    // exist, but only the winning insertion of each key is counted.
+    EXPECT_EQ(c.size(), grid.size());
+    EXPECT_EQ(c.misses(), grid.size());
   }
-  for (auto& th : pool) th.join();
-  const auto unique_keys =
-      static_cast<std::size_t>(kNumOpKinds * kMaxMux * kMaxMux);
-  EXPECT_EQ(c.size(), unique_keys);
-  // Exactly one miss per unique key: racing duplicate computations exist,
-  // but only the winning insertion of each key is counted.
-  EXPECT_EQ(c.misses(), unique_keys);
 }
 
 TEST(SaCache, SimulatedModeIsDeterministicAndCached) {
