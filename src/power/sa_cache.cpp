@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "common/error.hpp"
+#include "common/helper_budget.hpp"
 #include "mapper/techmap.hpp"
 #include "power/activity.hpp"
 #include "rtl/partial_datapath.hpp"
@@ -24,34 +25,6 @@ void require_keyable(int n_mux_a, int n_mux_b) {
               "mux sizes must be in [1, " << kMaxMuxSize << "], got "
                                           << n_mux_a << " and " << n_mux_b);
 }
-
-// A lease on up to `want` helper threads from one budget of
-// hardware_concurrency() - 1 shared by every SaCache and every calling
-// thread in the process; the slots go back when the lease ends.
-class HelperLease {
- public:
-  explicit HelperLease(std::size_t want) {
-    int left = budget().load();  // never negative: a lease takes <= left
-    do {
-      granted_ = static_cast<int>(std::min<std::size_t>(want, left));
-      if (granted_ == 0) return;
-    } while (!budget().compare_exchange_weak(left, left - granted_));
-  }
-  ~HelperLease() { budget().fetch_add(granted_); }
-  HelperLease(const HelperLease&) = delete;
-  HelperLease& operator=(const HelperLease&) = delete;
-
-  int granted() const { return granted_; }
-
- private:
-  static std::atomic<int>& budget() {
-    static std::atomic<int> slots(
-        std::max(0, static_cast<int>(std::thread::hardware_concurrency()) - 1));
-    return slots;
-  }
-
-  int granted_ = 0;
-};
 
 }  // namespace
 

@@ -29,12 +29,13 @@
 // bits, and only the insertion that wins counts as a miss. Both fill paths
 // insert through the same code, so misses() stays exact: it is the number
 // of distinct keys the table holds that it computed itself. fill's helper
-// threads come from one process-wide budget of
-// std::thread::hardware_concurrency() - 1 shared by every cache and every
-// calling thread, so concurrent fills never run more helpers than that;
-// the caller computes alongside its helpers and does all the work itself
-// when the budget is spent. Helper threads are not runner threads and are
-// not counted in HLP_JOBS.
+// threads come from the process-wide helper budget
+// (common/helper_budget.hpp): hardware_concurrency() - 1 slots shared by
+// every cache, every calling thread and the seed-chunk simulator, so
+// concurrent fills never run more helpers than that; the caller computes
+// alongside its helpers and does all the work itself when the budget is
+// spent. Helper threads are not runner threads and are not counted in
+// HLP_JOBS.
 #pragma once
 
 #include <array>

@@ -27,21 +27,23 @@ CycleSimStats simulate_sample_lanes(const Netlist& n, const Datapath& dp,
   HLP_CHECK(false, "unreachable SIMD dispatch (sample lanes)");
 }
 
-std::vector<CycleSimStats> simulate_seed_chunk(
+namespace {
+
+std::vector<CycleSimStats> dispatch_seed_chunk(
     const Netlist& n, const Datapath& dp, const LaneSamples& lane_samples,
-    SimdMode simd) {
+    SimdMode simd, const std::vector<std::size_t>* cuts) {
   switch (resolve_simd_mode(simd)) {
     case SimdMode::kU64:
-      return simulate_seed_chunk_t<std::uint64_t>(n, dp, lane_samples);
+      return simulate_seed_chunk_t<std::uint64_t>(n, dp, lane_samples, cuts);
     case SimdMode::kX2:
-      return simulate_seed_chunk_t<SimdX2>(n, dp, lane_samples);
+      return simulate_seed_chunk_t<SimdX2>(n, dp, lane_samples, cuts);
     case SimdMode::kX4:
-      return simulate_seed_chunk_t<SimdX4>(n, dp, lane_samples);
+      return simulate_seed_chunk_t<SimdX4>(n, dp, lane_samples, cuts);
     case SimdMode::kX8:
-      return simulate_seed_chunk_t<SimdX8>(n, dp, lane_samples);
+      return simulate_seed_chunk_t<SimdX8>(n, dp, lane_samples, cuts);
     case SimdMode::kAvx512:
 #if defined(HLP_HAVE_AVX512)
-      return detail::simulate_seed_chunk_avx512(n, dp, lane_samples);
+      return detail::simulate_seed_chunk_avx512(n, dp, lane_samples, cuts);
 #else
       break;
 #endif
@@ -49,6 +51,20 @@ std::vector<CycleSimStats> simulate_seed_chunk(
       break;  // resolve_simd_mode never returns kAuto
   }
   HLP_CHECK(false, "unreachable SIMD dispatch (seed chunk)");
+}
+
+}  // namespace
+
+std::vector<CycleSimStats> simulate_seed_chunk(
+    const Netlist& n, const Datapath& dp, const LaneSamples& lane_samples,
+    SimdMode simd) {
+  return dispatch_seed_chunk(n, dp, lane_samples, simd, nullptr);
+}
+
+std::vector<CycleSimStats> detail::simulate_seed_chunk_cut(
+    const Netlist& n, const Datapath& dp, const LaneSamples& lane_samples,
+    const std::vector<std::size_t>& cuts, SimdMode simd) {
+  return dispatch_seed_chunk(n, dp, lane_samples, simd, &cuts);
 }
 
 CycleSimStats simulate_frames_batched(

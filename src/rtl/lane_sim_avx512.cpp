@@ -14,8 +14,9 @@ CycleSimStats simulate_sample_lanes_avx512(const Netlist& n,
 }
 
 std::vector<CycleSimStats> simulate_seed_chunk_avx512(
-    const Netlist& n, const Datapath& dp, const LaneSamples& lane_samples) {
-  return simulate_seed_chunk_t<AvxWord512>(n, dp, lane_samples);
+    const Netlist& n, const Datapath& dp, const LaneSamples& lane_samples,
+    const std::vector<std::size_t>* cuts) {
+  return simulate_seed_chunk_t<AvxWord512>(n, dp, lane_samples, cuts);
 }
 
 }  // namespace hlp::detail

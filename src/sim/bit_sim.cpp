@@ -156,6 +156,7 @@ GatePlan build_gate_plan(const Netlist& n) {
                           fanout[net].end());
 
   plan.topo = n.topo_gates();
+  plan.num_levels = num_nets > 0 ? n.depth() + 1 : 0;
   return plan;
 }
 

@@ -14,6 +14,8 @@
 // GatePlan built once per netlist (bit_sim.cpp).
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -66,6 +68,10 @@ struct GatePlan {
   std::vector<int> fan_gates;
   std::vector<int> topo;
   int num_nets = 0;
+  // Sources sit on level 0 and a gate one level above its deepest input,
+  // so a unit-delay settle changes a net on level L at most L times (a
+  // source once) and takes at most num_levels steps.
+  int num_levels = 0;
 };
 
 /// Classify every gate and build the CSR structures (validates the
@@ -81,38 +87,71 @@ GatePlan build_gate_plan(const Netlist& n);
 /// ripple-carry of word ops (amortised ~2 per add) instead of a
 /// per-set-bit scalar scatter. This is what keeps the seed-chunk path's
 /// toggle accounting word-parallel at any width: the increment cost
-/// never scales with the number of lanes that toggled. 32 planes bound
-/// each count at 2^32-1, far beyond any feasible run length.
+/// never scales with the number of lanes that toggled.
+///
+/// The layout is plane-major: plane p of every item is contiguous, so the
+/// low planes that nearly every add touches stay together in cache however
+/// many items there are. The plane count is sized from a bound the caller
+/// proves on every count, bit_width(bound) planes (at most 64); a carry
+/// out of the top plane breaks that proof and is an hlp::Error, never a
+/// silent wrap.
 template <typename W>
 class LaneCountersT {
   using T = WordTraits<W>;
 
  public:
-  static constexpr int kPlanes = 32;
+  LaneCountersT(int num_items, std::uint64_t bound)
+      : items_(static_cast<std::size_t>(num_items)),
+        planes_(std::bit_width(bound)),
+        bits_(items_ * planes_, T::zero()) {}
 
-  explicit LaneCountersT(int num_items)
-      : bits_(static_cast<std::size_t>(num_items) * kPlanes, T::zero()) {}
+  int planes() const { return planes_; }
 
   /// counts[item][lane] += (mask >> lane) & 1, all lanes at once.
   void add(int item, W mask) {
-    W* p = &bits_[static_cast<std::size_t>(item) * kPlanes];
-    for (int i = 0; i < kPlanes && T::any(mask); ++i) {
-      const W old = p[i];
-      p[i] = p[i] ^ mask;
+    for (std::size_t i = static_cast<std::size_t>(item); T::any(mask);
+         i += items_) {
+      HLP_CHECK(i < bits_.size(), "lane counter passed its bound of "
+                                      << planes_ << " bits");
+      const W old = bits_[i];
+      bits_[i] = old ^ mask;
       mask = mask & old;  // carry into the next plane
     }
   }
 
-  std::uint64_t count(int item, int lane) const {
-    const W* p = &bits_[static_cast<std::size_t>(item) * kPlanes];
-    std::uint64_t total = 0;
-    for (int i = 0; i < kPlanes; ++i)
-      total |= static_cast<std::uint64_t>(T::lane(p[i], lane)) << i;
-    return total;
+  /// counts[item][lane] += other's counts[item][lane], every item and lane
+  /// at once (a ripple-carry adder per item).
+  void add(const LaneCountersT& other) {
+    HLP_CHECK(other.items_ == items_ && other.planes_ == planes_,
+              "lane counters of different shapes");
+    for (std::size_t item = 0; item < items_; ++item) {
+      W carry = T::zero();
+      for (std::size_t i = item; i < bits_.size(); i += items_) {
+        const W a = bits_[i], b = other.bits_[i];
+        bits_[i] = a ^ b ^ carry;
+        carry = (a & b) | (carry & (a ^ b));
+      }
+      HLP_CHECK(!T::any(carry), "lane counter passed its bound of "
+                                    << planes_ << " bits");
+    }
+  }
+
+  /// out[lane] = counts[item][lane] for every lane of the word (`out`
+  /// holds kLanes values).
+  void counts(int item, std::uint64_t* out) const {
+    std::fill(out, out + T::kLanes, std::uint64_t{0});
+    for (int p = 0; p < planes_; ++p) {
+      const W w = bits_[p * items_ + static_cast<std::size_t>(item)];
+      if (!T::any(w)) continue;
+      for (int l = 0; l < T::kLanes; ++l)
+        out[l] |= static_cast<std::uint64_t>(T::lane(w, l)) << p;
+    }
   }
 
  private:
-  std::vector<W> bits_;
+  std::size_t items_;
+  int planes_;
+  std::vector<W> bits_;  // [plane p * items + item]
 };
 
 /// Word-parallel netlist evaluator: WordTraits<W>::kLanes lanes per word,
@@ -140,6 +179,9 @@ class BitSimulatorT {
 
   const Netlist& netlist() const { return *netlist_; }
   int num_nets() const { return static_cast<int>(value_.size()); }
+  /// Levels of the netlist, sources included (GatePlan::num_levels): no
+  /// settle takes more steps.
+  int num_levels() const { return plan_.num_levels; }
 
   /// Current value word of a net (bit l = lane l).
   W word(NetId n) const { return value_[n]; }

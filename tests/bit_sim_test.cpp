@@ -242,6 +242,85 @@ TEST(SimdMode, LanesAwareAutoNeverOverallocates) {
   EXPECT_EQ(effective_simd_mode(SimdMode::kX8, 1), SimdMode::kX8);
 }
 
+// ---- bit-sliced lane counters ---------------------------------------------
+
+// Random adds spread over two counter sets, then the second merged into the
+// first: each set's read-out, and the merged one, must equal a plain
+// per-lane count. Dense masks push most counts past 2^(planes-1), so carries
+// reach the top plane.
+template <typename W>
+void expect_counters_match_naive(std::uint64_t seed) {
+  using T = WordTraits<W>;
+  constexpr int kItems = 7;
+  constexpr std::uint64_t kAddsPerItem = 400;  // every count's bound
+  LaneCountersT<W> sets[2] = {LaneCountersT<W>(kItems, kAddsPerItem),
+                              LaneCountersT<W>(kItems, kAddsPerItem)};
+  ASSERT_EQ(sets[0].planes(), 9);
+  std::vector<std::uint64_t> naive[2] = {
+      std::vector<std::uint64_t>(kItems * T::kLanes, 0),
+      std::vector<std::uint64_t>(kItems * T::kLanes, 0)};
+  Rng rng(seed);
+  for (int item = 0; item < kItems; ++item)
+    for (std::uint64_t a = 0; a < kAddsPerItem; ++a) {
+      W mask = T::zero();
+      for (int l = 0; l < T::kLanes; ++l)
+        T::or_lane(mask, l, rng.below(4) != 0 ? 1u : 0u);
+      const int set = rng.below(2);
+      sets[set].add(item, mask);
+      for (int l = 0; l < T::kLanes; ++l)
+        naive[set][item * T::kLanes + l] += T::lane(mask, l);
+    }
+  std::vector<std::uint64_t> got(T::kLanes);
+  const auto expect_counts = [&](const LaneCountersT<W>& c,
+                                 const std::vector<std::uint64_t>& want,
+                                 const char* what) {
+    for (int item = 0; item < kItems; ++item) {
+      c.counts(item, got.data());
+      for (int l = 0; l < T::kLanes; ++l)
+        ASSERT_EQ(got[l], want[item * T::kLanes + l])
+            << what << " item " << item << " lane " << l;
+    }
+  };
+  expect_counts(sets[0], naive[0], "first set");
+  expect_counts(sets[1], naive[1], "second set");
+  sets[0].add(sets[1]);
+  std::vector<std::uint64_t> sum(naive[0]);
+  bool top_plane = false;
+  for (std::size_t i = 0; i < sum.size(); ++i) {
+    sum[i] += naive[1][i];
+    top_plane = top_plane || sum[i] >= 256;
+  }
+  EXPECT_TRUE(top_plane);
+  expect_counts(sets[0], sum, "merged");
+}
+
+TEST(LaneCounters, AddMergeAndReadOutMatchNaiveCounts) {
+  expect_counters_match_naive<std::uint64_t>(11);
+  expect_counters_match_naive<SimdX8>(12);
+}
+
+TEST(LaneCounters, PassingTheBoundThrows) {
+  LaneCountersT<std::uint64_t> c(2, 5);  // 3 planes: counts up to 7
+  ASSERT_EQ(c.planes(), 3);
+  for (int i = 0; i < 7; ++i) c.add(1, 0x5);
+  c.add(0, ~0ull);
+  EXPECT_THROW(c.add(1, 0x4), Error);
+
+  // A merge whose sum needs a fourth plane throws too.
+  LaneCountersT<std::uint64_t> a(1, 5), b(1, 5);
+  for (int i = 0; i < 4; ++i) {
+    a.add(0, 0x1);
+    b.add(0, 0x1);
+  }
+  EXPECT_THROW(a.add(b), Error);
+  EXPECT_THROW(a.add(LaneCountersT<std::uint64_t>(2, 5)), Error);
+
+  // Planes are sized from the bound, at most 64.
+  EXPECT_EQ(LaneCountersT<std::uint64_t>(1, 1).planes(), 1);
+  EXPECT_EQ(LaneCountersT<std::uint64_t>(1, 4).planes(), 3);
+  EXPECT_EQ(LaneCountersT<std::uint64_t>(1, ~0ull).planes(), 64);
+}
+
 // ---- settle step counts --------------------------------------------------
 
 TEST(BitSimSteps, SettleStepsAreTheMaxOverLanesOfScalarSteps) {
@@ -271,7 +350,9 @@ TEST(BitSimSteps, SettleStepsAreTheMaxOverLanesOfScalarSteps) {
       slowest = std::max(slowest, steps);
     }
     EXPECT_GT(slowest, 0) << "edge " << edge;
-    EXPECT_EQ(sim.settle(nullptr), slowest) << "edge " << edge;
+    const int steps = sim.settle(nullptr);
+    EXPECT_EQ(steps, slowest) << "edge " << edge;
+    EXPECT_LE(steps, sim.num_levels()) << "edge " << edge;
   }
   // The max is only a real check if lanes disagree somewhere.
   EXPECT_TRUE(lanes_differ);

@@ -5,7 +5,9 @@
 // with failures still captured per job. Both datapath engines under the
 // pipeline — the seed chunks of the coalesced path and the sample lanes of
 // a single-seed run — are checked against the scalar oracle at every word
-// width the build and CPU support, and must reject ragged stimulus.
+// width the build and CPU support, and must reject ragged stimulus. A seed
+// chunk cut into explicit time ranges must give its serial run's
+// statistics lane for lane.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -354,12 +356,12 @@ TEST(SampleLaneWidths, EveryWidthMatchesScalar) {
       }
 }
 
-TEST(SampleLanes, StateThatNeverForgetsStaysExact) {
-  // A 2-bit free-running counter (D = Q+1) never forgets: with 3 phases a
-  // sample ends 3 counts past where it started, so every sample's start
-  // state depends on every earlier sample and no lane's first guess is
-  // right unless it happens to match the count. The fix-up loop must still
-  // converge to the scalar run exactly.
+// A 2-bit free-running counter (D = Q+1) that never forgets: with 3
+// phases a sample ends 3 counts past where it started, so every sample's
+// start state depends on every earlier sample. The paper designs load
+// every register each sample, so only a datapath like this one catches an
+// engine that assumes a sample starts from reset.
+Datapath free_running_counter() {
   Datapath dp;
   Netlist& n = dp.netlist;
   const NetId a = n.add_input("a");
@@ -374,13 +376,118 @@ TEST(SampleLanes, StateThatNeverForgetsStaysExact) {
   dp.num_phases = 3;
   dp.data_input_pos = {0};
   dp.controls.push_back(ControlGroup{"sel", {1}, {0, 1, 1}});
+  return dp;
+}
 
+TEST(SampleLanes, StateThatNeverForgetsStaysExact) {
+  // No lane's first guess is right unless it happens to match the count;
+  // the fix-up loop must still converge to the scalar run exactly.
+  const Datapath dp = free_running_counter();
+  const Netlist& n = dp.netlist;
   const Samples samples = random_samples(600, 1, 1, 5);
   const CycleSimStats want = simulate_frames(n, make_frames(dp, samples));
   ASSERT_GT(want.functional_transitions, 0u);
   for (const SimdMode mode : supported_modes()) {
     SCOPED_TRACE(simd_mode_name(mode));
     expect_same_stats(simulate_sample_lanes(n, dp, samples, mode), want);
+  }
+}
+
+// The cuts of 1, 2 and 3 ranges and of one range per sample.
+std::vector<std::vector<std::size_t>> partitions(std::size_t samples) {
+  std::vector<std::size_t> every;
+  for (std::size_t s = 1; s < samples; ++s) every.push_back(s);
+  return {{}, {samples / 2}, {samples / 3, 2 * samples / 3}, every};
+}
+
+// Runs `chunk` at the u64 word and at the 512-lane word under every cut of
+// partitions() and expects every lane's statistics to equal the serial
+// run's (no cut). A range after a cut starts from the state a zero-delay
+// walk reaches, so a walk that went wrong, or a hand-off that assumed the
+// reset state, shows up in the counts.
+void expect_partitions_match_serial(const Netlist& n, const Datapath& dp,
+                                    const LaneSamples& chunk) {
+  const SimdMode wide = simd_mode_supported(SimdMode::kAvx512)
+                            ? SimdMode::kAvx512
+                            : SimdMode::kX8;
+  for (const SimdMode mode : {SimdMode::kU64, wide}) {
+    SCOPED_TRACE(simd_mode_name(mode));
+    const auto serial = detail::simulate_seed_chunk_cut(n, dp, chunk, {}, mode);
+    ASSERT_EQ(serial.size(), chunk.size());
+    for (const auto& cuts : partitions(chunk.front().size())) {
+      SCOPED_TRACE(std::to_string(cuts.size() + 1) + " ranges");
+      const auto got = detail::simulate_seed_chunk_cut(n, dp, chunk, cuts, mode);
+      ASSERT_EQ(got.size(), chunk.size());
+      for (std::size_t l = 0; l < chunk.size(); ++l) {
+        SCOPED_TRACE("lane " + std::to_string(l));
+        expect_same_stats(got[l], serial[l]);
+      }
+    }
+  }
+}
+
+TEST(SeedChunkPartitions, EveryPartitionMatchesTheSerialRun) {
+  flow::ExperimentRunner runner(1);
+  for (const char* bench : {"pr", "wang"}) {
+    SCOPED_TRACE(bench);
+    flow::Job job = small_job();
+    job.benchmark = bench;
+    job.num_vectors = 12;
+    const auto entry = published_span(runner, job);
+    ASSERT_TRUE(entry);
+    const int num_inputs = runner.context_for(job).cdfg().num_inputs();
+    LaneSamples chunk;
+    for (std::uint64_t seed = 900; seed < 960; ++seed)
+      chunk.push_back(
+          random_samples(job.num_vectors, num_inputs, kWidth, seed));
+    expect_partitions_match_serial(entry->mapped.lut_netlist, entry->datapath,
+                                   chunk);
+  }
+}
+
+TEST(SeedChunkPartitions, StateThatNeverForgetsStaysExact) {
+  const Datapath dp = free_running_counter();
+  LaneSamples chunk;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed)
+    chunk.push_back(random_samples(30, 1, 1, seed));
+  // The serial run itself is pinned to the scalar oracle, lane by lane.
+  const auto serial =
+      detail::simulate_seed_chunk_cut(dp.netlist, dp, chunk, {}, SimdMode::kU64);
+  for (std::size_t l = 0; l < chunk.size(); ++l)
+    expect_same_stats(serial[l],
+                      simulate_frames(dp.netlist, make_frames(dp, chunk[l])));
+  expect_partitions_match_serial(dp.netlist, dp, chunk);
+}
+
+TEST(SeedChunkPartitions, BadCutsThrow) {
+  const Datapath dp = free_running_counter();
+  const LaneSamples chunk = {random_samples(4, 1, 1, 1)};
+  for (const std::vector<std::size_t>& cuts :
+       std::vector<std::vector<std::size_t>>{{0}, {4}, {2, 2}, {3, 1}})
+    EXPECT_THROW(detail::simulate_seed_chunk_cut(dp.netlist, dp, chunk, cuts,
+                                                 SimdMode::kU64),
+                 Error);
+}
+
+TEST(SeedChunkPartitions, AHelpersErrorReachesTheCaller) {
+  // The last sample is short of words, so only the range after the cut
+  // reaches it: the error must still surface, with make_frames' message.
+  const Datapath dp = free_running_counter();
+  Samples samples = random_samples(6, 1, 1, 2);
+  samples.back().clear();
+  const LaneSamples chunk = {samples, samples};
+  for (const std::vector<std::size_t>& cuts :
+       std::vector<std::vector<std::size_t>>{{3}, {1, 2, 3, 4, 5}}) {
+    try {
+      detail::simulate_seed_chunk_cut(dp.netlist, dp, chunk, cuts,
+                                      SimdMode::kU64);
+      ADD_FAILURE() << "short sample accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "sample has 0 words, datapath expects 1"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
