@@ -358,9 +358,8 @@ TEST(SampleLaneWidths, EveryWidthMatchesScalar) {
 
 // A 2-bit free-running counter (D = Q+1) that never forgets: with 3
 // phases a sample ends 3 counts past where it started, so every sample's
-// start state depends on every earlier sample. The paper designs load
-// every register each sample, so only a datapath like this one catches an
-// engine that assumes a sample starts from reset.
+// start state depends on every earlier sample, where the paper designs'
+// registers reload every sample.
 Datapath free_running_counter() {
   Datapath dp;
   Netlist& n = dp.netlist;
@@ -412,11 +411,13 @@ void expect_partitions_match_serial(const Netlist& n, const Datapath& dp,
                             : SimdMode::kX8;
   for (const SimdMode mode : {SimdMode::kU64, wide}) {
     SCOPED_TRACE(simd_mode_name(mode));
-    const auto serial = detail::simulate_seed_chunk_cut(n, dp, chunk, {}, mode);
+    const auto serial =
+        detail::simulate_seed_chunk_cut(n, dp, chunk, {}, mode);
     ASSERT_EQ(serial.size(), chunk.size());
     for (const auto& cuts : partitions(chunk.front().size())) {
       SCOPED_TRACE(std::to_string(cuts.size() + 1) + " ranges");
-      const auto got = detail::simulate_seed_chunk_cut(n, dp, chunk, cuts, mode);
+      const auto got =
+          detail::simulate_seed_chunk_cut(n, dp, chunk, cuts, mode);
       ASSERT_EQ(got.size(), chunk.size());
       for (std::size_t l = 0; l < chunk.size(); ++l) {
         SCOPED_TRACE("lane " + std::to_string(l));
@@ -451,8 +452,8 @@ TEST(SeedChunkPartitions, StateThatNeverForgetsStaysExact) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed)
     chunk.push_back(random_samples(30, 1, 1, seed));
   // The serial run itself is pinned to the scalar oracle, lane by lane.
-  const auto serial =
-      detail::simulate_seed_chunk_cut(dp.netlist, dp, chunk, {}, SimdMode::kU64);
+  const auto serial = detail::simulate_seed_chunk_cut(dp.netlist, dp, chunk,
+                                                      {}, SimdMode::kU64);
   for (std::size_t l = 0; l < chunk.size(); ++l)
     expect_same_stats(serial[l],
                       simulate_frames(dp.netlist, make_frames(dp, chunk[l])));
