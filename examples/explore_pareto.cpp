@@ -7,10 +7,10 @@
 // and a few stimulus seeds), then
 //   1. retune the binder's alpha        -> bindings change, full recompute
 //   2. more stimulus vectors            -> tail-only: every span store-hit
-//   3. switch the scheduler             -> new scope, full recompute
+//   3. switch the scheduler             -> new keys, full recompute
 //   4. alpha back to the base value     -> step 1's spans? No — the BASE
 //      grid's spans, straight out of the store (the walk is cumulative,
-//      so scheduler stays switched; only scope axes seen in step 3 reuse)
+//      so scheduler stays switched; only keys seen in step 3 reuse)
 //
 // With HLP_STORE set the store persists, so a SECOND run of this example
 // reuses every span of every step — the per-step hit counters in the

@@ -79,7 +79,7 @@ Exploration Explorer::run() {
     std::set<std::string> keys;
     for (const flow::Job& job : grid) {
       try {
-        keys.insert(runner.artifact_key_for(job).full());
+        keys.insert(runner.artifact_key_for(job).binding);
       } catch (const std::exception&) {
         // Unknown benchmark or bad mode env: the run reports it per job.
       }

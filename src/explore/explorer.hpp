@@ -3,8 +3,8 @@
 // A sweep in this repository is one grid run; an *exploration* is a walk:
 // run a base grid, then mutate one knob at a time (binder, scheduler, SA
 // mode, stimulus vectors) and rerun. The expensive middle of the pipeline
-// — the bind-fus..time span — depends only on the ArtifactKey axes
-// (scope, binding hash, mode tags), so a knob that leaves a job's key
+// — the bind-fus..time span — depends only on its key
+// (FlowContext::binding_hash), so a knob that leaves a job's key
 // unchanged must not recompute that span: it comes back out of the
 // persistent store (PR 9) while only the cheap tail (simulate, power)
 // reruns. The Explorer makes that contract measurable and pinnable:
@@ -42,10 +42,10 @@ namespace hlp::explore {
 /// each job already runs (applied after `binder` when both are set).
 struct KnobStep {
   std::string name;  // display tag for the step's report row
-  std::optional<std::string> scheduler;  // changes scope -> full recompute
-  std::optional<SaMode> sa;              // changes scope+binding -> recompute
-  std::optional<flow::BinderSpec> binder;  // changes binding -> recompute
-  std::optional<double> binder_alpha;    // changes binding -> recompute
+  std::optional<std::string> scheduler;  // changes key -> full recompute
+  std::optional<SaMode> sa;              // changes key -> full recompute
+  std::optional<flow::BinderSpec> binder;  // changes key -> recompute
+  std::optional<double> binder_alpha;    // changes key -> recompute
   std::optional<int> num_vectors;        // tail-only: every span reused
 };
 

@@ -232,9 +232,7 @@ std::vector<JobResult> DistributedRunner::run_stream(
                 "pipe2 failed: " << std::strerror(errno));
 
     std::vector<std::string> args = {worker_bin, "--jobs",
-                                     std::to_string(threads_per_worker_),
-                                     "--coalesce",
-                                     local_.coalescing() ? "1" : "0"};
+                                     std::to_string(threads_per_worker_)};
     if (!local_.store_dir().empty()) {
       // Workers share the parent's artifact store (explicit flag, never
       // their own HLP_STORE): each opens its own handle with a private

@@ -90,8 +90,9 @@ class DistributedRunner {
   void set_store_dir(std::string dir) { local_.set_store_dir(std::move(dir)); }
 
   /// The in-process runner behind the workers <= 1 fallback. Its
-  /// coalescing setting (HLP_COALESCE by default) is also the one every
-  /// worker is launched with.
+  /// coalescing setting (HLP_COALESCE by default) also decides how run()
+  /// plans the grid into units; a worker runs each unit it is handed as
+  /// it is.
   ExperimentRunner& local() { return local_; }
 
  private:

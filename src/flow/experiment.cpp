@@ -62,7 +62,6 @@ RunSpec spec_for(const Job& job) {
   spec.num_vectors = job.num_vectors;
   spec.seed = job.seed;
   spec.sim_engine = job.sim_engine;
-  spec.sa = job.sa;
   return spec;
 }
 
@@ -129,15 +128,8 @@ void ExperimentRunner::set_result_callback(ResultCallback cb) {
 }
 
 store::ArtifactKey ExperimentRunner::artifact_key_for(const Job& job) {
-  FlowContext& ctx = context_for(job);
   const RunSpec spec = spec_for(job);
-  store::ArtifactKey key;
-  key.scope = ctx.store_scope(context_key(job));
-  key.binding = ctx.binding_hash(spec.binder, spec.map, spec.timing);
-  // The SA tag exactly as the pipeline head records it: resolved (it
-  // changes values).
-  key.sa = sa_mode_name(ctx.sa_cache().mode());
-  return key;
+  return {context_for(job).binding_hash(spec.binder, spec.map, spec.timing)};
 }
 
 void ExperimentRunner::set_store_dir(std::string dir) {
@@ -197,10 +189,9 @@ FlowContext& ExperimentRunner::context_for(const Job& job) {
     slot = std::make_unique<FlowContext>(provider_(job.benchmark), job.rc,
                                          std::move(opt), &cache);
     // Contexts outlive neither the runner nor its store handle, so the
-    // raw pointer is safe; the context key doubles as the store scope
-    // (plus the CDFG digest the context appends itself).
+    // raw pointer is safe.
     if (store::ArtifactStore* store = ensure_store_locked())
-      slot->set_artifact_store(store, key);
+      slot->set_artifact_store(store);
   }
   return *slot;
 }

@@ -72,13 +72,14 @@ struct Job {
   /// engine sizes its word to the coalesced seed group, and coalesced
   /// groups are chunked to that width.
   SimEngine sim_engine = SimEngine::kBatched;
-  /// SA backend (RunSpec::sa): an absent value defers to HLP_SA_MODE at
-  /// context construction (unset environment = estimate). The mode
-  /// changes VALUES, so it is resolved once per runner process and
-  /// pinned: it keys the context (different modes never share
-  /// a FlowContext or SaCache), joins the coalescing group key, and rides
-  /// the distributed manifest pre-resolved (`sa=`) so workers run exactly
-  /// the parent's backend regardless of their own environment.
+  /// SA backend (ContextOptions::sa_mode of the job's context): an absent
+  /// value defers to HLP_SA_MODE at context construction (unset
+  /// environment = estimate). The mode changes VALUES, so it is resolved
+  /// once per runner process and pinned: it keys the context (different
+  /// modes never share a FlowContext or SaCache), joins the coalescing
+  /// group key, and rides the distributed manifest pre-resolved (`sa=`) so
+  /// workers run exactly the parent's backend regardless of their own
+  /// environment.
   std::optional<SaMode> sa;
   /// Free-form tag carried through to the result (display only).
   std::string label;
@@ -156,9 +157,8 @@ class ExperimentRunner {
   FlowContext& context_for(const Job& job);
 
   /// The exact ArtifactKey the pipeline would probe/publish for this
-  /// job's bind-fus..time span: the context's store scope (runner key +
-  /// CDFG digest), binding_hash under the default map/timing parameters
-  /// and the RESOLVED SA mode — mirroring the pipeline head's probe.
+  /// job's bind-fus..time span: its context's binding_hash under the
+  /// default map/timing parameters — the pipeline head's own key.
   /// Needs no store configured (the explorer diffs steps with it;
   /// `hlp_store gc --keep-manifest` derives live addresses from it);
   /// resolving rc may run the context's probe schedule.

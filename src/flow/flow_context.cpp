@@ -12,9 +12,36 @@
 
 namespace hlp::flow {
 
+namespace {
+
+// Structural digest of a CDFG: FNV-1a 64 over an exact serialisation of
+// everything downstream stages can observe (names included — net names in
+// the elaborated datapath derive from them). Two providers that reuse a
+// benchmark name for different graphs therefore get different span keys
+// instead of aliasing each other's entries.
+std::string cdfg_digest(const Cdfg& g) {
+  std::ostringstream os;
+  os << g.name() << ';' << g.num_inputs() << ';';
+  for (int i = 0; i < g.num_inputs(); ++i) os << g.input_name(i) << ',';
+  os << ';';
+  for (const Operation& op : g.ops())
+    os << op.name << ',' << static_cast<int>(op.kind) << ','
+       << static_cast<int>(op.lhs.kind) << ',' << op.lhs.index << ','
+       << static_cast<int>(op.rhs.kind) << ',' << op.rhs.index << ';';
+  for (const Output& out : g.outputs())
+    os << out.name << ',' << static_cast<int>(out.value.kind) << ','
+       << out.value.index << ';';
+  std::ostringstream hex;
+  hex << std::hex << fnv1a64(os.str());
+  return hex.str();
+}
+
+}  // namespace
+
 FlowContext::FlowContext(Cdfg g, ResourceConstraint rc, ContextOptions opt,
                          SaCache* shared_cache)
     : g_(std::move(g)),
+      cdfg_digest_(cdfg_digest(g_)),
       rc_(rc),
       opt_(std::move(opt)),
       shared_cache_(shared_cache) {
@@ -39,39 +66,8 @@ FlowContext::FlowContext(Cdfg g, ResourceConstraint rc, ContextOptions opt,
 
 FlowContext::~FlowContext() = default;
 
-namespace {
-
-// Structural digest of a CDFG: FNV-1a 64 over an exact serialisation of
-// everything downstream stages can observe (names included — net names in
-// the elaborated datapath derive from them). Two providers that reuse a
-// benchmark name for different graphs therefore land in different
-// artifact-store scopes instead of aliasing each other's entries.
-std::string cdfg_digest(const Cdfg& g) {
-  std::ostringstream os;
-  os << g.name() << ';' << g.num_inputs() << ';';
-  for (int i = 0; i < g.num_inputs(); ++i) os << g.input_name(i) << ',';
-  os << ';';
-  for (const Operation& op : g.ops())
-    os << op.name << ',' << static_cast<int>(op.kind) << ','
-       << static_cast<int>(op.lhs.kind) << ',' << op.lhs.index << ','
-       << static_cast<int>(op.rhs.kind) << ',' << op.rhs.index << ';';
-  for (const Output& out : g.outputs())
-    os << out.name << ',' << static_cast<int>(out.value.kind) << ','
-       << out.value.index << ';';
-  std::ostringstream hex;
-  hex << std::hex << fnv1a64(os.str());
-  return hex.str();
-}
-
-}  // namespace
-
-std::string FlowContext::store_scope(const std::string& runner_key) const {
-  return runner_key + "|g" + cdfg_digest(g_);
-}
-
-void FlowContext::set_artifact_store(store::ArtifactStore* store,
-                                     const std::string& scope) {
-  stage_cache_->bind_store(store, store_scope(scope));
+void FlowContext::set_artifact_store(store::ArtifactStore* store) {
+  stage_cache_->bind_store(store);
 }
 
 std::string FlowContext::binding_hash(const BinderSpec& binder,
@@ -90,7 +86,7 @@ std::string FlowContext::binding_hash(const BinderSpec& binder,
       << '|' << binder.beta_mult << '|' << binder.refine << '|' << map.cuts.k
       << '|' << map.cuts.max_cuts << '|' << static_cast<int>(map.mode) << '|'
       << timing.lut_delay_ns << '|' << timing.net_delay_ns << '|'
-      << timing.reg_overhead_ns;
+      << timing.reg_overhead_ns << "|g" << cdfg_digest_;
   return key.str();
 }
 

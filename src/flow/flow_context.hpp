@@ -90,26 +90,19 @@ class FlowContext {
 
   /// Back the StageCache with a persistent ArtifactStore (non-owning,
   /// must outlive this context; null unbinds): memory misses fall through
-  /// to a disk probe and computed entries are published back. `scope`
-  /// names the context's experimental identity (the runner passes its
-  /// context key); a structural digest of the CDFG is appended so two
-  /// graph providers reusing one benchmark name can never share entries.
-  void set_artifact_store(store::ArtifactStore* store,
-                          const std::string& scope);
+  /// to a disk probe and computed entries are published back, under the
+  /// same binding_hash() key.
+  void set_artifact_store(store::ArtifactStore* store);
 
-  /// The artifact-store scope this context binds under `runner_key`: the
-  /// key plus the structural CDFG digest — exactly the scope
-  /// set_artifact_store records, exposed so callers that never open a
-  /// store (the explorer's key diffing, `hlp_store gc --keep-manifest`)
-  /// can compute the same ArtifactKeys the pipeline would probe.
-  std::string store_scope(const std::string& runner_key) const;
-
-  /// Exact cache key for the artifacts a (binder, mapping, timing) triple
-  /// produces on this context. Not a lossy digest: the key serialises
-  /// every field the bind-fus..time stages read — the context's
-  /// scheduler/spec, resolved rc, width and reg_seed plus the binder
-  /// knobs (doubles in hexfloat), map parameters and timing model — so
-  /// distinct configurations can never collide.
+  /// The one key of the artifacts a (binder, mapping, timing) triple
+  /// produces on this context: the StageCache key, the artifact-store key
+  /// and (hashed) its content address. Not a lossy digest: the key
+  /// serialises every field the bind-fus..time stages read — the
+  /// context's scheduler/spec, resolved rc, width, reg_seed and SA mode,
+  /// the binder knobs (doubles in hexfloat), map parameters and timing
+  /// model, and a structural digest of the CDFG — so distinct
+  /// configurations can never collide, and two graph providers reusing
+  /// one benchmark name never share entries.
   std::string binding_hash(const BinderSpec& binder, const MapParams& map,
                            const TimingModel& timing);
 
@@ -118,6 +111,7 @@ class FlowContext {
   void ensure_regs_locked();
 
   Cdfg g_;
+  std::string cdfg_digest_;  // structural digest of g_, for binding_hash()
   ResourceConstraint rc_;
   ContextOptions opt_;
   SaCache* shared_cache_ = nullptr;

@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "binding/datapath_stats.hpp"
-#include "common/error.hpp"
 #include "store/artifact_store.hpp"
 #include "netlist/timing.hpp"
 #include "rtl/lane_sim.hpp"
@@ -19,7 +18,7 @@ double PipelineOutcome::stage_seconds(const std::string& name) const {
 }
 
 std::shared_ptr<const StageCache::Entry> StageCache::find(
-    const std::string& key, const std::string& sa) {
+    const std::string& key) {
   std::shared_ptr<const Entry> entry;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -28,28 +27,26 @@ std::shared_ptr<const StageCache::Entry> StageCache::find(
   }
   ++(entry ? hits_ : misses_);
   if (entry || !store_) return entry;
-  entry = store_->find(store::ArtifactKey{store_scope_, key, sa});
+  entry = store_->find(store::ArtifactKey{key});
   if (!entry) return entry;
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.emplace(key, std::move(entry)).first->second;
 }
 
 std::shared_ptr<const StageCache::Entry> StageCache::insert(
-    const std::string& key, const std::string& sa, Entry entry) {
+    const std::string& key, Entry entry) {
   auto holder = std::make_shared<const Entry>(std::move(entry));
   // Persist first: a publish conflict (two incompatible configurations
   // sharing one store) must surface as this run's error, not after the
   // memory cache already accepted the entry.
-  if (store_)
-    store_->publish(store::ArtifactKey{store_scope_, key, sa}, *holder);
+  if (store_) store_->publish(store::ArtifactKey{key}, *holder);
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.emplace(key, std::move(holder)).first->second;
 }
 
-void StageCache::bind_store(store::ArtifactStore* store, std::string scope) {
+void StageCache::bind_store(store::ArtifactStore* store) {
   std::lock_guard<std::mutex> lock(mu_);
   store_ = store;
-  store_scope_ = std::move(scope);
 }
 
 std::size_t StageCache::size() const {
@@ -84,17 +81,7 @@ constexpr const char* kSpanStages[] = {"bind-fus", "refine", "elaborate",
 std::shared_ptr<const StageCache::Entry> run_head(FlowContext& ctx,
                                                   const RunSpec& spec,
                                                   PipelineOutcome& out) {
-  // RunSpec::sa pins the SA backend: a concrete request must match what
-  // the context's cache actually runs (specs and contexts resolved under
-  // different HLP_SA_MODE values would silently mix backends otherwise).
-  HLP_REQUIRE(!spec.sa || *spec.sa == ctx.sa_cache().mode(),
-              "RunSpec pins SA mode '"
-                  << sa_mode_name(*spec.sa) << "' but the context's SaCache "
-                  << "runs '" << sa_mode_name(ctx.sa_cache().mode()) << "'");
   const std::string key = ctx.binding_hash(spec.binder, spec.map, spec.timing);
-  // The persistent store also checks the SA backend resolved (it changes
-  // values).
-  const std::string sa = sa_mode_name(ctx.sa_cache().mode());
   out.timings.reserve(Pipeline::stage_names().size());
 
   const Schedule* schedule = nullptr;
@@ -102,8 +89,7 @@ std::shared_ptr<const StageCache::Entry> run_head(FlowContext& ctx,
   timed(out, "schedule", [&] { schedule = &ctx.schedule(); });
   timed(out, "bind-regs", [&] { regs = &ctx.regs(); });
 
-  std::shared_ptr<const StageCache::Entry> span =
-      ctx.stage_cache().find(key, sa);
+  std::shared_ptr<const StageCache::Entry> span = ctx.stage_cache().find(key);
   if (span) {
     for (const char* name : kSpanStages) {
       out.timings.push_back({name, 0.0});
@@ -132,7 +118,7 @@ std::shared_ptr<const StageCache::Entry> run_head(FlowContext& ctx,
     timed(out, "time", [&] {
       e.clock_period_ns = clock_period_ns(e.mapped.lut_netlist, spec.timing);
     });
-    span = ctx.stage_cache().insert(key, sa, std::move(e));
+    span = ctx.stage_cache().insert(key, std::move(e));
   }
   out.bind_seconds =
       out.stage_seconds("bind-fus") + out.stage_seconds("refine");

@@ -69,24 +69,17 @@ struct RunSpec {
   /// size / sample count; effective_simd_mode), and every width is
   /// bit-identical.
   SimEngine sim_engine = SimEngine::kBatched;
-  /// Requested SA backend (power/sa_mode.hpp). The cache actually used
-  /// belongs to the CONTEXT, so this field is a pin, not a selector: a
-  /// concrete value makes run()/run_batch() verify the context's SaCache
-  /// runs that mode (throwing on mismatch — catching a sweep whose specs
-  /// and contexts were resolved under different HLP_SA_MODE values), an
-  /// absent value accepts whatever the context resolved. This knob
-  /// changes VALUES, which is why it pins rather than switches per run.
-  std::optional<SaMode> sa;
 };
 
 /// Memoised per-binding artifacts of the pipeline's bind-fus -> refine ->
 /// elaborate -> map -> time span, keyed by FlowContext::binding_hash().
-/// One cache per FlowContext (the key does not encode the CDFG), so a
-/// design-space sweep that revisits a binding on its context skips from
-/// bind-fus straight to simulate. Published entries are immutable and
-/// shared: the pipeline's simulate and power stages read them in place.
-/// Thread-safe; concurrent misses on one key both compute
-/// (value-identical by determinism) and the first insert wins.
+/// One cache per FlowContext, so a design-space sweep that revisits a
+/// binding on its context skips from bind-fus straight to simulate. The
+/// SA backend is the context's (ContextOptions::sa_mode), and the key
+/// names it. Published entries are immutable and shared: the pipeline's
+/// simulate and power stages read them in place. Thread-safe; concurrent
+/// misses on one key both compute (value-identical by determinism) and
+/// the first insert wins.
 class StageCache {
  public:
   struct Entry {
@@ -101,24 +94,19 @@ class StageCache {
 
   /// The published entry for `key`, or null. Counts one hit or miss. A
   /// memory miss (still counted as a miss) falls through to the bound
-  /// ArtifactStore, and a disk hit repopulates the memory map so later
-  /// probes stay local. `sa` is the resolved SA mode name the stored
-  /// entry must carry (the in-memory map keys on binding_hash() alone,
-  /// which already encodes it).
-  std::shared_ptr<const Entry> find(const std::string& key,
-                                    const std::string& sa);
+  /// ArtifactStore under the same key, and a disk hit repopulates the
+  /// memory map so later probes stay local.
+  std::shared_ptr<const Entry> find(const std::string& key);
   /// Publish the artifacts for `key`: persist them to the bound
   /// ArtifactStore (atomic write-then-rename, overlap-must-agree), then
   /// insert them into the memory map. The first writer wins, and the
   /// entry published under `key` is returned — for a racing loser, the
   /// winner's value-identical entry.
-  std::shared_ptr<const Entry> insert(const std::string& key,
-                                      const std::string& sa, Entry entry);
+  std::shared_ptr<const Entry> insert(const std::string& key, Entry entry);
 
-  /// Bind a persistent ArtifactStore (non-owning; null unbinds). `scope`
-  /// is the context-identity half of every ArtifactKey this cache reads
-  /// or writes — see FlowContext::set_artifact_store.
-  void bind_store(store::ArtifactStore* store, std::string scope);
+  /// Bind a persistent ArtifactStore (non-owning; null unbinds) — see
+  /// FlowContext::set_artifact_store.
+  void bind_store(store::ArtifactStore* store);
 
   std::uint64_t hits() const { return hits_.load(); }
   std::uint64_t misses() const { return misses_.load(); }
@@ -128,7 +116,6 @@ class StageCache {
   mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<const Entry>> entries_;
   store::ArtifactStore* store_ = nullptr;
-  std::string store_scope_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
 };

@@ -224,10 +224,16 @@ struct WordTraits<AvxWord512> {
     return c;
   }
 #if defined(HLP_HAVE_AVX512VPOPCNT)
+  // The eight limb counts are stored and summed, not reduced with
+  // _mm512_reduce_add_epi64: GCC 12 expands that through an undefined
+  // vector and warns it is used uninitialized.
   __attribute__((target("avx512f,avx512vpopcntdq"))) static int
   popcount_vpopcntdq(const Word& w) {
-    return static_cast<int>(
-        _mm512_reduce_add_epi64(_mm512_popcnt_epi64(w.v)));
+    std::uint64_t counts[8];
+    _mm512_storeu_si512(counts, _mm512_popcnt_epi64(w.v));
+    std::uint64_t sum = 0;
+    for (const std::uint64_t c : counts) sum += c;
+    return static_cast<int>(sum);
   }
 #endif
   static int lane(const Word& w, int l) {

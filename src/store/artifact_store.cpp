@@ -24,12 +24,12 @@ constexpr const char* kMagic = "hlp-artifact";
 // Bump whenever the key or payload layout changes: an object written in an
 // older layout is then rejected by its version line (and recomputed)
 // instead of failing on whichever field moved.
-constexpr const char* kVersion = "v3";
+constexpr const char* kVersion = "v4";
 // Objects are canonical (publish compares bytes), so a blank line is a
 // defect, not padding.
 constexpr auto kRejectBlank = LineReader::Blank::kReject;
-// Magic, scope, binding, sa and payload-count lines precede the payload.
-constexpr int kHeaderLines = 5;
+// Magic, key and payload-count lines precede the payload.
+constexpr int kHeaderLines = 3;
 
 std::string hex64(std::uint64_t v) {
   char buf[17];
@@ -325,12 +325,9 @@ std::optional<StoredObject> read_object(const std::string& path,
   obj.art = ArtifactStore::parse(obj.bytes, "'" + path + "'");
   const ArtifactKey& got = obj.art.key;
   if (want) {
-    HLP_REQUIRE(got.scope == want->scope && got.binding == want->binding,
-                "artifact '" << path << "': key mismatch (address collision "
-                             << "or tampered tags)");
-    HLP_REQUIRE(got.sa == want->sa, "artifact '" << path << "': sa mode tag '"
-                                                 << got.sa << "' != requested '"
-                                                 << want->sa << "'");
+    HLP_REQUIRE(got == *want, "artifact '" << path << "': key mismatch "
+                                           << "(address collision or "
+                                           << "tampered key)");
   } else {
     HLP_REQUIRE(ArtifactStore::content_address(got) + ".art" ==
                     fs::path(path).filename().string(),
@@ -384,14 +381,8 @@ bool must_write(const std::string& path, const ArtifactKey& key,
 
 }  // namespace
 
-std::string ArtifactKey::full() const {
-  // Newline-joined (no component may contain one: scopes and binding
-  // hashes are single-line by construction, mode names are identifiers).
-  return scope + '\n' + binding + '\n' + sa;
-}
-
 std::string ArtifactStore::content_address(const ArtifactKey& key) {
-  return hex64(fnv1a64(key.full()));
+  return hex64(fnv1a64(key.binding));
 }
 
 std::string ArtifactStore::object_path(const ArtifactKey& key) const {
@@ -407,9 +398,7 @@ std::string ArtifactStore::serialize(const ArtifactKey& key,
       static_cast<std::size_t>(std::count(body.begin(), body.end(), '\n'));
   std::ostringstream os;
   os << kMagic << ' ' << kVersion << '\n';
-  os << "scope " << encode_token(key.scope) << '\n';
-  os << "binding " << encode_token(key.binding) << '\n';
-  os << "sa " << encode_token(key.sa) << '\n';
+  os << "key " << encode_token(key.binding) << '\n';
   os << "payload " << lines << '\n';
   os << body;
   os << "sum " << hex64(fnv1a64(body)) << '\n';
@@ -429,15 +418,11 @@ LoadedArtifact ArtifactStore::parse(const std::string& bytes,
     head.finish();
   }
   LoadedArtifact art;
-  auto tag = [&](const char* head) {
-    LineRecord l = r.line(head);
-    std::string value = l.take(decode_token);
-    l.finish();
-    return value;
-  };
-  art.key.scope = tag("scope");
-  art.key.binding = tag("binding");
-  art.key.sa = tag("sa");
+  {
+    LineRecord key = r.line("key");
+    art.key.binding = key.take(decode_token);
+    key.finish();
+  }
   LineRecord counted = r.line("payload");
   const std::uint64_t lines = counted.take(parse_u64);
   counted.finish();

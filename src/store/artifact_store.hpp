@@ -2,27 +2,19 @@
 // the in-memory StageCache (ROADMAP: "Persistent cross-run artifact store
 // + incremental exploration").
 //
-// A StageCache entry (the bind-fus..time artifacts of one binding) is
-// keyed in memory by FlowContext::binding_hash(). That key is exact but
-// scoped to one context; to share entries across processes, sessions and
-// machines the store widens it into an ArtifactKey:
-//
-//   scope    — the context's identity: the runner's context_key plus a
-//              structural digest of the CDFG, so two providers that reuse
-//              a benchmark name for different graphs can never alias;
-//   binding  — FlowContext::binding_hash() verbatim (scheduler, resolved
-//              rc, width, reg_seed, SA mode, binder knobs in hexfloat,
-//              map + timing parameters);
-//   sa       — the resolved SA backend, recorded so a warm hit can prove
-//              it was produced under the same SA mode the runner groups
-//              by.
+// A StageCache entry (the bind-fus..time artifacts of one binding) has one
+// key, in memory and on disk: FlowContext::binding_hash(), which
+// serialises everything the span reads (scheduler, resolved rc, width,
+// reg_seed, SA mode, binder knobs in hexfloat, map + timing parameters)
+// plus a structural digest of the CDFG, so two providers that reuse a
+// benchmark name for different graphs can never alias.
 //
 // One entry = one file, `objects/<fnv1a64(key)>.art`, in the line format
-// of common/text_codec.hpp: a `hlp-artifact v3` magic header and an `end
-// hlp-artifact <count>` footer so truncation is detectable, plus an FNV-1a
-// checksum over the payload so bit flips are too. Unlike the job wire
-// format the payload carries the FULL mapped and datapath netlists — the
-// whole point is skipping elaborate/map/time.
+// of common/text_codec.hpp: a `hlp-artifact v4` magic header, the key
+// line, and an `end hlp-artifact <count>` footer so truncation is
+// detectable, plus an FNV-1a checksum over the payload so bit flips are
+// too. Unlike the job wire format the payload carries the FULL mapped and
+// datapath netlists — the whole point is skipping elaborate/map/time.
 //
 // Durability contract:
 //   - Commits are atomic: entries are serialised into a per-process
@@ -30,9 +22,9 @@
 //     never observes a half-written entry and a SIGKILLed writer leaves
 //     only staging litter, never a corrupt object.
 //   - find() is lenient: a missing entry is a miss; an entry that fails
-//     ANY validation (truncated, bit-flipped, wrong magic/footer, SA tag
-//     or key mismatch) is rejected and reported as a miss — corruption
-//     degrades a warm run to a cold one, it never poisons it.
+//     ANY validation (truncated, bit-flipped, wrong magic/footer, key
+//     mismatch) is rejected and reported as a miss — corruption degrades
+//     a warm run to a cold one, it never poisons it.
 //   - publish() and merge_from() are overlap-must-agree: an existing
 //     valid entry with the same key must match the incoming bytes exactly
 //     (every producer is deterministic, so a mismatch means two
@@ -57,15 +49,12 @@
 
 namespace hlp::store {
 
-/// Identity of one stored artifact. `full()` is the exact string the
-/// content address hashes — every field the bind-fus..time stages (or the
-/// runner's grouping) depend on is serialised in it, none digested.
+/// Identity of one stored artifact: FlowContext::binding_hash() verbatim,
+/// the exact string the content address hashes. It serialises every field
+/// the bind-fus..time stages read, the CDFG as a structural digest.
 struct ArtifactKey {
-  std::string scope;    // context identity (runner key + CDFG digest)
-  std::string binding;  // FlowContext::binding_hash()
-  std::string sa;       // resolved SA mode name (sa_mode_name)
+  std::string binding;
 
-  std::string full() const;
   friend bool operator==(const ArtifactKey&, const ArtifactKey&) = default;
 };
 
@@ -145,7 +134,7 @@ class ArtifactStore {
 
   /// Strict load: throws hlp::Error naming the defect on a missing file,
   /// truncation, checksum mismatch, wrong magic/footer, malformed payload
-  /// or a recorded key/mode-tag that disagrees with `key`.
+  /// or a recorded key that disagrees with `key`.
   std::shared_ptr<const Entry> load_strict(const ArtifactKey& key) const;
 
   /// Publish the entry for `key` (atomic write-then-rename).
@@ -194,7 +183,7 @@ class ArtifactStore {
 
   /// `<root>/objects/<content_address(key)>.art`.
   std::string object_path(const ArtifactKey& key) const;
-  /// FNV-1a 64 of key.full(), as 16 hex digits.
+  /// FNV-1a 64 of key.binding, as 16 hex digits.
   static std::string content_address(const ArtifactKey& key);
 
   /// The exact bytes publish() commits for (key, entry) — exposed so

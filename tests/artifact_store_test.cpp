@@ -1,7 +1,7 @@
 // Fault-injection tier for the content-addressed artifact store
 // (src/store/artifact_store.hpp), modeled on the sa_cache_test merge
 // suite: exact round trips, then every corruption we can inflict —
-// truncation, bit flips, wrong magic/footer, tampered mode tags, renamed
+// truncation, bit flips, wrong magic/footer, planted keys, renamed
 // files, stray temp litter — must be rejected WITHOUT poisoning the store
 // (lenient find degrades to a miss; strict load/merge names the defect),
 // plus overlap-must-agree publish/merge semantics and a SIGKILL-mid-
@@ -106,9 +106,11 @@ ArtifactStore::Entry make_entry(double clock = 1.5) {
   return e;
 }
 
-ArtifactKey make_key(const std::string& binding = "binder|0x1p-1|4",
+// A key shaped like FlowContext::binding_hash(): context fields with the
+// SA mode among them, then the binder's, then the CDFG digest.
+ArtifactKey make_key(const std::string& binder = "binder|0x1p-1|4",
                      const std::string& sa = "estimate") {
-  return {"pr|list|2x2|4|42|gcafe", binding, sa};
+  return {"list|2x2|4|42|" + sa + "|" + binder + "|gcafe"};
 }
 
 void expect_entry_eq(const ArtifactStore::Entry& a,
@@ -179,11 +181,15 @@ std::vector<std::string> lines_of(const std::string& text) {
   return out;
 }
 
-// The payload lines of a serialize() result: after the magic, the three
-// key tags and the payload count; before the sum and the footer.
+// Lines of a serialize() result before its payload: the magic, the key
+// and the payload count.
+constexpr std::size_t kHeaderLines = 3;
+
+// The payload lines of a serialize() result: after the header, before the
+// sum and the footer.
 std::vector<std::string> payload_of(const std::string& object) {
   const std::vector<std::string> lines = lines_of(object);
-  return {lines.begin() + 5, lines.end() - 2};
+  return {lines.begin() + kHeaderLines, lines.end() - 2};
 }
 
 // `object` with its payload replaced by `payload` and the payload count,
@@ -199,7 +205,7 @@ std::string with_payload(const std::string& object,
                 static_cast<unsigned long long>(fnv1a64(body)));
   const std::string count = std::to_string(payload.size());
   std::string out;
-  for (std::size_t i = 0; i < 4; ++i) out += lines[i] + '\n';
+  for (std::size_t i = 0; i + 1 < kHeaderLines; ++i) out += lines[i] + '\n';
   return out + "payload " + count + '\n' + body + "sum " + sum + '\n' +
          "end hlp-artifact " + count + '\n';
 }
@@ -216,16 +222,15 @@ TEST(ArtifactStoreFormat, SerializeParseRoundTripIsExact) {
   EXPECT_EQ(ArtifactStore::serialize(art.key, art.entry), bytes);
 }
 
-// The exact bytes of the fixture object. Every `hlp-artifact v3` object
-// already on disk (and the CI cache keyed `hlp-store-v3`) is read by
-// today's parser, so a writer change that moves a byte must bump the
-// version instead of editing this literal.
+// The exact bytes of the fixture object. Every `hlp-artifact v4` object
+// already on disk (and the CI cache keyed `hlp-store-v4`) is read by
+// today's parser, so a writer change that moves a byte is a format
+// change: it bumps the version and replaces this literal with the new
+// version's bytes in the same commit.
 TEST(ArtifactStoreFormat, FixtureBytesArePinned) {
   const std::string pinned =
-      "hlp-artifact v3\n"
-      "scope pr|list|2x2|4|42|gcafe\n"
-      "binding binder|0x1p-1|4\n"
-      "sa estimate\n"
+      "hlp-artifact v4\n"
+      "key list|2x2|4|42|estimate|binder|0x1p-1|4|gcafe\n"
       "payload 37\n"
       "fus 3 0 1 0\n"
       "kinds 2 add mult\n"
@@ -451,25 +456,25 @@ TEST_F(ArtifactStoreFaults, TamperedFooterCountIsRejected) {
   expect_rejected_then_repaired("bad-footer");
 }
 
-TEST_F(ArtifactStoreFaults, TamperedModeTagIsRejected) {
-  // Re-key the same entry with a different SA tag and plant those bytes at
-  // the original address: structurally valid, checksum fine — but the
-  // recorded key no longer matches the request, so the hit must refuse.
-  // The tag is the retired "exact" mode, as an older store may hold it.
-  ArtifactKey tampered = key_;
-  tampered.sa = "exact";
-  write_file(path_, ArtifactStore::serialize(tampered, make_entry()));
+TEST_F(ArtifactStoreFaults, KeyNamingAnotherSaModeIsRejected) {
+  // The same entry under a key that names another SA mode, planted at the
+  // original address: structurally valid, checksum fine — but the recorded
+  // key no longer matches the request, so the hit must refuse. The mode
+  // is the retired "exact", as an older store may hold it.
+  write_file(path_, ArtifactStore::serialize(
+                        make_key("binder|0x1p-1|4", "exact"), make_entry()));
   EXPECT_FALSE(store_->find(key_));
   EXPECT_EQ(store_->rejected(), 1u);
   try {
     store_->load_strict(key_);
-    FAIL() << "mode-tag mismatch did not throw";
+    FAIL() << "a key naming another SA mode did not throw";
   } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("sa mode tag"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("key mismatch"), std::string::npos)
         << e.what();
   }
   store_->publish(key_, make_entry());
   EXPECT_EQ(read_file(path_), blob_);
+  EXPECT_TRUE(store_->find(key_));
 }
 
 TEST_F(ArtifactStoreFaults, DatapathPlanMustFitItsNetlist) {
@@ -566,23 +571,26 @@ TEST_F(ArtifactStoreFaults, HugeCtlCountIsRejectedNotOverrun) {
 
 TEST_F(ArtifactStoreFaults, OlderVersionObjectsAreRejectedByVersion) {
   // Objects in each older layout planted at this key's address: they must
-  // fail on their version line, not on the tag lines the v3 parser no
-  // longer expects. v1 still carried the settle and simd tags after the sa
-  // line, v2 only the simd tag.
+  // fail on their version line, not on the tag lines the v4 parser no
+  // longer expects. v1 to v3 keyed an object by a scope, a binding and an
+  // sa line where v4 has one key line; v1 also carried the settle and simd
+  // tags after the sa line, v2 only the simd tag.
   struct Layout {
     std::string version;
-    std::string extra_tags;
+    std::string tags;
   };
-  const std::string header = "hlp-artifact v3\n";
+  const std::string header = "hlp-artifact v4\nkey " +
+                             encode_token(key_.binding) + "\n";
   ASSERT_EQ(blob_.rfind(header, 0), 0u);
-  const std::string sa_line = "sa " + key_.sa + "\n";
-  const std::size_t sa_at = blob_.find(sa_line);
-  ASSERT_NE(sa_at, std::string::npos);
-  for (const Layout& old : {Layout{"v1", "settle auto\nsimd auto\n"},
-                            Layout{"v2", "simd auto\n"}}) {
+  const std::string v3_tags =
+      "scope pr|list|2x2|4|42|estimate|gcafe\nbinding binder|0x1p-1|4\n"
+      "sa estimate\n";
+  for (const Layout& old :
+       {Layout{"v1", v3_tags + "settle auto\nsimd auto\n"},
+        Layout{"v2", v3_tags + "simd auto\n"}, Layout{"v3", v3_tags}}) {
     std::string bytes = blob_;
-    bytes.insert(sa_at + sa_line.size(), old.extra_tags);
-    bytes.replace(0, header.size(), "hlp-artifact " + old.version + "\n");
+    bytes.replace(0, header.size(),
+                  "hlp-artifact " + old.version + "\n" + old.tags);
     write_file(path_, bytes);
     // A fresh handle per layout: the helper expects exactly one rejection.
     store_ = std::make_unique<ArtifactStore>(root_);

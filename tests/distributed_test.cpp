@@ -666,6 +666,35 @@ TEST(Distributed, WorkersInheritSaModeAndStayBitIdentical) {
   }
 }
 
+TEST(Distributed, WorkersRunTheParentsUnitsWithCoalescingOnOrOff) {
+  // Workers take no coalescing setting: the parent's plan_units already
+  // cut the grid into units (one job, or one word-sized chunk of a seed
+  // group) and a worker runs each unit as it is. So either parent setting
+  // gives the threaded runner's bits, and the parent's group sizes, on a
+  // grid that holds a 3-seed group.
+  std::vector<flow::Job> jobs = flow::ExperimentRunner::grid(
+      {"pr"}, {flow::BinderSpec{"hlpower"}}, {11, 12, 13}, {},
+      small_job("pr"));
+  jobs.push_back(small_job("wang"));
+  for (const bool coalesce : {false, true}) {
+    flow::ExperimentRunner threaded(2);
+    threaded.set_coalescing(coalesce);
+    const auto want = threaded.run(jobs);
+    EXPECT_EQ(want[0].group_size, coalesce ? 3u : 1u);
+    flow::DistributedRunner dist(2, 1);
+    dist.local().set_coalescing(coalesce);
+    const auto got = dist.run(jobs);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_TRUE(got[i].ok) << got[i].error;
+      EXPECT_TRUE(flow::same_outcome(want[i], got[i]))
+          << "coalescing " << coalesce << ", job " << i;
+      EXPECT_EQ(got[i].group_size, want[i].group_size)
+          << "coalescing " << coalesce << ", job " << i;
+    }
+  }
+}
+
 TEST(Distributed, SingleWorkerFallsBackInProcess) {
   const std::vector<flow::Job> jobs = {small_job("pr"), small_job("wang")};
   flow::DistributedRunner dist(1, 2);
@@ -831,8 +860,7 @@ TEST(Distributed, ServeLoopStaysWarmAcrossUnits) {
     ::close(to_child[1]);
     ::close(from_child[0]);
     ::close(from_child[1]);
-    ::execl(bin.c_str(), bin.c_str(), "--coalesce", "1",
-            static_cast<char*>(nullptr));
+    ::execl(bin.c_str(), bin.c_str(), static_cast<char*>(nullptr));
     _exit(127);
   }
   ::close(to_child[0]);
@@ -915,7 +943,7 @@ TEST(Distributed, WorkerRejectsUnknownFlagsWithUsage) {
   const std::string log = ::testing::TempDir() + "/worker_usage.log";
   for (const char* args :
        {"--results r", "--sa-out p", "--sa-in p", "--jobs 2 --bogus 1",
-        "--jobs 0", "--coalesce"}) {
+        "--jobs 0", "--coalesce", "--coalesce 1"}) {
     const int rc = std::system(("'" + bin + "' " + args +
                                 " </dev/null >/dev/null 2>'" + log + "'")
                                    .c_str());

@@ -233,8 +233,7 @@ std::shared_ptr<const flow::StageCache::Entry> published_span(
   spec.num_vectors = job.num_vectors;
   flow::Pipeline::run(ctx, spec);
   return ctx.stage_cache().find(
-      ctx.binding_hash(spec.binder, spec.map, spec.timing),
-      sa_mode_name(ctx.sa_cache().mode()));
+      ctx.binding_hash(spec.binder, spec.map, spec.timing));
 }
 
 void expect_same_stats(const CycleSimStats& got, const CycleSimStats& want) {

@@ -6,6 +6,7 @@
 // store recomputes ZERO unaffected bind-fus..time spans, pinned through
 // the store's hit/miss/publish counters.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
@@ -216,8 +217,23 @@ TEST(ParetoStream, FrontierMatchesAcrossWorkerProcesses) {
 
 // --- explorer: incremental reuse through the store -----------------------
 
+// This process's own directory for the explorer's stores, removed at
+// exit: two suite runs on one host must not share or delete each other's
+// stores.
+const std::string& process_store_root() {
+  static const struct Root {
+    std::string path =
+        ::testing::TempDir() + "/explore_test-" + std::to_string(::getpid());
+    ~Root() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  } root;
+  return root.path;
+}
+
 std::string fresh_store_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/" + name;
+  const std::string dir = process_store_root() + "/" + name;
   std::filesystem::remove_all(dir);
   return dir;
 }

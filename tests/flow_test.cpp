@@ -122,16 +122,15 @@ TEST(Pipeline, MatchesLegacyRunFlow) {
   const FlowResult legacy = run_flow(g, s, Binding{regs, fus}, fp);
 
   // Staged pipeline. The legacy path's SaCache above is estimate-mode, so
-  // pin the pipeline to the same backend: this test compares the staged
-  // decomposition, not the SA engine, and must hold under the sim-mode
-  // CI leg (HLP_SA_MODE=sim) too.
+  // pin the pipeline's context to the same backend: this test compares the
+  // staged decomposition, not the SA engine, and must hold under the
+  // sim-mode CI leg (HLP_SA_MODE=sim) too.
   flow::ContextOptions opt = small_options();
   opt.sa_mode = SaMode::kEstimated;
   flow::FlowContext ctx(g, rc, opt);
   flow::RunSpec spec;
   spec.binder.name = "hlpower";
   spec.num_vectors = kVectors;
-  spec.sa = SaMode::kEstimated;
   const flow::PipelineOutcome out = flow::Pipeline::run(ctx, spec);
 
   EXPECT_EQ(out.fus.fu_of_op, fus.fu_of_op);

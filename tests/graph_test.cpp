@@ -1,6 +1,6 @@
-// Tests for bipartite matching and min-cost max-flow, including brute-force
-// cross-checks on random instances (the matching quality directly
-// determines the quality of every binding the library produces).
+// Tests for bipartite matching and min-cost assignment, including
+// brute-force cross-checks on random instances (the matching quality
+// directly determines the quality of every binding the library produces).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +9,6 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "graph/bipartite.hpp"
-#include "graph/mincostflow.hpp"
 
 namespace hlp {
 namespace {
@@ -165,64 +164,6 @@ TEST_P(AssignmentRandom, MatchesBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AssignmentRandom, ::testing::Range(0, 30));
-
-TEST(MinCostFlow, SimplePath) {
-  MinCostFlow f(4);
-  const int e01 = f.add_edge(0, 1, 2, 1.0);
-  f.add_edge(1, 2, 2, 1.0);
-  f.add_edge(2, 3, 1, 1.0);
-  const auto r = f.solve(0, 3);
-  EXPECT_EQ(r.flow, 1);
-  EXPECT_DOUBLE_EQ(r.cost, 3.0);
-  EXPECT_EQ(f.flow_on(e01), 1);
-}
-
-TEST(MinCostFlow, PicksCheaperParallelPath) {
-  MinCostFlow f(4);
-  const int cheap = f.add_edge(0, 1, 1, 1.0);
-  const int dear = f.add_edge(0, 2, 1, 5.0);
-  f.add_edge(1, 3, 1, 0.0);
-  f.add_edge(2, 3, 1, 0.0);
-  const auto r = f.solve(0, 3);
-  EXPECT_EQ(r.flow, 2);
-  EXPECT_DOUBLE_EQ(r.cost, 6.0);
-  EXPECT_EQ(f.flow_on(cheap), 1);
-  EXPECT_EQ(f.flow_on(dear), 1);
-}
-
-TEST(MinCostFlow, AssignmentViaFlow) {
-  // 2 ops -> 2 FUs as a flow problem; optimal matches diagonal.
-  MinCostFlow f(6);  // 0=s, 1..2 ops, 3..4 fus, 5=t
-  f.add_edge(0, 1, 1, 0);
-  f.add_edge(0, 2, 1, 0);
-  const int e13 = f.add_edge(1, 3, 1, 1.0);
-  f.add_edge(1, 4, 1, 10.0);
-  f.add_edge(2, 3, 1, 10.0);
-  const int e24 = f.add_edge(2, 4, 1, 1.0);
-  f.add_edge(3, 5, 1, 0);
-  f.add_edge(4, 5, 1, 0);
-  const auto r = f.solve(0, 5);
-  EXPECT_EQ(r.flow, 2);
-  EXPECT_DOUBLE_EQ(r.cost, 2.0);
-  EXPECT_EQ(f.flow_on(e13), 1);
-  EXPECT_EQ(f.flow_on(e24), 1);
-}
-
-TEST(MinCostFlow, DisconnectedZeroFlow) {
-  MinCostFlow f(3);
-  f.add_edge(0, 1, 5, 1.0);
-  const auto r = f.solve(0, 2);
-  EXPECT_EQ(r.flow, 0);
-}
-
-TEST(MinCostFlow, NegativeCostHandled) {
-  MinCostFlow f(3);
-  f.add_edge(0, 1, 1, -2.0);
-  f.add_edge(1, 2, 1, 1.0);
-  const auto r = f.solve(0, 2);
-  EXPECT_EQ(r.flow, 1);
-  EXPECT_DOUBLE_EQ(r.cost, -1.0);
-}
 
 }  // namespace
 }  // namespace hlp

@@ -4,7 +4,9 @@
 // and threads racing the first run of one binding publish one entry —
 // plus the persistent tier underneath it (HLP_STORE / ExperimentRunner
 // store wiring): a warm second run against the same artifact store skips
-// elaborate/map/time bit-identically from a cold process.
+// elaborate/map/time bit-identically from a cold process, and the store
+// keys a span by binding_hash() alone, so what the span reads decides
+// what is shared.
 //
 // The direct-FlowContext tests construct their contexts by hand, which
 // never binds an artifact store — their hit/miss/size counters stay exact
@@ -353,6 +355,76 @@ TEST(StageCacheStore, CorruptStoreDegradesToAColdRunAndSelfHeals) {
   ASSERT_TRUE(third[0].ok) << third[0].error;
   EXPECT_TRUE(cached(third[0].outcome, "elaborate"));
   EXPECT_TRUE(flow::same_outcome(cold[0], third[0]));
+}
+
+// --- one key per span: FlowContext::binding_hash() -----------------------
+
+TEST(SpanKey, TwoSpellingsOfOneAllocationShareOneObject) {
+  // rc {0, 0} asks for the schedule-minimum allocation, which on pr
+  // resolves to {1, 1}. The span reads only the resolved allocation, so
+  // both spellings have one key: the second is a store hit on the object
+  // the first published, with bit-identical outcomes.
+  const std::string dir = fresh_store_dir("span_key_spellings");
+  flow::Job derived = store_grid()[0];
+  derived.rc = {0, 0};
+  flow::Job spelled = derived;
+  spelled.rc = {1, 1};
+
+  flow::ExperimentRunner first(1);
+  first.set_store_dir(dir);
+  const auto a = first.run({derived});
+  ASSERT_TRUE(a[0].ok) << a[0].error;
+  const ResourceConstraint resolved = first.context_for(derived).rc();
+  ASSERT_EQ(resolved.adders, 1);
+  ASSERT_EQ(resolved.multipliers, 1);
+  EXPECT_EQ(first.artifact_store()->publishes(), 1u);
+
+  flow::ExperimentRunner second(1);
+  second.set_store_dir(dir);
+  const auto b = second.run({spelled});
+  ASSERT_TRUE(b[0].ok) << b[0].error;
+  EXPECT_EQ(second.artifact_store()->hits(), 1u);
+  EXPECT_EQ(second.artifact_store()->misses(), 0u);
+  EXPECT_EQ(second.artifact_store()->publishes(), 0u);
+  EXPECT_EQ(second.artifact_store()->size(), 1u);
+  EXPECT_TRUE(cached(b[0].outcome, "elaborate"));
+  EXPECT_TRUE(flow::same_outcome(a[0], b[0]));
+}
+
+TEST(SpanKey, ProvidersThatReuseANameMissEachOther) {
+  // Two graph providers both answer "pr", with different graphs. The span
+  // key ends in a structural digest of the CDFG, so the second runner
+  // misses the first one's object and computes its own graph, exactly as
+  // a run with no store does.
+  const auto provider = [](std::uint64_t seed) {
+    return [seed](const std::string& name) {
+      return make_benchmark(benchmark_profile(name), seed);
+    };
+  };
+  const std::string dir = fresh_store_dir("span_key_providers");
+  const std::vector<flow::Job> jobs = {store_grid()[0]};
+  flow::ExperimentRunner first(1, provider(42));
+  first.set_store_dir(dir);
+  const auto theirs = first.run(jobs);
+  ASSERT_TRUE(theirs[0].ok) << theirs[0].error;
+  EXPECT_EQ(first.artifact_store()->publishes(), 1u);
+
+  flow::ExperimentRunner second(1, provider(7));
+  second.set_store_dir(dir);
+  EXPECT_NE(second.artifact_key_for(jobs[0]), first.artifact_key_for(jobs[0]));
+  const auto got = second.run(jobs);
+  ASSERT_TRUE(got[0].ok) << got[0].error;
+  EXPECT_EQ(second.artifact_store()->hits(), 0u);
+  EXPECT_EQ(second.artifact_store()->misses(), 1u);
+  EXPECT_EQ(second.artifact_store()->publishes(), 1u);
+  EXPECT_EQ(second.artifact_store()->size(), 2u);
+
+  flow::ExperimentRunner alone(1, provider(7));
+  alone.set_store_dir("");
+  const auto want = alone.run(jobs);
+  ASSERT_TRUE(want[0].ok) << want[0].error;
+  EXPECT_TRUE(flow::same_outcome(want[0], got[0]));
+  EXPECT_FALSE(flow::same_outcome(theirs[0], got[0]));
 }
 
 }  // namespace

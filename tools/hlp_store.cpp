@@ -109,7 +109,8 @@ int run_gc(const std::vector<std::string>& args) {
   if (!manifest.empty()) {
     // The manifest's jobs name everything that must stay warm; their
     // ArtifactKeys are computed exactly like the pipeline computes them
-    // (resolved SA, CDFG-digested scope).
+    // (each context's binding_hash, resolved SA mode and CDFG digest
+    // included).
     hlp::flow::ExperimentRunner runner(1);
     std::set<std::string> live;
     for (const hlp::flow::ManifestJob& mj :

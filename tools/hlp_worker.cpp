@@ -1,15 +1,19 @@
 // hlp_worker — the worker-process half of the distributed runner
 // (src/flow/distributed.hpp, docs/distributed.md).
 //
-//   hlp_worker [--jobs <n>] [--coalesce 0|1] [--store <dir>]
+//   hlp_worker [--jobs <n>] [--store <dir>]
 //
 // A long-lived loop that reads framed unit requests from stdin and writes
 // framed unit responses to stdout (flow/job_io.hpp) until a `quit` line or
 // EOF. Each unit runs through the ordinary in-process ExperimentRunner
-// (seed coalescing and word-parallel simulation included). One runner
-// lives for the whole session, so FlowContexts, StageCaches and SA tables
-// stay warm across units — later units of the same design reuse the
-// schedule/binding/map artifacts the first one computed. Stdout belongs to
+// (word-parallel simulation included). Coalescing is always on here: the
+// parent's plan_units already cut the grid into units — one job, or one
+// word-sized chunk of a seed group — and replanning a unit with
+// coalescing on gives that same unit back, whatever the parent's own
+// setting. One runner lives for the whole session, so FlowContexts,
+// StageCaches and SA tables stay warm across units — later units of the
+// same design reuse the schedule/binding/map artifacts the first one
+// computed. Stdout belongs to
 // the protocol; diagnostics go to stderr. The SA mode arrives pre-resolved
 // in each request row (`sa=`), so a worker's own HLP_SA_MODE never
 // influences which backend runs.
@@ -46,13 +50,11 @@ namespace {
 struct Options {
   std::string store;
   int jobs = 1;
-  bool coalesce = true;
 };
 
 [[noreturn]] void usage(const std::string& why) {
   std::cerr << "hlp_worker: " << why << "\n"
-            << "usage: hlp_worker [--jobs <n>] [--coalesce 0|1] "
-               "[--store <dir>]\n";
+            << "usage: hlp_worker [--jobs <n>] [--store <dir>]\n";
   std::exit(2);
 }
 
@@ -71,9 +73,6 @@ Options parse_args(int argc, char** argv) {
         opt.jobs = 0;
       }
       if (opt.jobs < 1) usage("--jobs '" + value + "' must be an integer >= 1");
-    } else if (flag == "--coalesce") {
-      if (value != "0" && value != "1") usage("--coalesce must be 0 or 1");
-      opt.coalesce = value == "1";
     } else {
       usage("unknown flag '" + flag + "'");
     }
@@ -84,7 +83,7 @@ Options parse_args(int argc, char** argv) {
 int run_serve(const Options& opt) {
   using namespace hlp;
   flow::ExperimentRunner runner(opt.jobs);
-  runner.set_coalescing(opt.coalesce);
+  runner.set_coalescing(true);
   // The store is the parent's call: always override the environment with
   // the flag (empty = none), so a worker never opens its own HLP_STORE.
   runner.set_store_dir(opt.store);
