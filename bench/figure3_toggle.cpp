@@ -72,8 +72,8 @@ void print_batch_comparison() {
         hlp::flow::RunSpec{}.seed);
 
     const auto t0 = Clock::now();
-    const CycleSimStats scalar =
-        simulate_frames(mapped.lut_netlist, make_frames(dp, samples));
+    const CycleSimStats scalar = simulate_frames(
+        mapped.lut_netlist, make_frames(mapped.lut_netlist, dp, samples));
     const auto t1 = Clock::now();
     const CycleSimStats batched =
         simulate_sample_lanes(mapped.lut_netlist, dp, samples, simd);
@@ -112,7 +112,7 @@ void BM_SimulatePr(benchmark::State& state) {
   const MapResult mapped = tech_map(dp.netlist);
   const auto samples = std::vector<std::vector<std::uint64_t>>(
       10, std::vector<std::uint64_t>(ctx.cdfg().num_inputs(), 0x5a));
-  const auto frames = make_frames(dp, samples);
+  const auto frames = make_frames(mapped.lut_netlist, dp, samples);
   for (auto _ : state)
     benchmark::DoNotOptimize(simulate_frames(mapped.lut_netlist, frames));
 }

@@ -4,7 +4,7 @@
 // Reads CDFGs (built-in paper benchmarks and/or text files), schedules and
 // binds them with registry-selected algorithms, runs the staged evaluation
 // pipeline — in parallel across designs with --jobs — and optionally
-// writes VHDL / Verilog / BLIF / DOT artifacts for single-design runs.
+// writes VHDL / BLIF / DOT artifacts for single-design runs.
 //
 // Usage:
 //   hlpower_cli [options]
@@ -21,7 +21,7 @@
 //     --seed N              simulation stimulus seed (default 42)
 //     --timings             print per-stage pipeline wall clock (one
 //                           `stages:` line per design)
-//     --vhdl <file> --verilog <file> --blif <file> --dot <file>
+//     --vhdl <file> --blif <file> --dot <file>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -39,7 +39,6 @@
 #include "flow/pipeline.hpp"
 #include "flow/registry.hpp"
 #include "netlist/blif.hpp"
-#include "rtl/verilog.hpp"
 #include "rtl/vhdl.hpp"
 
 namespace {
@@ -66,7 +65,7 @@ struct Options {
   std::uint64_t seed = 42;
   bool timings = false;
   bool help = false;
-  std::string vhdl_out, verilog_out, blif_out, dot_out;
+  std::string vhdl_out, blif_out, dot_out;
 };
 
 std::string joined(const std::vector<std::string>& names);
@@ -148,7 +147,6 @@ Options parse(int argc, char** argv) {
       o.seed = parse_flag(a, need(i), parse_u64, "a non-negative integer");
     else if (a == "--timings") o.timings = true;
     else if (a == "--vhdl") o.vhdl_out = need(i);
-    else if (a == "--verilog") o.verilog_out = need(i);
     else if (a == "--blif") o.blif_out = need(i);
     else if (a == "--dot") o.dot_out = need(i);
     else if (a == "--help" || a == "-h") o.help = true;
@@ -169,9 +167,8 @@ Options parse(int argc, char** argv) {
   if (o.width < 1) throw UsageError("--width must be >= 1");
   if (o.vectors < 1) throw UsageError("--vectors must be >= 1");
   if (o.benches.size() > 1 &&
-      !(o.vhdl_out.empty() && o.verilog_out.empty() && o.blif_out.empty() &&
-        o.dot_out.empty()))
-    throw UsageError("artifact outputs (--vhdl/--verilog/--blif/--dot) "
+      !(o.vhdl_out.empty() && o.blif_out.empty() && o.dot_out.empty()))
+    throw UsageError("artifact outputs (--vhdl/--blif/--dot) "
                      "require a single design");
   return o;
 }
@@ -241,8 +238,6 @@ void write_artifacts(const Options& o, flow::ExperimentRunner& runner,
   };
   write_file(o.vhdl_out,
              emit_vhdl(g, ctx.schedule(), bind, VhdlParams{o.width}));
-  write_file(o.verilog_out,
-             emit_verilog(g, ctx.schedule(), bind, VerilogParams{o.width}));
   if (!o.blif_out.empty()) {
     const Datapath dp = elaborate_datapath(g, ctx.schedule(), bind,
                                            DatapathParams{o.width});

@@ -128,8 +128,7 @@ void ExperimentRunner::set_result_callback(ResultCallback cb) {
 }
 
 store::ArtifactKey ExperimentRunner::artifact_key_for(const Job& job) {
-  const RunSpec spec = spec_for(job);
-  return {context_for(job).binding_hash(spec.binder, spec.map, spec.timing)};
+  return {context_for(job).binding_hash(job.binder)};
 }
 
 void ExperimentRunner::set_store_dir(std::string dir) {

@@ -157,8 +157,8 @@ class ExperimentRunner {
   FlowContext& context_for(const Job& job);
 
   /// The exact ArtifactKey the pipeline would probe/publish for this
-  /// job's bind-fus..time span: its context's binding_hash under the
-  /// default map/timing parameters — the pipeline head's own key.
+  /// job's bind-fus..time span: its context's binding_hash of the job's
+  /// binder — the pipeline head's own key.
   /// Needs no store configured (the explorer diffs steps with it;
   /// `hlp_store gc --keep-manifest` derives live addresses from it);
   /// resolving rc may run the context's probe schedule.

@@ -70,9 +70,7 @@ void FlowContext::set_artifact_store(store::ArtifactStore* store) {
   stage_cache_->bind_store(store);
 }
 
-std::string FlowContext::binding_hash(const BinderSpec& binder,
-                                      const MapParams& map,
-                                      const TimingModel& timing) {
+std::string FlowContext::binding_hash(const BinderSpec& binder) {
   const ResourceConstraint& resolved = rc();
   std::ostringstream key;
   key << std::hexfloat;
@@ -83,10 +81,8 @@ std::string FlowContext::binding_hash(const BinderSpec& binder,
       << resolved.multipliers << '|' << opt_.width << '|' << opt_.reg_seed
       << '|' << sa_mode_name(sa_cache().mode())
       << '|' << binder.name << '|' << binder.alpha << '|' << binder.beta_add
-      << '|' << binder.beta_mult << '|' << binder.refine << '|' << map.cuts.k
-      << '|' << map.cuts.max_cuts << '|' << static_cast<int>(map.mode) << '|'
-      << timing.lut_delay_ns << '|' << timing.net_delay_ns << '|'
-      << timing.reg_overhead_ns << "|g" << cdfg_digest_;
+      << '|' << binder.beta_mult << '|' << binder.refine << "|g"
+      << cdfg_digest_;
   return key.str();
 }
 

@@ -24,8 +24,6 @@
 #include "binding/binding.hpp"
 #include "cdfg/cdfg.hpp"
 #include "flow/registry.hpp"
-#include "mapper/techmap.hpp"
-#include "netlist/timing.hpp"
 #include "power/sa_cache.hpp"
 #include "sched/schedule.hpp"
 
@@ -94,17 +92,16 @@ class FlowContext {
   /// same binding_hash() key.
   void set_artifact_store(store::ArtifactStore* store);
 
-  /// The one key of the artifacts a (binder, mapping, timing) triple
-  /// produces on this context: the StageCache key, the artifact-store key
-  /// and (hashed) its content address. Not a lossy digest: the key
-  /// serialises every field the bind-fus..time stages read — the
-  /// context's scheduler/spec, resolved rc, width, reg_seed and SA mode,
-  /// the binder knobs (doubles in hexfloat), map parameters and timing
-  /// model, and a structural digest of the CDFG — so distinct
-  /// configurations can never collide, and two graph providers reusing
-  /// one benchmark name never share entries.
-  std::string binding_hash(const BinderSpec& binder, const MapParams& map,
-                           const TimingModel& timing);
+  /// The one key of the artifacts a binder produces on this context: the
+  /// StageCache key, the artifact-store key and (hashed) its content
+  /// address. Not a lossy digest: the key serialises every field the
+  /// bind-fus..time stages read that a caller can vary — the context's
+  /// scheduler/spec, resolved rc, width, reg_seed and SA mode, the binder
+  /// knobs (doubles in hexfloat), and a structural digest of the CDFG — so
+  /// distinct configurations can never collide, and two graph providers
+  /// reusing one benchmark name never share entries. Mapping and timing
+  /// are the flow's fixed kEvalMap and default TimingModel.
+  std::string binding_hash(const BinderSpec& binder);
 
  private:
   void ensure_scheduled_locked();

@@ -81,7 +81,7 @@ constexpr const char* kSpanStages[] = {"bind-fus", "refine", "elaborate",
 std::shared_ptr<const StageCache::Entry> run_head(FlowContext& ctx,
                                                   const RunSpec& spec,
                                                   PipelineOutcome& out) {
-  const std::string key = ctx.binding_hash(spec.binder, spec.map, spec.timing);
+  const std::string key = ctx.binding_hash(spec.binder);
   out.timings.reserve(Pipeline::stage_names().size());
 
   const Schedule* schedule = nullptr;
@@ -107,17 +107,19 @@ std::shared_ptr<const StageCache::Entry> run_head(FlowContext& ctx,
       e.fus = e.refine.fus;
       e.refined = true;
     });
-    timed(out, "elaborate", [&] {
-      e.datapath = elaborate_datapath(ctx.cdfg(), *schedule,
-                                      Binding{*regs, e.fus},
-                                      DatapathParams{ctx.width()});
-      e.mux_stats = compute_datapath_stats(ctx.cdfg(), *regs, e.fus);
-    });
-    timed(out, "map",
-          [&] { e.mapped = tech_map(e.datapath.netlist, spec.map); });
-    timed(out, "time", [&] {
-      e.clock_period_ns = clock_period_ns(e.mapped.lut_netlist, spec.timing);
-    });
+    {
+      Datapath dp;
+      timed(out, "elaborate", [&] {
+        dp = elaborate_datapath(ctx.cdfg(), *schedule, Binding{*regs, e.fus},
+                                DatapathParams{ctx.width()});
+        e.mux_stats = compute_datapath_stats(ctx.cdfg(), *regs, e.fus);
+      });
+      timed(out, "map", [&] { e.mapped = tech_map(dp.netlist, kEvalMap); });
+      // The entry keeps the plan; the elaborated netlist dies here.
+      e.plan = std::move(dp);
+    }
+    timed(out, "time",
+          [&] { e.clock_period_ns = clock_period_ns(e.mapped.lut_netlist); });
     span = ctx.stage_cache().insert(key, std::move(e));
   }
   out.bind_seconds =
@@ -133,8 +135,7 @@ std::shared_ptr<const StageCache::Entry> run_head(FlowContext& ctx,
 }
 
 // The `power` stage: one run's toggles -> dynamic power report.
-void run_power(const StageCache::Entry& span, const RunSpec& spec,
-               PipelineOutcome& out) {
+void run_power(const StageCache::Entry& span, PipelineOutcome& out) {
   timed(out, "power", [&] {
     const auto& sim = out.flow.sim;
     const double functional_per_cycle =
@@ -143,7 +144,7 @@ void run_power(const StageCache::Entry& span, const RunSpec& spec,
                        : 0.0;
     out.flow.report = power_from_toggles(
         span.mapped.lut_netlist, sim.toggles, sim.num_cycles,
-        span.clock_period_ns, functional_per_cycle, spec.power);
+        span.clock_period_ns, functional_per_cycle);
   });
 }
 
@@ -171,11 +172,11 @@ PipelineOutcome Pipeline::run(FlowContext& ctx, const RunSpec& spec) {
     out.flow.sim =
         spec.sim_engine == SimEngine::kBatched
             ? simulate_sample_lanes(
-                  luts, span->datapath, samples,
+                  luts, span->plan, samples,
                   effective_simd_mode(SimdMode::kAuto, samples.size()))
-            : simulate_frames(luts, make_frames(span->datapath, samples));
+            : simulate_frames(luts, make_frames(luts, span->plan, samples));
   });
-  run_power(*span, spec, out);
+  run_power(*span, out);
   return out;
 }
 
@@ -217,14 +218,14 @@ std::vector<PipelineOutcome> Pipeline::run_batch(
           lane_samples[i] =
               random_samples(spec.num_vectors, ctx.cdfg().num_inputs(),
                              ctx.width(), seeds[g0 + i]);
-        chunk = simulate_seed_chunk(luts, span->datapath, lane_samples, simd);
+        chunk = simulate_seed_chunk(luts, span->plan, lane_samples, simd);
       } else {
         for (std::size_t i = 0; i < count; ++i) {
           const auto samples =
               random_samples(spec.num_vectors, ctx.cdfg().num_inputs(),
                              ctx.width(), seeds[g0 + i]);
           chunk.push_back(
-              simulate_frames(luts, make_frames(span->datapath, samples)));
+              simulate_frames(luts, make_frames(luts, span->plan, samples)));
         }
       }
       for (std::size_t i = 0; i < count; ++i)
@@ -238,7 +239,7 @@ std::vector<PipelineOutcome> Pipeline::run_batch(
   for (std::size_t i = 0; i < seeds.size(); ++i) {
     PipelineOutcome& out = outs.emplace_back(head);
     out.flow.sim = std::move(sims[i]);
-    run_power(*span, spec, out);
+    run_power(*span, out);
   }
   return outs;
 }

@@ -18,7 +18,7 @@
 //    `simulate` and `power` read that entry in place, so re-running a
 //    binding skips straight to simulate and copies nothing
 //    (tests/pipeline_cache_test.cpp). Outcomes carry the span's summary,
-//    not its datapath or LUT netlist.
+//    not its control plan or LUT netlist.
 //  - run_batch: many stimulus seeds of one RunSpec share a single head
 //    pass, then ride the word-parallel simulator's lanes — one seed per
 //    bit, in the narrowest word that covers the seed group: 64 per u64
@@ -51,16 +51,13 @@ class ArtifactStore;  // store/artifact_store.hpp
 namespace hlp::flow {
 
 /// Per-run evaluation parameters (the per-job half of FlowParams; the
-/// width lives on the context).
+/// width lives on the context). Mapping, timing and power are run_flow's
+/// fixed flow: kEvalMap and the default TimingModel and PowerParams.
 struct RunSpec {
   BinderSpec binder;
   int num_vectors = 1000;
   /// Simulation stimulus seed.
   std::uint64_t seed = 42;
-  /// Evaluation mapping is depth-oriented, as in run_flow.
-  MapParams map{CutParams{}, MapMode::kDepth};
-  TimingModel timing;
-  PowerParams power;
   /// Which engine the `simulate` stage evaluates the stimulus with. The
   /// bit-parallel batch engine is the default; the scalar event simulator
   /// is kept as the reference oracle (results are bit-identical). The
@@ -87,7 +84,9 @@ class StageCache {
     PortRefineResult refine;
     bool refined = false;
     DatapathStats mux_stats;
-    Datapath datapath;
+    /// The control plan `simulate` drives the mapped netlist with; the
+    /// elaborated netlist is not kept once `map` has read it.
+    DatapathPlan plan;
     MapResult mapped;
     double clock_period_ns = 0.0;
   };
@@ -130,8 +129,8 @@ struct PipelineOutcome {
   FuBinding fus;
   /// Same shape as run_flow's result — clock, sim, power, mux — except
   /// that `flow.mapped` holds only the map summary (num_luts, depth): its
-  /// `lut_netlist` is empty. The mapped netlist and the datapath live in
-  /// the context's StageCache entry for the run's binding_hash().
+  /// `lut_netlist` is empty. The mapped netlist and the control plan live
+  /// in the context's StageCache entry for the run's binding_hash().
   FlowResult flow;
   /// Valid iff `refined` (the refine stage ran).
   PortRefineResult refine;

@@ -23,38 +23,28 @@ struct Producer {
 
 }  // namespace
 
-std::vector<std::vector<char>> Datapath::frames_for_sample(
-    const std::vector<std::uint64_t>& sample) const {
-  HLP_REQUIRE(sample.size() == data_input_pos.size(),
-              "sample has " << sample.size() << " words, datapath expects "
-                            << data_input_pos.size());
-  const std::size_t n_inputs = netlist.inputs().size();
-  std::vector<std::vector<char>> frames(num_phases,
-                                        std::vector<char>(n_inputs, 0));
-  for (int ph = 0; ph < num_phases; ++ph) {
-    auto& f = frames[ph];
-    for (std::size_t p = 0; p < sample.size(); ++p)
-      for (int j = 0; j < width; ++j)
-        f[data_input_pos[p] + j] = (sample[p] >> j) & 1u;
-    for (const auto& cg : controls) {
-      const int sel = cg.select_by_phase[ph];
-      for (std::size_t k = 0; k < cg.input_positions.size(); ++k)
-        f[cg.input_positions[k]] = (sel >> k) & 1;
+std::vector<std::vector<char>> make_frames(
+    const Netlist& n, const DatapathPlan& plan,
+    const std::vector<std::vector<std::uint64_t>>& samples) {
+  std::vector<std::vector<char>> frames;
+  frames.reserve(samples.size() * plan.num_phases);
+  for (const auto& sample : samples) {
+    HLP_REQUIRE(sample.size() == plan.data_input_pos.size(),
+                "sample has " << sample.size() << " words, datapath expects "
+                              << plan.data_input_pos.size());
+    for (int ph = 0; ph < plan.num_phases; ++ph) {
+      auto& f = frames.emplace_back(n.inputs().size(), 0);
+      for (std::size_t p = 0; p < sample.size(); ++p)
+        for (int j = 0; j < plan.width; ++j)
+          f[plan.data_input_pos[p] + j] = (sample[p] >> j) & 1u;
+      for (const auto& cg : plan.controls) {
+        const int sel = cg.select_by_phase[ph];
+        for (std::size_t k = 0; k < cg.input_positions.size(); ++k)
+          f[cg.input_positions[k]] = (sel >> k) & 1;
+      }
     }
   }
   return frames;
-}
-
-std::vector<std::vector<char>> make_frames(
-    const Datapath& dp, const std::vector<std::vector<std::uint64_t>>& samples) {
-  std::vector<std::vector<char>> out;
-  out.reserve(samples.size() * dp.num_phases);
-  for (const auto& s : samples) {
-    auto f = dp.frames_for_sample(s);
-    out.insert(out.end(), std::make_move_iterator(f.begin()),
-               std::make_move_iterator(f.end()));
-  }
-  return out;
 }
 
 Datapath elaborate_datapath(const Cdfg& g, const Schedule& s, const Binding& b,

@@ -42,26 +42,33 @@ struct ControlGroup {
   std::vector<int> select_by_phase;  // [num_phases]
 };
 
-struct Datapath {
-  Netlist netlist;
+/// The per-phase control plan of an elaborated datapath: which netlist
+/// inputs carry the data buses and the mux selects, and what every select
+/// takes in each phase. tech_map keeps the input list, so one plan drives
+/// the elaborated and the mapped netlist alike.
+struct DatapathPlan {
   int width = 0;
   int num_phases = 0;  // schedule length + 1 (load phase)
   /// Index into netlist.inputs() of bit 0 of each CDFG primary input's
   /// data bus (bits are contiguous).
   std::vector<int> data_input_pos;
   std::vector<ControlGroup> controls;
+};
 
-  /// Expand the control plan: values of every netlist input per phase,
-  /// with data bits taken from `sample` (one word per CDFG input).
-  std::vector<std::vector<char>> frames_for_sample(
-      const std::vector<std::uint64_t>& sample) const;
+struct Datapath : DatapathPlan {
+  Netlist netlist;
 };
 
 Datapath elaborate_datapath(const Cdfg& g, const Schedule& s, const Binding& b,
                             const DatapathParams& params = {});
 
-/// Frames for many samples back to back (num_samples * num_phases rows).
+/// Expand the plan into char frames for `n`, whose inputs it drives:
+/// num_phases rows per sample, back to back, each holding one value per
+/// input of `n`, with data bits taken from the sample (one word per CDFG
+/// input). Throws hlp::Error on a sample that does not hold one word per
+/// data input.
 std::vector<std::vector<char>> make_frames(
-    const Datapath& dp, const std::vector<std::vector<std::uint64_t>>& samples);
+    const Netlist& n, const DatapathPlan& plan,
+    const std::vector<std::vector<std::uint64_t>>& samples);
 
 }  // namespace hlp

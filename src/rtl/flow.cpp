@@ -20,15 +20,15 @@ FlowResult run_flow(const Cdfg& g, const Schedule& s, const Binding& b,
 
   // RTL elaboration + "synthesis" (technology mapping).
   const Datapath dp = elaborate_datapath(g, s, b, DatapathParams{params.width});
-  r.mapped = tech_map(dp.netlist, params.map);
-  r.clock_period_ns = clock_period_ns(r.mapped.lut_netlist, params.timing);
+  r.mapped = tech_map(dp.netlist, kEvalMap);
+  r.clock_period_ns = clock_period_ns(r.mapped.lut_netlist);
   r.mux_stats = compute_datapath_stats(g, b.regs, b.fus);
 
   // Stimulus: num_vectors random input samples, each run through the whole
   // schedule (load phase + every control step).
   const auto samples = random_samples(params.num_vectors, g.num_inputs(),
                                       params.width, params.seed);
-  const auto frames = make_frames(dp, samples);
+  const auto frames = make_frames(dp.netlist, dp, samples);
   r.sim = simulate_frames(r.mapped.lut_netlist, frames);
 
   const double functional_per_cycle =
@@ -38,7 +38,7 @@ FlowResult run_flow(const Cdfg& g, const Schedule& s, const Binding& b,
           : 0.0;
   r.report = power_from_toggles(r.mapped.lut_netlist, r.sim.toggles,
                                 r.sim.num_cycles, r.clock_period_ns,
-                                functional_per_cycle, params.power);
+                                functional_per_cycle);
   return r;
 }
 

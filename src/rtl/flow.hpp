@@ -23,14 +23,14 @@
 
 namespace hlp {
 
+/// The flow's one mapping: depth-oriented, as the paper sets Quartus to
+/// "optimization technique: speed". The glitch-aware mapping mode is used
+/// inside the SA *estimator*, not here. Timing and power take their
+/// default TimingModel and PowerParams.
+inline constexpr MapParams kEvalMap{CutParams{}, MapMode::kDepth};
+
 struct FlowParams {
   int width = 8;
-  /// Evaluation mapping is depth-oriented (the paper sets Quartus to
-  /// "optimization technique: speed"); the glitch-aware mapping mode is
-  /// used inside the SA *estimator*, not here.
-  MapParams map{CutParams{}, MapMode::kDepth};
-  TimingModel timing;
-  PowerParams power;
   int num_vectors = 1000;
   std::uint64_t seed = 42;
 };

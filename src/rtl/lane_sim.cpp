@@ -4,20 +4,20 @@
 
 namespace hlp {
 
-CycleSimStats simulate_sample_lanes(const Netlist& n, const Datapath& dp,
+CycleSimStats simulate_sample_lanes(const Netlist& n, const DatapathPlan& plan,
                                     const Samples& samples, SimdMode simd) {
   switch (resolve_simd_mode(simd)) {
     case SimdMode::kU64:
-      return simulate_sample_lanes_t<std::uint64_t>(n, dp, samples);
+      return simulate_sample_lanes_t<std::uint64_t>(n, plan, samples);
     case SimdMode::kX2:
-      return simulate_sample_lanes_t<SimdX2>(n, dp, samples);
+      return simulate_sample_lanes_t<SimdX2>(n, plan, samples);
     case SimdMode::kX4:
-      return simulate_sample_lanes_t<SimdX4>(n, dp, samples);
+      return simulate_sample_lanes_t<SimdX4>(n, plan, samples);
     case SimdMode::kX8:
-      return simulate_sample_lanes_t<SimdX8>(n, dp, samples);
+      return simulate_sample_lanes_t<SimdX8>(n, plan, samples);
     case SimdMode::kAvx512:
 #if defined(HLP_HAVE_AVX512)
-      return detail::simulate_sample_lanes_avx512(n, dp, samples);
+      return detail::simulate_sample_lanes_avx512(n, plan, samples);
 #else
       break;
 #endif
@@ -30,20 +30,20 @@ CycleSimStats simulate_sample_lanes(const Netlist& n, const Datapath& dp,
 namespace {
 
 std::vector<CycleSimStats> dispatch_seed_chunk(
-    const Netlist& n, const Datapath& dp, const LaneSamples& lane_samples,
+    const Netlist& n, const DatapathPlan& plan, const LaneSamples& lane_samples,
     SimdMode simd, const std::vector<std::size_t>* cuts) {
   switch (resolve_simd_mode(simd)) {
     case SimdMode::kU64:
-      return simulate_seed_chunk_t<std::uint64_t>(n, dp, lane_samples, cuts);
+      return simulate_seed_chunk_t<std::uint64_t>(n, plan, lane_samples, cuts);
     case SimdMode::kX2:
-      return simulate_seed_chunk_t<SimdX2>(n, dp, lane_samples, cuts);
+      return simulate_seed_chunk_t<SimdX2>(n, plan, lane_samples, cuts);
     case SimdMode::kX4:
-      return simulate_seed_chunk_t<SimdX4>(n, dp, lane_samples, cuts);
+      return simulate_seed_chunk_t<SimdX4>(n, plan, lane_samples, cuts);
     case SimdMode::kX8:
-      return simulate_seed_chunk_t<SimdX8>(n, dp, lane_samples, cuts);
+      return simulate_seed_chunk_t<SimdX8>(n, plan, lane_samples, cuts);
     case SimdMode::kAvx512:
 #if defined(HLP_HAVE_AVX512)
-      return detail::simulate_seed_chunk_avx512(n, dp, lane_samples, cuts);
+      return detail::simulate_seed_chunk_avx512(n, plan, lane_samples, cuts);
 #else
       break;
 #endif
@@ -56,15 +56,15 @@ std::vector<CycleSimStats> dispatch_seed_chunk(
 }  // namespace
 
 std::vector<CycleSimStats> simulate_seed_chunk(
-    const Netlist& n, const Datapath& dp, const LaneSamples& lane_samples,
+    const Netlist& n, const DatapathPlan& plan, const LaneSamples& lane_samples,
     SimdMode simd) {
-  return dispatch_seed_chunk(n, dp, lane_samples, simd, nullptr);
+  return dispatch_seed_chunk(n, plan, lane_samples, simd, nullptr);
 }
 
 std::vector<CycleSimStats> detail::simulate_seed_chunk_cut(
-    const Netlist& n, const Datapath& dp, const LaneSamples& lane_samples,
+    const Netlist& n, const DatapathPlan& plan, const LaneSamples& lane_samples,
     const std::vector<std::size_t>& cuts, SimdMode simd) {
-  return dispatch_seed_chunk(n, dp, lane_samples, simd, &cuts);
+  return dispatch_seed_chunk(n, plan, lane_samples, simd, &cuts);
 }
 
 CycleSimStats simulate_frames_batched(
@@ -73,7 +73,7 @@ CycleSimStats simulate_frames_batched(
   // A frame is a one-phase sample whose data inputs are 1 bit wide, one
   // per primary input, with no control plan.
   const std::size_t inputs = n.inputs().size();
-  Datapath plan;
+  DatapathPlan plan;
   plan.width = 1;
   plan.num_phases = 1;
   plan.data_input_pos.resize(inputs);

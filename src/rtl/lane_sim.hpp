@@ -4,7 +4,7 @@
 // materialised per-cycle char frames, on one of two lane axes:
 //
 //  - simulate_sample_lanes: ONE stimulus sequence, one input SAMPLE per
-//    lane (all dp.num_phases cycles of it), behind Pipeline::run. The only
+//    lane (all plan.num_phases cycles of it), behind Pipeline::run. The only
 //    coupling between lanes is the state a sample starts from: the state
 //    the previous sample ended in. The engine works those start states out
 //    by time-parallel simulation with fix-up (Heidelberger & Stone,
@@ -77,8 +77,8 @@ using LaneSamples = std::vector<Samples>;
 
 /// Evaluate one stimulus sequence, one sample per lane, `simd` lanes per
 /// word (chunked to the word). Returns the statistics of the whole run,
-/// bit-identical to simulate_frames(n, make_frames(dp, samples)).
-CycleSimStats simulate_sample_lanes(const Netlist& n, const Datapath& dp,
+/// bit-identical to simulate_frames(n, make_frames(n, plan, samples)).
+CycleSimStats simulate_sample_lanes(const Netlist& n, const DatapathPlan& plan,
                                     const Samples& samples, SimdMode simd);
 
 /// One stimulus sequence of char frames through `n`: frames[t] holds one
@@ -98,7 +98,7 @@ CycleSimStats simulate_frames_batched(
 /// reaches the caller once every helper has joined, and then nothing of
 /// the chunk is returned.
 std::vector<CycleSimStats> simulate_seed_chunk(const Netlist& n,
-                                               const Datapath& dp,
+                                               const DatapathPlan& plan,
                                                const LaneSamples& lane_samples,
                                                SimdMode simd);
 
@@ -115,8 +115,10 @@ class PhaseStager {
   using T = WordTraits<W>;
 
  public:
-  PhaseStager(const Netlist& n, const Datapath& dp)
-      : n_(n), dp_(dp), data_words_(dp.data_input_pos.size() * dp.width) {}
+  PhaseStager(const Netlist& n, const DatapathPlan& plan)
+      : n_(n),
+        plan_(plan),
+        data_words_(plan.data_input_pos.size() * plan.width) {}
 
   /// Settle every lane to the all-zero-source state, the state the scalar
   /// simulator starts from.
@@ -131,7 +133,7 @@ class PhaseStager {
   /// sample that does not hold one word per data input.
   template <typename SampleOf>
   void gather(int lanes, SampleOf&& sample_of) {
-    const std::size_t num_inputs = dp_.data_input_pos.size();
+    const std::size_t num_inputs = plan_.data_input_pos.size();
     std::fill(data_words_.begin(), data_words_.end(), T::zero());
     for (int l = 0; l < lanes; ++l) {
       const std::vector<std::uint64_t>& sample = sample_of(l);
@@ -140,8 +142,8 @@ class PhaseStager {
                                 << num_inputs);
       for (std::size_t p = 0; p < num_inputs; ++p) {
         const std::uint64_t word = sample[p];
-        for (int j = 0; j < dp_.width; ++j)
-          T::or_lane(data_words_[p * dp_.width + j], l, (word >> j) & 1u);
+        for (int j = 0; j < plan_.width; ++j)
+          T::or_lane(data_words_[p * plan_.width + j], l, (word >> j) & 1u);
       }
     }
   }
@@ -149,11 +151,11 @@ class PhaseStager {
   /// Stage phase `ph` of the gathered samples on the `active` lanes.
   void stage(BitSimulatorT<W>& sim, int ph, const W& active) const {
     const auto& pis = n_.inputs();
-    for (std::size_t p = 0; p < dp_.data_input_pos.size(); ++p)
-      for (int j = 0; j < dp_.width; ++j)
-        sim.stage_source(pis[dp_.data_input_pos[p] + j],
-                         data_words_[p * dp_.width + j]);
-    for (const auto& cg : dp_.controls) {
+    for (std::size_t p = 0; p < plan_.data_input_pos.size(); ++p)
+      for (int j = 0; j < plan_.width; ++j)
+        sim.stage_source(pis[plan_.data_input_pos[p] + j],
+                         data_words_[p * plan_.width + j]);
+    for (const auto& cg : plan_.controls) {
       const int sel = cg.select_by_phase[ph];
       for (std::size_t k = 0; k < cg.input_positions.size(); ++k)
         sim.stage_source(pis[cg.input_positions[k]],
@@ -166,7 +168,7 @@ class PhaseStager {
 
  private:
   const Netlist& n_;
-  const Datapath& dp_;
+  const DatapathPlan& plan_;
   std::vector<W> data_words_;  // [input p * width + bit j], one lane each
 };
 
@@ -175,16 +177,17 @@ class PhaseStager {
 /// Word-generic implementation (instantiated per backend; call
 /// simulate_sample_lanes for the runtime-dispatched entry).
 template <typename W>
-CycleSimStats simulate_sample_lanes_t(const Netlist& n, const Datapath& dp,
+CycleSimStats simulate_sample_lanes_t(const Netlist& n,
+                                      const DatapathPlan& plan,
                                       const Samples& samples) {
   using T = WordTraits<W>;
   const int num_nets = n.num_nets();
   CycleSimStats stats;
-  stats.num_cycles = samples.size() * dp.num_phases;
+  stats.num_cycles = samples.size() * plan.num_phases;
   stats.toggles.assign(num_nets, 0);
 
   BitSimulatorT<W> sim(n);
-  detail::PhaseStager<W> stager(n, dp);
+  detail::PhaseStager<W> stager(n, plan);
   stager.reset(sim);
   // s0 in every lane: the state sample 0 starts from, and the state an
   // inactive lane rests in.
@@ -212,7 +215,7 @@ CycleSimStats simulate_sample_lanes_t(const Netlist& n, const Datapath& dp,
       start[net] = (T::fill(carry[net] != 0) & active) | (s0[net] & ~active);
     for (bool fixed = false; !fixed;) {
       sim.load_state(start);
-      for (int ph = 0; ph < dp.num_phases; ++ph) {
+      for (int ph = 0; ph < plan.num_phases; ++ph) {
         stager.stage(sim, ph, active);
         sim.settle_zero_delay();
       }
@@ -230,7 +233,7 @@ CycleSimStats simulate_sample_lanes_t(const Netlist& n, const Datapath& dp,
     // so popcounts sum to the run's counts; inactive lanes never move.
     sim.load_state(start);
     prev = start;
-    for (int ph = 0; ph < dp.num_phases; ++ph) {
+    for (int ph = 0; ph < plan.num_phases; ++ph) {
       stager.stage(sim, ph, active);
       sim.settle(&stats.toggles);
       for (NetId net = 0; net < num_nets; ++net) {
@@ -268,10 +271,10 @@ class SeedChunkRun {
   using T = WordTraits<W>;
 
  public:
-  SeedChunkRun(const Netlist& n, const Datapath& dp,
+  SeedChunkRun(const Netlist& n, const DatapathPlan& plan,
                const LaneSamples& lane_samples)
       : n_(n),
-        dp_(dp),
+        plan_(plan),
         lane_samples_(lane_samples),
         lanes_(static_cast<int>(lane_samples.size())),
         num_samples_(lane_samples.empty() ? 0 : lane_samples.front().size()),
@@ -328,7 +331,7 @@ class SeedChunkRun {
   struct Counter {
     explicit Counter(const SeedChunkRun& run)
         : sim(run.n_),
-          stager(run.n_, run.dp_),
+          stager(run.n_, run.plan_),
           toggles(run.n_.num_nets(),
                   saturating_mul(run.cycles(),
                                  std::max(1, sim.num_levels() - 1))),
@@ -355,7 +358,7 @@ class SeedChunkRun {
 
   std::uint64_t cycles() const {
     return saturating_mul(num_samples_,
-                          static_cast<std::uint64_t>(dp_.num_phases));
+                          static_cast<std::uint64_t>(plan_.num_phases));
   }
 
   void gather(Counter& c, std::size_t s) {
@@ -371,7 +374,7 @@ class SeedChunkRun {
       if (failed_.load(std::memory_order_relaxed)) return;
       end = split(c, s, end);
       gather(c, s);
-      for (int ph = 0; ph < dp_.num_phases; ++ph) {
+      for (int ph = 0; ph < plan_.num_phases; ++ph) {
         c.stager.stage(c.sim, ph, active_);
         c.sim.settle_batch(c.toggles, c.touched, c.touched_flag, c.before);
         for (const NetId net : c.touched) {
@@ -388,7 +391,7 @@ class SeedChunkRun {
   void walk(Counter& c, std::size_t from, std::size_t to) {
     for (std::size_t s = from; s < to; ++s) {
       gather(c, s);
-      for (int ph = 0; ph < dp_.num_phases; ++ph) {
+      for (int ph = 0; ph < plan_.num_phases; ++ph) {
         c.stager.stage(c.sim, ph, active_);
         c.sim.settle_zero_delay();
       }
@@ -479,7 +482,7 @@ class SeedChunkRun {
     const int num_nets = n_.num_nets();
     std::vector<CycleSimStats> results(lanes_);
     for (CycleSimStats& st : results) {
-      st.num_cycles = num_samples_ * dp_.num_phases;
+      st.num_cycles = num_samples_ * plan_.num_phases;
       st.toggles.resize(num_nets);
     }
     std::vector<std::uint64_t> per_lane(T::kLanes);
@@ -496,7 +499,7 @@ class SeedChunkRun {
   }
 
   const Netlist& n_;
-  const Datapath& dp_;
+  const DatapathPlan& plan_;
   const LaneSamples& lane_samples_;
   const int lanes_;
   const std::size_t num_samples_;
@@ -518,9 +521,9 @@ class SeedChunkRun {
 /// detail::simulate_seed_chunk_cut runs.
 template <typename W>
 std::vector<CycleSimStats> simulate_seed_chunk_t(
-    const Netlist& n, const Datapath& dp, const LaneSamples& lane_samples,
+    const Netlist& n, const DatapathPlan& plan, const LaneSamples& lane_samples,
     const std::vector<std::size_t>* cuts = nullptr) {
-  return detail::SeedChunkRun<W>(n, dp, lane_samples).run(cuts);
+  return detail::SeedChunkRun<W>(n, plan, lane_samples).run(cuts);
 }
 
 namespace detail {
@@ -528,10 +531,10 @@ namespace detail {
 /// Per-ISA entries, defined in lane_sim_avx512.cpp when the toolchain
 /// supports the flag (HLP_HAVE_AVX512).
 CycleSimStats simulate_sample_lanes_avx512(const Netlist& n,
-                                           const Datapath& dp,
+                                           const DatapathPlan& plan,
                                            const Samples& samples);
 std::vector<CycleSimStats> simulate_seed_chunk_avx512(
-    const Netlist& n, const Datapath& dp, const LaneSamples& lane_samples,
+    const Netlist& n, const DatapathPlan& plan, const LaneSamples& lane_samples,
     const std::vector<std::size_t>* cuts);
 
 /// simulate_seed_chunk with the time axis cut at exactly `cuts`
@@ -540,7 +543,7 @@ std::vector<CycleSimStats> simulate_seed_chunk_avx512(
 /// thread. Any partition gives the serial run's statistics bit for bit;
 /// the tests drive the hand-off through it.
 std::vector<CycleSimStats> simulate_seed_chunk_cut(
-    const Netlist& n, const Datapath& dp, const LaneSamples& lane_samples,
+    const Netlist& n, const DatapathPlan& plan, const LaneSamples& lane_samples,
     const std::vector<std::size_t>& cuts, SimdMode simd);
 
 }  // namespace detail

@@ -8,15 +8,15 @@
 namespace hlp::detail {
 
 CycleSimStats simulate_sample_lanes_avx512(const Netlist& n,
-                                           const Datapath& dp,
+                                           const DatapathPlan& plan,
                                            const Samples& samples) {
-  return simulate_sample_lanes_t<AvxWord512>(n, dp, samples);
+  return simulate_sample_lanes_t<AvxWord512>(n, plan, samples);
 }
 
 std::vector<CycleSimStats> simulate_seed_chunk_avx512(
-    const Netlist& n, const Datapath& dp, const LaneSamples& lane_samples,
+    const Netlist& n, const DatapathPlan& plan, const LaneSamples& lane_samples,
     const std::vector<std::size_t>* cuts) {
-  return simulate_seed_chunk_t<AvxWord512>(n, dp, lane_samples, cuts);
+  return simulate_seed_chunk_t<AvxWord512>(n, plan, lane_samples, cuts);
 }
 
 }  // namespace hlp::detail

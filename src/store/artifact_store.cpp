@@ -24,7 +24,7 @@ constexpr const char* kMagic = "hlp-artifact";
 // Bump whenever the key or payload layout changes: an object written in an
 // older layout is then rejected by its version line (and recomputed)
 // instead of failing on whichever field moved.
-constexpr const char* kVersion = "v4";
+constexpr const char* kVersion = "v5";
 // Objects are canonical (publish compares bytes), so a blank line is a
 // defect, not padding.
 constexpr auto kRejectBlank = LineReader::Blank::kReject;
@@ -39,20 +39,19 @@ std::string hex64(std::uint64_t v) {
 
 // --- FuBinding -----------------------------------------------------------
 
-void save_fus(std::ostream& os, const std::string& prefix,
-              const FuBinding& fus) {
-  write_counted_line(os, prefix + "fus", fus.fu_of_op);
-  write_counted_line(os, prefix + "kinds", fus.kind_of_fu,
+void save_fus(std::ostream& os, const FuBinding& fus) {
+  write_counted_line(os, "fus", fus.fu_of_op);
+  write_counted_line(os, "kinds", fus.kind_of_fu,
                      [](OpKind k) { return to_string(k); });
-  write_counted_line(os, prefix + "flips", fus.flipped,
+  write_counted_line(os, "flips", fus.flipped,
                      [](char c) { return static_cast<int>(c); });
 }
 
-FuBinding load_fus(LineReader& r, const std::string& prefix) {
+FuBinding load_fus(LineReader& r) {
   FuBinding fus;
-  fus.fu_of_op = r.counted_line(prefix + "fus", parse_int);
-  fus.kind_of_fu = r.counted_line(prefix + "kinds", op_kind_from_name);
-  fus.flipped = r.counted_line(prefix + "flips", [](const std::string& s) {
+  fus.fu_of_op = r.counted_line("fus", parse_int);
+  fus.kind_of_fu = r.counted_line("kinds", op_kind_from_name);
+  fus.flipped = r.counted_line("flips", [](const std::string& s) {
     return static_cast<char>(parse_int(s));
   });
   return fus;
@@ -125,11 +124,10 @@ Netlist load_netlist(LineReader& r) {
 // --- Entry payload -------------------------------------------------------
 
 void save_entry(std::ostream& os, const ArtifactStore::Entry& e) {
-  save_fus(os, "", e.fus);
+  save_fus(os, e.fus);
   os << "refine " << (e.refined ? 1 : 0) << ' ' << e.refine.flips_applied
      << ' ' << e.refine.passes << ' ' << fmt_double(e.refine.cost_before)
      << ' ' << fmt_double(e.refine.cost_after) << '\n';
-  save_fus(os, "r", e.refine.fus);
   os << "mux " << e.mux_stats.largest_mux << ' ' << e.mux_stats.mux_length
      << ' ' << e.mux_stats.num_fus << ' ' << fmt_double(e.mux_stats.muxdiff_mean)
      << ' ' << fmt_double(e.mux_stats.muxdiff_variance) << '\n';
@@ -138,35 +136,28 @@ void save_entry(std::ostream& os, const ArtifactStore::Entry& e) {
   write_counted_line(os, "muxdiff", e.mux_stats.muxdiff);
   os << "clock " << fmt_double(e.clock_period_ns) << '\n';
   os << "map " << e.mapped.num_luts << ' ' << e.mapped.depth << '\n';
-  os << "datapath " << e.datapath.width << ' ' << e.datapath.num_phases
-     << '\n';
-  write_counted_line(os, "datapos", e.datapath.data_input_pos);
-  os << "controls " << e.datapath.controls.size() << '\n';
-  for (const ControlGroup& c : e.datapath.controls) {
+  os << "datapath " << e.plan.width << ' ' << e.plan.num_phases << '\n';
+  write_counted_line(os, "datapos", e.plan.data_input_pos);
+  os << "controls " << e.plan.controls.size() << '\n';
+  for (const ControlGroup& c : e.plan.controls) {
     os << "ctl " << encode_token(c.name);
     write_counted(os, c.input_positions);
     write_counted(os, c.select_by_phase);
     os << '\n';
   }
-  save_netlist(os, e.datapath.netlist);
   save_netlist(os, e.mapped.lut_netlist);
 }
 
 // The lane engines index the mapped netlist's inputs by the datapath plan
-// without a bounds check, so a plan that does not fit its netlists is as
-// corrupt as a bad checksum. tech_map keeps the input list, so both
-// netlists must have the same inputs.
+// without a bounds check, so a plan that does not fit that netlist is as
+// corrupt as a bad checksum.
 void check_plan_fits(const std::string& what, const ArtifactStore::Entry& e) {
-  const Datapath& dp = e.datapath;
+  const DatapathPlan& dp = e.plan;
   HLP_REQUIRE(dp.width >= 1 && dp.width <= 64,
               what << ": datapath width " << dp.width << " outside [1, 64]");
   HLP_REQUIRE(dp.num_phases >= 1,
               what << ": datapath num_phases " << dp.num_phases << " < 1");
-  const std::size_t mapped_inputs = e.mapped.lut_netlist.inputs().size();
-  HLP_REQUIRE(dp.netlist.inputs().size() == mapped_inputs,
-              what << ": datapath netlist has " << dp.netlist.inputs().size()
-                   << " inputs, mapped netlist has " << mapped_inputs);
-  const int inputs = static_cast<int>(mapped_inputs);
+  const int inputs = static_cast<int>(e.mapped.lut_netlist.inputs().size());
   for (const int pos : dp.data_input_pos)
     HLP_REQUIRE(pos >= 0 && pos <= inputs - dp.width,
                 what << ": datapos bus at " << pos << " of width " << dp.width
@@ -191,7 +182,7 @@ void check_plan_fits(const std::string& what, const ArtifactStore::Entry& e) {
 
 ArtifactStore::Entry load_entry(LineReader& r) {
   ArtifactStore::Entry e;
-  e.fus = load_fus(r, "");
+  e.fus = load_fus(r);
   {
     LineRecord l = r.line("refine");
     e.refined = l.take(parse_int) != 0;
@@ -201,7 +192,9 @@ ArtifactStore::Entry load_entry(LineReader& r) {
     e.refine.cost_after = l.take(parse_double);
     l.finish();
   }
-  e.refine.fus = load_fus(r, "r");
+  // A refined span's binding is its refined binding, so the object holds
+  // it once, as the job-frame loader does.
+  if (e.refined) e.refine.fus = e.fus;
   {
     LineRecord l = r.line("mux");
     e.mux_stats.largest_mux = l.take(parse_int);
@@ -227,11 +220,11 @@ ArtifactStore::Entry load_entry(LineReader& r) {
   }
   {
     LineRecord l = r.line("datapath");
-    e.datapath.width = l.take(parse_int);
-    e.datapath.num_phases = l.take(parse_int);
+    e.plan.width = l.take(parse_int);
+    e.plan.num_phases = l.take(parse_int);
     l.finish();
   }
-  e.datapath.data_input_pos = r.counted_line("datapos", parse_int);
+  e.plan.data_input_pos = r.counted_line("datapos", parse_int);
   LineRecord controls = r.line("controls");
   const std::uint64_t n = controls.take(parse_u64);
   controls.finish();
@@ -244,9 +237,8 @@ ArtifactStore::Entry load_entry(LineReader& r) {
     group.input_positions = ctl.take_counted(parse_int);
     group.select_by_phase = ctl.take_counted(parse_int);
     ctl.finish();
-    e.datapath.controls.push_back(std::move(group));
+    e.plan.controls.push_back(std::move(group));
   }
-  e.datapath.netlist = load_netlist(r);
   e.mapped.lut_netlist = load_netlist(r);
   HLP_REQUIRE(r.at_end(), r.what() << ": trailing payload lines");
   check_plan_fits(r.what(), e);

@@ -4,17 +4,18 @@
 //
 // A StageCache entry (the bind-fus..time artifacts of one binding) has one
 // key, in memory and on disk: FlowContext::binding_hash(), which
-// serialises everything the span reads (scheduler, resolved rc, width,
-// reg_seed, SA mode, binder knobs in hexfloat, map + timing parameters)
-// plus a structural digest of the CDFG, so two providers that reuse a
-// benchmark name for different graphs can never alias.
+// serialises everything the span reads that a caller can vary (scheduler,
+// resolved rc, width, reg_seed, SA mode, binder knobs in hexfloat) plus a
+// structural digest of the CDFG, so two providers that reuse a benchmark
+// name for different graphs can never alias.
 //
 // One entry = one file, `objects/<fnv1a64(key)>.art`, in the line format
-// of common/text_codec.hpp: a `hlp-artifact v4` magic header, the key
+// of common/text_codec.hpp: a `hlp-artifact v5` magic header, the key
 // line, and an `end hlp-artifact <count>` footer so truncation is
 // detectable, plus an FNV-1a checksum over the payload so bit flips are
-// too. Unlike the job wire format the payload carries the FULL mapped and
-// datapath netlists — the whole point is skipping elaborate/map/time.
+// too. Unlike the job wire format the payload carries the datapath's
+// control plan and the FULL mapped netlist — what `simulate` and `power`
+// read, so a hit skips elaborate/map/time.
 //
 // Durability contract:
 //   - Commits are atomic: entries are serialised into a per-process
@@ -161,8 +162,8 @@ class ArtifactStore {
   std::vector<ObjectInfo> enumerate() const;
 
   /// Validate every object via the strict parse (structure, checksum,
-  /// footer, netlists) plus the filename-matches-content-address check
-  /// that catches renamed or planted files. With `repair` set, invalid
+  /// footer, mapped netlist) plus the filename-matches-content-address
+  /// check that catches renamed or planted files. With `repair` set, invalid
   /// objects are deleted (the next probe recomputes them — the store's
   /// corruption contract) and stale staging directories left by dead
   /// writers are swept. Never touches valid objects.
@@ -190,8 +191,9 @@ class ArtifactStore {
   /// tests can assert byte-level convergence and craft corrupt files.
   static std::string serialize(const ArtifactKey& key, const Entry& entry);
   /// Strict parse of serialize()'s output; `what` names the source in
-  /// errors. Validates structure, magic, footer, checksum and both
-  /// netlists, not the key (callers cross-check against their request).
+  /// errors. Validates structure, magic, footer, checksum, the mapped
+  /// netlist and the plan that drives it, not the key (callers
+  /// cross-check against their request).
   static LoadedArtifact parse(const std::string& bytes,
                               const std::string& what);
 

@@ -28,6 +28,7 @@
 #include "common/strings.hpp"
 #include "common/text_codec.hpp"
 #include "store/artifact_store.hpp"
+#include "test_dir.hpp"
 
 namespace hlp {
 namespace {
@@ -36,11 +37,7 @@ namespace fs = std::filesystem;
 using store::ArtifactKey;
 using store::ArtifactStore;
 
-std::string fresh_dir(const std::string& name) {
-  const std::string path = ::testing::TempDir() + "/" + name;
-  fs::remove_all(path);
-  return path;
-}
+using test::fresh_dir;
 
 std::string read_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
@@ -91,14 +88,13 @@ ArtifactStore::Entry make_entry(double clock = 1.5) {
   e.mux_stats.mux_size_a = {2, 3};
   e.mux_stats.mux_size_b = {1, 2};
   e.mux_stats.muxdiff = {1, 1};
-  // A plan that fits the 2-input netlists (the loader checks it): a 1-bit
-  // data bus on input 0 and a select on input 1.
-  e.datapath.netlist = small_netlist("dp");
-  e.datapath.width = 1;
-  e.datapath.num_phases = 3;
-  e.datapath.data_input_pos = {0};
+  // A plan that fits the 2-input mapped netlist (the loader checks it): a
+  // 1-bit data bus on input 0 and a select on input 1.
+  e.plan.width = 1;
+  e.plan.num_phases = 3;
+  e.plan.data_input_pos = {0};
   // A name with spaces exercises the percent escaping.
-  e.datapath.controls.push_back({"mux sel 0", {1}, {0, 1, 1}});
+  e.plan.controls.push_back({"mux sel 0", {1}, {0, 1, 1}});
   e.mapped.lut_netlist = small_netlist("mapped");
   e.mapped.num_luts = 2;
   e.mapped.depth = 2;
@@ -135,42 +131,38 @@ void expect_entry_eq(const ArtifactStore::Entry& a,
   EXPECT_EQ(a.clock_period_ns, b.clock_period_ns);
   EXPECT_EQ(a.mapped.num_luts, b.mapped.num_luts);
   EXPECT_EQ(a.mapped.depth, b.mapped.depth);
-  EXPECT_EQ(a.datapath.width, b.datapath.width);
-  EXPECT_EQ(a.datapath.num_phases, b.datapath.num_phases);
-  EXPECT_EQ(a.datapath.data_input_pos, b.datapath.data_input_pos);
-  ASSERT_EQ(a.datapath.controls.size(), b.datapath.controls.size());
-  for (std::size_t i = 0; i < a.datapath.controls.size(); ++i) {
-    EXPECT_EQ(a.datapath.controls[i].name, b.datapath.controls[i].name);
-    EXPECT_EQ(a.datapath.controls[i].input_positions,
-              b.datapath.controls[i].input_positions);
-    EXPECT_EQ(a.datapath.controls[i].select_by_phase,
-              b.datapath.controls[i].select_by_phase);
+  EXPECT_EQ(a.plan.width, b.plan.width);
+  EXPECT_EQ(a.plan.num_phases, b.plan.num_phases);
+  EXPECT_EQ(a.plan.data_input_pos, b.plan.data_input_pos);
+  ASSERT_EQ(a.plan.controls.size(), b.plan.controls.size());
+  for (std::size_t i = 0; i < a.plan.controls.size(); ++i) {
+    EXPECT_EQ(a.plan.controls[i].name, b.plan.controls[i].name);
+    EXPECT_EQ(a.plan.controls[i].input_positions,
+              b.plan.controls[i].input_positions);
+    EXPECT_EQ(a.plan.controls[i].select_by_phase,
+              b.plan.controls[i].select_by_phase);
   }
-  for (const auto& nets :
-       {std::pair{&a.datapath.netlist, &b.datapath.netlist},
-        std::pair{&a.mapped.lut_netlist, &b.mapped.lut_netlist}}) {
-    const Netlist& na = *nets.first;
-    const Netlist& nb = *nets.second;
-    EXPECT_EQ(na.name(), nb.name());
-    ASSERT_EQ(na.num_nets(), nb.num_nets());
-    for (NetId id = 0; id < na.num_nets(); ++id) {
-      EXPECT_EQ(na.net_name(id), nb.net_name(id));
-      EXPECT_EQ(na.is_input(id), nb.is_input(id));
-    }
-    ASSERT_EQ(na.num_gates(), nb.num_gates());
-    for (int g = 0; g < na.num_gates(); ++g) {
-      EXPECT_EQ(na.gates()[g].out, nb.gates()[g].out);
-      EXPECT_EQ(na.gates()[g].ins, nb.gates()[g].ins);
-      EXPECT_EQ(na.gates()[g].tt, nb.gates()[g].tt);
-    }
-    ASSERT_EQ(na.num_latches(), nb.num_latches());
-    for (int l = 0; l < na.num_latches(); ++l) {
-      EXPECT_EQ(na.latches()[l].q, nb.latches()[l].q);
-      EXPECT_EQ(na.latches()[l].d, nb.latches()[l].d);
-    }
-    EXPECT_EQ(na.inputs(), nb.inputs());
-    EXPECT_EQ(na.outputs(), nb.outputs());
+  const Netlist& na = a.mapped.lut_netlist;
+  const Netlist& nb = b.mapped.lut_netlist;
+  EXPECT_EQ(na.name(), nb.name());
+  ASSERT_EQ(na.num_nets(), nb.num_nets());
+  for (NetId id = 0; id < na.num_nets(); ++id) {
+    EXPECT_EQ(na.net_name(id), nb.net_name(id));
+    EXPECT_EQ(na.is_input(id), nb.is_input(id));
   }
+  ASSERT_EQ(na.num_gates(), nb.num_gates());
+  for (int g = 0; g < na.num_gates(); ++g) {
+    EXPECT_EQ(na.gates()[g].out, nb.gates()[g].out);
+    EXPECT_EQ(na.gates()[g].ins, nb.gates()[g].ins);
+    EXPECT_EQ(na.gates()[g].tt, nb.gates()[g].tt);
+  }
+  ASSERT_EQ(na.num_latches(), nb.num_latches());
+  for (int l = 0; l < na.num_latches(); ++l) {
+    EXPECT_EQ(na.latches()[l].q, nb.latches()[l].q);
+    EXPECT_EQ(na.latches()[l].d, nb.latches()[l].d);
+  }
+  EXPECT_EQ(na.inputs(), nb.inputs());
+  EXPECT_EQ(na.outputs(), nb.outputs());
 }
 
 // The lines of `text`, without their newlines.
@@ -222,23 +214,20 @@ TEST(ArtifactStoreFormat, SerializeParseRoundTripIsExact) {
   EXPECT_EQ(ArtifactStore::serialize(art.key, art.entry), bytes);
 }
 
-// The exact bytes of the fixture object. Every `hlp-artifact v4` object
-// already on disk (and the CI cache keyed `hlp-store-v4`) is read by
+// The exact bytes of the fixture object. Every `hlp-artifact v5` object
+// already on disk (and the CI cache keyed `hlp-store-v5`) is read by
 // today's parser, so a writer change that moves a byte is a format
 // change: it bumps the version and replaces this literal with the new
 // version's bytes in the same commit.
 TEST(ArtifactStoreFormat, FixtureBytesArePinned) {
   const std::string pinned =
-      "hlp-artifact v4\n"
+      "hlp-artifact v5\n"
       "key list|2x2|4|42|estimate|binder|0x1p-1|4|gcafe\n"
-      "payload 37\n"
+      "payload 24\n"
       "fus 3 0 1 0\n"
       "kinds 2 add mult\n"
       "flips 3 0 1 0\n"
       "refine 1 2 3 0x1.4p+0 0x1.4p-1\n"
-      "rfus 3 0 1 0\n"
-      "rkinds 2 add mult\n"
-      "rflips 3 0 1 0\n"
       "mux 3 5 2 0x1p-1 0x1p-2\n"
       "muxa 2 2 3\n"
       "muxb 2 1 2\n"
@@ -249,16 +238,6 @@ TEST(ArtifactStoreFormat, FixtureBytesArePinned) {
       "datapos 1 0\n"
       "controls 1\n"
       "ctl mux%20sel%200 1 1 3 0 1 1\n"
-      "netlist dp 5 2 1 1\n"
-      "net a 1\n"
-      "net b 1\n"
-      "net x 0\n"
-      "net q 0\n"
-      "net y 0\n"
-      "gate 2 2 8 2 0 1\n"
-      "gate 4 2 6 2 3 0\n"
-      "latch 3 2\n"
-      "outs 1 4\n"
       "netlist mapped 5 2 1 1\n"
       "net a 1\n"
       "net b 1\n"
@@ -269,8 +248,8 @@ TEST(ArtifactStoreFormat, FixtureBytesArePinned) {
       "gate 4 2 6 2 3 0\n"
       "latch 3 2\n"
       "outs 1 4\n"
-      "sum 9e138fcf038f6b66\n"
-      "end hlp-artifact 37\n";
+      "sum ba8c89474bc6dfd3\n"
+      "end hlp-artifact 24\n";
   EXPECT_EQ(ArtifactStore::serialize(make_key(), make_entry()), pinned);
 }
 
@@ -480,45 +459,43 @@ TEST_F(ArtifactStoreFaults, KeyNamingAnotherSaModeIsRejected) {
 TEST_F(ArtifactStoreFaults, DatapathPlanMustFitItsNetlist) {
   // The lane engines index the mapped netlist's inputs by the datapath
   // plan without a bounds check, so a well-formed object whose plan does
-  // not fit its 2-input netlists must fail the parse, naming the field,
-  // and read back from a store as a rejected miss.
+  // not fit its 2-input mapped netlist must fail the parse, naming the
+  // field, and read back from a store as a rejected miss.
   struct Defect {
     const char* field;  // what the error must name
     void (*apply)(ArtifactStore::Entry&);
   };
   const Defect defects[] = {
       {"datapath width 0",
-       [](ArtifactStore::Entry& e) { e.datapath.width = 0; }},
+       [](ArtifactStore::Entry& e) { e.plan.width = 0; }},
       {"datapath width 65",
-       [](ArtifactStore::Entry& e) { e.datapath.width = 65; }},
+       [](ArtifactStore::Entry& e) { e.plan.width = 65; }},
       {"datapath num_phases 0",
        [](ArtifactStore::Entry& e) {
-         e.datapath.num_phases = 0;
-         e.datapath.controls.front().select_by_phase.clear();
+         e.plan.num_phases = 0;
+         e.plan.controls.front().select_by_phase.clear();
        }},
-      {"mapped netlist has 3",
-       [](ArtifactStore::Entry& e) { e.mapped.lut_netlist.add_input("c"); }},
       {"datapos bus at -1",
-       [](ArtifactStore::Entry& e) { e.datapath.data_input_pos = {-1}; }},
+       [](ArtifactStore::Entry& e) { e.plan.data_input_pos = {-1}; }},
       {"datapos bus at 0 of width 3",
-       [](ArtifactStore::Entry& e) { e.datapath.width = 3; }},
+       [](ArtifactStore::Entry& e) { e.plan.width = 3; }},
       {"datapos bus at 2",
-       [](ArtifactStore::Entry& e) { e.datapath.data_input_pos = {0, 2}; }},
+       [](ArtifactStore::Entry& e) { e.plan.data_input_pos = {0, 2}; }},
       {"input position 7",
        [](ArtifactStore::Entry& e) {
-         e.datapath.controls.front().input_positions = {7};
+         e.plan.controls.front().input_positions = {7};
        }},
       {"input position -1",
        [](ArtifactStore::Entry& e) {
-         e.datapath.controls.front().input_positions = {-1};
+         e.plan.controls.front().input_positions = {-1};
        }},
       {"has 33 input positions",
        [](ArtifactStore::Entry& e) {
-         e.datapath.controls.front().input_positions.assign(33, 1);
+         e.plan.controls.front().input_positions.assign(33, 1);
        }},
       {"has 1 selects",
        [](ArtifactStore::Entry& e) {
-         e.datapath.controls.front().select_by_phase = {0};
+         e.plan.controls.front().select_by_phase = {0};
        }},
   };
   std::uint64_t rejected = 0;
@@ -571,23 +548,26 @@ TEST_F(ArtifactStoreFaults, HugeCtlCountIsRejectedNotOverrun) {
 
 TEST_F(ArtifactStoreFaults, OlderVersionObjectsAreRejectedByVersion) {
   // Objects in each older layout planted at this key's address: they must
-  // fail on their version line, not on the tag lines the v4 parser no
-  // longer expects. v1 to v3 keyed an object by a scope, a binding and an
-  // sa line where v4 has one key line; v1 also carried the settle and simd
-  // tags after the sa line, v2 only the simd tag.
+  // fail on their version line, not on the lines the v5 parser no longer
+  // expects. v1 to v3 keyed an object by a scope, a binding and an sa line
+  // where v4 and v5 have one key line; v1 also carried the settle and simd
+  // tags after the sa line, v2 only the simd tag. v4's payload also held
+  // the refined binding again (rfus, rkinds, rflips) and the elaborated
+  // netlist before the mapped one.
   struct Layout {
     std::string version;
     std::string tags;
   };
-  const std::string header = "hlp-artifact v4\nkey " +
-                             encode_token(key_.binding) + "\n";
+  const std::string key_line = "key " + encode_token(key_.binding) + "\n";
+  const std::string header = "hlp-artifact v5\n" + key_line;
   ASSERT_EQ(blob_.rfind(header, 0), 0u);
   const std::string v3_tags =
       "scope pr|list|2x2|4|42|estimate|gcafe\nbinding binder|0x1p-1|4\n"
       "sa estimate\n";
   for (const Layout& old :
        {Layout{"v1", v3_tags + "settle auto\nsimd auto\n"},
-        Layout{"v2", v3_tags + "simd auto\n"}, Layout{"v3", v3_tags}}) {
+        Layout{"v2", v3_tags + "simd auto\n"}, Layout{"v3", v3_tags},
+        Layout{"v4", key_line}}) {
     std::string bytes = blob_;
     bytes.replace(0, header.size(),
                   "hlp-artifact " + old.version + "\n" + old.tags);

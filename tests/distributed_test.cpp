@@ -34,6 +34,7 @@
 #include "flow/job_io.hpp"
 #include "power/sa_mode.hpp"
 #include "store/artifact_store.hpp"
+#include "test_dir.hpp"
 
 namespace hlp {
 namespace {
@@ -74,7 +75,7 @@ std::vector<flow::Job> property_grid() {
 
 std::string write_fake_worker(const std::string& name,
                               const std::string& body) {
-  const std::string path = ::testing::TempDir() + "/" + name;
+  const std::string path = test::process_dir() + "/" + name;
   {
     std::ofstream f(path);
     f << "#!/bin/sh\n" << body << "\n";
@@ -811,8 +812,7 @@ TEST(Distributed, StreamRequeueRecoversOnHealthyReplacement) {
   const std::string real = real_worker_binary();
   ASSERT_EQ(::access(real.c_str(), X_OK), 0)
       << "hlp_worker not built next to the test binary";
-  const std::string lock = ::testing::TempDir() + "/stream_flaky.lock";
-  std::filesystem::remove_all(lock);
+  const std::string lock = test::fresh_dir("stream_flaky.lock");
   const std::string script = write_fake_worker(
       "stream_flaky.sh",
       "if mkdir '" + lock +
@@ -940,7 +940,7 @@ TEST(Distributed, WorkerRejectsUnknownFlagsWithUsage) {
   const std::string bin = real_worker_binary();
   ASSERT_EQ(::access(bin.c_str(), X_OK), 0)
       << "hlp_worker not built next to the test binary";
-  const std::string log = ::testing::TempDir() + "/worker_usage.log";
+  const std::string log = test::process_dir() + "/worker_usage.log";
   for (const char* args :
        {"--results r", "--sa-out p", "--sa-in p", "--jobs 2 --bogus 1",
         "--jobs 0", "--coalesce", "--coalesce 1"}) {
@@ -971,8 +971,7 @@ TEST(Distributed, SharedStoreSurvivesConcurrentRunnersAndWarmsTheRerun) {
   flow::ExperimentRunner reference(3);
   const auto want = reference.run(jobs);
 
-  const std::string dir = ::testing::TempDir() + "/dist_store";
-  std::filesystem::remove_all(dir);
+  const std::string dir = test::fresh_dir("dist_store");
 
   std::vector<flow::JobResult> r1, r2, rd;
   {
@@ -1002,8 +1001,7 @@ TEST(Distributed, SharedStoreSurvivesConcurrentRunnersAndWarmsTheRerun) {
   // One consistent store: merge_from is the strict auditor — it refuses
   // on any entry that is corrupt, misplaced or conflicting, so a clean
   // full-count merge certifies every object the dogpile committed.
-  const std::string audit_root = ::testing::TempDir() + "/dist_store_audit";
-  std::filesystem::remove_all(audit_root);
+  const std::string audit_root = test::fresh_dir("dist_store_audit");
   store::ArtifactStore audit(audit_root);
   const std::size_t merged = audit.merge_from(dir);
   EXPECT_GT(merged, 0u);

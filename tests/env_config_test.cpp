@@ -17,6 +17,7 @@
 #include "power/sa_mode.hpp"
 #include "rtl/flow.hpp"
 #include "store/artifact_store.hpp"
+#include "test_dir.hpp"
 
 namespace hlp {
 namespace {
@@ -214,7 +215,7 @@ TEST(EnvConfig, StoreEnvSetsTheRunnerDefault) {
   ScopedUnsetEnv env("HLP_STORE");
   flow::ExperimentRunner off(1);
   EXPECT_TRUE(off.store_dir().empty());  // unset = no persistent store
-  const std::string dir = ::testing::TempDir() + "/env_store_default";
+  const std::string dir = test::fresh_dir("env_store_default");
   env.set(dir.c_str());
   flow::ExperimentRunner on(1);
   EXPECT_EQ(on.store_dir(), dir);
@@ -224,8 +225,8 @@ TEST(EnvConfig, StoreEnvSetsTheRunnerDefault) {
 
 TEST(EnvConfig, StorePrefersExplicitOverEnv) {
   ScopedUnsetEnv env("HLP_STORE");
-  env.set((::testing::TempDir() + "/env_store_loser").c_str());
-  const std::string dir = ::testing::TempDir() + "/env_store_winner";
+  env.set(test::fresh_dir("env_store_loser").c_str());
+  const std::string dir = test::fresh_dir("env_store_winner");
   flow::ExperimentRunner runner(1);
   runner.set_store_dir(dir);
   EXPECT_EQ(runner.store_dir(), dir);

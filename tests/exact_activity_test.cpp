@@ -51,8 +51,7 @@ Netlist benchmark_netlist(const std::string& name) {
   flow::RunSpec rs;
   rs.num_vectors = 2;  // the simulate/power tail is irrelevant here
   flow::Pipeline::run(ctx, rs);
-  const auto entry =
-      ctx.stage_cache().find(ctx.binding_hash(rs.binder, rs.map, rs.timing));
+  const auto entry = ctx.stage_cache().find(ctx.binding_hash(rs.binder));
   HLP_REQUIRE(entry, "the pipeline run published no StageCache entry");
   return entry->mapped.lut_netlist;
 }

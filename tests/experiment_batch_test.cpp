@@ -222,9 +222,9 @@ std::vector<SimdMode> supported_modes() {
   return modes;
 }
 
-// The bind-fus..time span of one pipeline run of `job`: the datapath and
-// LUT netlist the `simulate` stage reads, from the StageCache entry the run
-// published on the runner's context.
+// The bind-fus..time span of one pipeline run of `job`: the control plan
+// and LUT netlist the `simulate` stage reads, from the StageCache entry the
+// run published on the runner's context.
 std::shared_ptr<const flow::StageCache::Entry> published_span(
     flow::ExperimentRunner& runner, const flow::Job& job) {
   flow::FlowContext& ctx = runner.context_for(job);
@@ -232,8 +232,7 @@ std::shared_ptr<const flow::StageCache::Entry> published_span(
   spec.binder = job.binder;
   spec.num_vectors = job.num_vectors;
   flow::Pipeline::run(ctx, spec);
-  return ctx.stage_cache().find(
-      ctx.binding_hash(spec.binder, spec.map, spec.timing));
+  return ctx.stage_cache().find(ctx.binding_hash(spec.binder));
 }
 
 void expect_same_stats(const CycleSimStats& got, const CycleSimStats& want) {
@@ -250,7 +249,7 @@ TEST(SeedChunkWidths, EveryWidthMatchesScalarPerSeed) {
   const auto entry = published_span(runner, job);
   ASSERT_TRUE(entry);
   const Netlist& n = entry->mapped.lut_netlist;
-  const Datapath& dp = entry->datapath;
+  const DatapathPlan& dp = entry->plan;
   const int num_inputs = runner.context_for(job).cdfg().num_inputs();
 
   // 130 seeds, chunked to the word as run_batch chunks them: two full
@@ -261,7 +260,8 @@ TEST(SeedChunkWidths, EveryWidthMatchesScalarPerSeed) {
   for (std::uint64_t seed = 500; seed < 630; ++seed) {
     lane_samples.push_back(
         random_samples(job.num_vectors, num_inputs, kWidth, seed));
-    want.push_back(simulate_frames(n, make_frames(dp, lane_samples.back())));
+    want.push_back(
+        simulate_frames(n, make_frames(n, dp, lane_samples.back())));
   }
   for (const SimdMode mode : supported_modes()) {
     SCOPED_TRACE(simd_mode_name(mode));
@@ -287,7 +287,7 @@ TEST(SeedChunk, RaggedInputThrows) {
   const auto entry = published_span(runner, job);
   ASSERT_TRUE(entry);
   const Netlist& n = entry->mapped.lut_netlist;
-  const Datapath& dp = entry->datapath;
+  const DatapathPlan& dp = entry->plan;
   const std::size_t num_inputs = dp.data_input_pos.size();
   const int inputs = static_cast<int>(num_inputs);
 
@@ -316,7 +316,7 @@ TEST(SeedChunk, RaggedInputThrows) {
   expect_short([&] {
     simulate_sample_lanes(n, dp, short_sample, SimdMode::kU64);
   });
-  expect_short([&] { make_frames(dp, short_sample); });
+  expect_short([&] { make_frames(n, dp, short_sample); });
 }
 
 TEST(SampleLaneWidths, EveryWidthMatchesScalar) {
@@ -343,11 +343,12 @@ TEST(SampleLaneWidths, EveryWidthMatchesScalar) {
         const auto entry = published_span(runner, job);
         ASSERT_TRUE(entry);
         const Netlist& n = entry->mapped.lut_netlist;
-        const Datapath& dp = entry->datapath;
+        const DatapathPlan& dp = entry->plan;
         const Samples samples = random_samples(
             static_cast<int>(*count++),
             static_cast<int>(dp.data_input_pos.size()), kWidth, 77);
-        const CycleSimStats want = simulate_frames(n, make_frames(dp, samples));
+        const CycleSimStats want =
+            simulate_frames(n, make_frames(n, dp, samples));
         for (const SimdMode mode : supported_modes()) {
           SCOPED_TRACE(simd_mode_name(mode));
           expect_same_stats(simulate_sample_lanes(n, dp, samples, mode), want);
@@ -383,7 +384,7 @@ TEST(SampleLanes, StateThatNeverForgetsStaysExact) {
   const Datapath dp = free_running_counter();
   const Netlist& n = dp.netlist;
   const Samples samples = random_samples(600, 1, 1, 5);
-  const CycleSimStats want = simulate_frames(n, make_frames(dp, samples));
+  const CycleSimStats want = simulate_frames(n, make_frames(n, dp, samples));
   ASSERT_GT(want.functional_transitions, 0u);
   for (const SimdMode mode : supported_modes()) {
     SCOPED_TRACE(simd_mode_name(mode));
@@ -403,7 +404,7 @@ std::vector<std::vector<std::size_t>> partitions(std::size_t samples) {
 // run's (no cut). A range after a cut starts from the state a zero-delay
 // walk reaches, so a walk that went wrong, or a hand-off that assumed the
 // reset state, shows up in the counts.
-void expect_partitions_match_serial(const Netlist& n, const Datapath& dp,
+void expect_partitions_match_serial(const Netlist& n, const DatapathPlan& dp,
                                     const LaneSamples& chunk) {
   const SimdMode wide = simd_mode_supported(SimdMode::kAvx512)
                             ? SimdMode::kAvx512
@@ -440,7 +441,7 @@ TEST(SeedChunkPartitions, EveryPartitionMatchesTheSerialRun) {
     for (std::uint64_t seed = 900; seed < 960; ++seed)
       chunk.push_back(
           random_samples(job.num_vectors, num_inputs, kWidth, seed));
-    expect_partitions_match_serial(entry->mapped.lut_netlist, entry->datapath,
+    expect_partitions_match_serial(entry->mapped.lut_netlist, entry->plan,
                                    chunk);
   }
 }
@@ -454,8 +455,9 @@ TEST(SeedChunkPartitions, StateThatNeverForgetsStaysExact) {
   const auto serial = detail::simulate_seed_chunk_cut(dp.netlist, dp, chunk,
                                                       {}, SimdMode::kU64);
   for (std::size_t l = 0; l < chunk.size(); ++l)
-    expect_same_stats(serial[l],
-                      simulate_frames(dp.netlist, make_frames(dp, chunk[l])));
+    expect_same_stats(serial[l], simulate_frames(dp.netlist,
+                                                 make_frames(dp.netlist, dp,
+                                                             chunk[l])));
   expect_partitions_match_serial(dp.netlist, dp, chunk);
 }
 

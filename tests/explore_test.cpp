@@ -6,10 +6,8 @@
 // store recomputes ZERO unaffected bind-fus..time spans, pinned through
 // the store's hit/miss/publish counters.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <mutex>
 #include <random>
 #include <set>
@@ -22,6 +20,7 @@
 #include "flow/experiment.hpp"
 #include "power/sa_mode.hpp"
 #include "store/artifact_store.hpp"
+#include "test_dir.hpp"
 
 namespace hlp {
 namespace {
@@ -217,27 +216,6 @@ TEST(ParetoStream, FrontierMatchesAcrossWorkerProcesses) {
 
 // --- explorer: incremental reuse through the store -----------------------
 
-// This process's own directory for the explorer's stores, removed at
-// exit: two suite runs on one host must not share or delete each other's
-// stores.
-const std::string& process_store_root() {
-  static const struct Root {
-    std::string path =
-        ::testing::TempDir() + "/explore_test-" + std::to_string(::getpid());
-    ~Root() {
-      std::error_code ec;
-      std::filesystem::remove_all(path, ec);
-    }
-  } root;
-  return root.path;
-}
-
-std::string fresh_store_dir(const std::string& name) {
-  const std::string dir = process_store_root() + "/" + name;
-  std::filesystem::remove_all(dir);
-  return dir;
-}
-
 std::vector<flow::Job> explorer_grid() {
   std::vector<flow::Job> jobs;
   for (const std::uint64_t seed : {42ull, 7ull, 9ull}) {
@@ -270,7 +248,7 @@ void add_walk_steps(explore::Explorer& ex) {
 }
 
 TEST(Explorer, KnobStepsRecomputeOnlyAffectedSpans) {
-  const std::string dir = fresh_store_dir("explore_incremental");
+  const std::string dir = test::fresh_dir("explore_incremental");
   const std::vector<flow::Job> grid = explorer_grid();
 
   // Single-threaded, 3 coalesced seeds = exactly one work unit per step,
@@ -335,9 +313,9 @@ TEST(Explorer, KnobStepsRecomputeOnlyAffectedSpans) {
 
 TEST(Explorer, FrontierIsThreadCountInvariant) {
   const std::vector<flow::Job> grid = explorer_grid();
-  explore::Explorer serial(grid, fresh_store_dir("explore_serial"), 1);
+  explore::Explorer serial(grid, test::fresh_dir("explore_serial"), 1);
   add_walk_steps(serial);
-  explore::Explorer threaded(grid, fresh_store_dir("explore_threaded"), 4);
+  explore::Explorer threaded(grid, test::fresh_dir("explore_threaded"), 4);
   add_walk_steps(threaded);
   EXPECT_EQ(threaded.run().frontier, serial.run().frontier);
 }

@@ -1,6 +1,5 @@
 // Tests for the library extensions beyond the paper's core algorithm:
-// force-directed scheduling, post-binding port refinement, and the Verilog
-// backend.
+// force-directed scheduling and post-binding port refinement.
 #include <gtest/gtest.h>
 
 #include "binding/datapath_stats.hpp"
@@ -10,7 +9,6 @@
 #include "core/hlpower.hpp"
 #include "core/port_refine.hpp"
 #include "lopass/lopass.hpp"
-#include "rtl/verilog.hpp"
 #include "sched/asap_alap.hpp"
 #include "sched/force_directed.hpp"
 #include "sched/list_scheduler.hpp"
@@ -109,36 +107,6 @@ TEST(PortRefine, PreservesDatapathSemantics) {
     EXPECT_TRUE(after == before ||
                 (after.first == before.second && after.second == before.first));
   }
-}
-
-TEST(Verilog, ContainsExpectedStructure) {
-  const Cdfg g = make_random_dfg(3, 2, 10, 5);
-  const ResourceConstraint rc{2, 1};
-  const Schedule s = list_schedule(g, rc);
-  const Binding bind = bind_lopass(g, s, rc, LopassParams{4});
-  const std::string v = emit_verilog(g, s, bind, VerilogParams{8});
-  EXPECT_NE(v.find("module random"), std::string::npos);
-  EXPECT_NE(v.find("endmodule"), std::string::npos);
-  EXPECT_NE(v.find("always @(posedge clk)"), std::string::npos);
-  EXPECT_NE(v.find("case (cstep)"), std::string::npos);
-  for (int r = 0; r < bind.regs.num_registers; ++r)
-    EXPECT_NE(v.find("r" + std::to_string(r)), std::string::npos);
-}
-
-TEST(Verilog, MirrorsVhdlRegisterWrites) {
-  // Both backends must write each value's register at the same step count.
-  const Cdfg g = make_random_dfg(3, 2, 12, 6);
-  const ResourceConstraint rc{2, 2};
-  const Schedule s = list_schedule(g, rc);
-  const Binding bind = bind_lopass(g, s, rc, LopassParams{4});
-  const std::string v = emit_verilog(g, s, bind);
-  const std::string counts = "cstep == ";
-  std::size_t n = 0;
-  for (std::size_t pos = v.find(counts); pos != std::string::npos;
-       pos = v.find(counts, pos + 1))
-    ++n;
-  // One write per value plus the wrap check and done.
-  EXPECT_EQ(n, static_cast<std::size_t>(num_values(g)) + 2);
 }
 
 }  // namespace

@@ -4,9 +4,10 @@
 // and threads racing the first run of one binding publish one entry —
 // plus the persistent tier underneath it (HLP_STORE / ExperimentRunner
 // store wiring): a warm second run against the same artifact store skips
-// elaborate/map/time bit-identically from a cold process, and the store
-// keys a span by binding_hash() alone, so what the span reads decides
-// what is shared.
+// elaborate/map/time bit-identically from a cold process, a span it loads
+// has the shape of the span the cold run computed, and the store keys a
+// span by binding_hash() alone, so what the span reads decides what is
+// shared.
 //
 // The direct-FlowContext tests construct their contexts by hand, which
 // never binds an artifact store — their hit/miss/size counters stay exact
@@ -27,6 +28,7 @@
 #include "flow/job_io.hpp"
 #include "flow/pipeline.hpp"
 #include "store/artifact_store.hpp"
+#include "test_dir.hpp"
 
 namespace hlp {
 namespace {
@@ -136,38 +138,16 @@ TEST(StageCache, BindingHashCannotCollideAcrossTheTestGrid) {
       for (const char* name : {"hlpower", "lopass"})
         for (const double alpha : {0.25, 0.5, 1.0})
           for (const double beta : {-1.0, 0.5})
-            for (const bool refine : {false, true})
-              for (const double lut_delay : {0.45, 0.9}) {
-                flow::BinderSpec spec{name};
-                spec.alpha = alpha;
-                spec.beta_add = beta;
-                spec.refine = refine;
-                TimingModel timing;
-                timing.lut_delay_ns = lut_delay;
-                hashes.insert(ctx.binding_hash(spec, MapParams{}, timing));
-                ++points;
-              }
+            for (const bool refine : {false, true}) {
+              flow::BinderSpec spec{name};
+              spec.alpha = alpha;
+              spec.beta_add = beta;
+              spec.refine = refine;
+              hashes.insert(ctx.binding_hash(spec));
+              ++points;
+            }
     }
   EXPECT_EQ(hashes.size(), points);
-}
-
-TEST(StageCache, TimingModelIsPartOfTheKey) {
-  // The cached span ends at `time`, whose output depends on the timing
-  // model — two runs differing only in RunSpec::timing must not share an
-  // entry (regression: a hit used to install the first model's clock).
-  flow::FlowContext ctx(make_paper_benchmark("pr"), {2, 2}, small_options());
-  flow::RunSpec fast = hlp_spec();
-  flow::RunSpec slow = hlp_spec();
-  slow.timing.lut_delay_ns = 2 * fast.timing.lut_delay_ns;
-  const auto a = flow::Pipeline::run(ctx, fast);
-  const auto b = flow::Pipeline::run(ctx, slow);
-  EXPECT_EQ(ctx.stage_cache().hits(), 0u);
-  EXPECT_EQ(ctx.stage_cache().size(), 2u);
-  EXPECT_GT(b.flow.clock_period_ns, a.flow.clock_period_ns);
-  // Re-running each spec hits its own entry with its own clock.
-  const auto b2 = flow::Pipeline::run(ctx, slow);
-  EXPECT_EQ(ctx.stage_cache().hits(), 1u);
-  EXPECT_EQ(b2.flow.clock_period_ns, b.flow.clock_period_ns);
 }
 
 TEST(StageCache, CachedAndUncachedOutcomesAreEqual) {
@@ -258,14 +238,8 @@ std::vector<flow::Job> store_grid() {
   return jobs;
 }
 
-std::string fresh_store_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/" + name;
-  std::filesystem::remove_all(dir);
-  return dir;
-}
-
 TEST(StageCacheStore, WarmRunnerSkipsTheCachedSpanBitIdentically) {
-  const std::string dir = fresh_store_dir("pipeline_store_warm");
+  const std::string dir = test::fresh_dir("pipeline_store_warm");
   const std::vector<flow::Job> jobs = store_grid();
 
   // Cold: a fresh runner computes everything and publishes each context's
@@ -305,6 +279,43 @@ TEST(StageCacheStore, WarmRunnerSkipsTheCachedSpanBitIdentically) {
   }
 }
 
+TEST(StageCacheStore, ColdAndWarmSpansSerialiseToTheSameBytes) {
+  // A computed span and a span read back from the store have one shape:
+  // the entry a cold runner computed and the entry a warm runner loaded,
+  // under the same key, serialise to the same bytes, and a refined
+  // span's refined binding comes back as its binding.
+  for (const bool refine : {false, true}) {
+    SCOPED_TRACE(refine ? "refined" : "unrefined");
+    const std::string dir = test::fresh_dir("span_cold_warm");
+    flow::Job job = store_grid()[0];
+    job.binder.refine = refine;
+
+    flow::ExperimentRunner cold(1);
+    cold.set_store_dir(dir);
+    ASSERT_TRUE(cold.run({job})[0].ok);
+    const store::ArtifactKey key = cold.artifact_key_for(job);
+    const auto computed =
+        cold.context_for(job).stage_cache().find(key.binding);
+    ASSERT_TRUE(computed);
+
+    flow::ExperimentRunner warm(1);
+    warm.set_store_dir(dir);
+    const auto got = warm.run({job});
+    ASSERT_TRUE(got[0].ok) << got[0].error;
+    EXPECT_TRUE(cached(got[0].outcome, "map"));
+    EXPECT_EQ(warm.artifact_store()->hits(), 1u);
+    const auto loaded =
+        warm.context_for(job).stage_cache().find(key.binding);
+    ASSERT_TRUE(loaded);
+
+    EXPECT_EQ(store::ArtifactStore::serialize(key, *loaded),
+              store::ArtifactStore::serialize(key, *computed));
+    EXPECT_EQ(loaded->refined, refine);
+    EXPECT_EQ(loaded->refine.fus.fu_of_op, computed->refine.fus.fu_of_op);
+    EXPECT_EQ(loaded->refine.fus.flipped, computed->refine.fus.flipped);
+  }
+}
+
 TEST(StageCacheStore, RunnersWithoutAStoreStayCold) {
   // No store dir: two fresh runners never share artifacts (the pre-store
   // behaviour), pinning that persistence is strictly opt-in.
@@ -322,7 +333,7 @@ TEST(StageCacheStore, RunnersWithoutAStoreStayCold) {
 }
 
 TEST(StageCacheStore, CorruptStoreDegradesToAColdRunAndSelfHeals) {
-  const std::string dir = fresh_store_dir("pipeline_store_corrupt");
+  const std::string dir = test::fresh_dir("pipeline_store_corrupt");
   const std::vector<flow::Job> jobs = {store_grid()[0]};
   std::vector<flow::JobResult> cold;
   {
@@ -364,7 +375,7 @@ TEST(SpanKey, TwoSpellingsOfOneAllocationShareOneObject) {
   // resolves to {1, 1}. The span reads only the resolved allocation, so
   // both spellings have one key: the second is a store hit on the object
   // the first published, with bit-identical outcomes.
-  const std::string dir = fresh_store_dir("span_key_spellings");
+  const std::string dir = test::fresh_dir("span_key_spellings");
   flow::Job derived = store_grid()[0];
   derived.rc = {0, 0};
   flow::Job spelled = derived;
@@ -401,7 +412,7 @@ TEST(SpanKey, ProvidersThatReuseANameMissEachOther) {
       return make_benchmark(benchmark_profile(name), seed);
     };
   };
-  const std::string dir = fresh_store_dir("span_key_providers");
+  const std::string dir = test::fresh_dir("span_key_providers");
   const std::vector<flow::Job> jobs = {store_grid()[0]};
   flow::ExperimentRunner first(1, provider(42));
   first.set_store_dir(dir);

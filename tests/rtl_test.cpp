@@ -52,10 +52,11 @@ std::vector<std::uint64_t> interpret(const Cdfg& g,
 // Run one sample through the (possibly mapped) datapath netlist and read
 // back every CDFG output from its register.
 std::vector<std::uint64_t> run_datapath(const Cdfg& g, const Binding& bind,
-                                        const Datapath& dp, const Netlist& net,
+                                        const DatapathPlan& plan,
+                                        const Netlist& net,
                                         const std::vector<std::uint64_t>& in) {
   UnitDelaySimulator sim(net);
-  const auto frames = dp.frames_for_sample(in);
+  const auto frames = make_frames(net, plan, {in});
   for (const auto& frame : frames) {
     for (std::size_t j = 0; j < frame.size(); ++j)
       sim.set_input(net.inputs()[j], frame[j] != 0);
@@ -69,7 +70,7 @@ std::vector<std::uint64_t> run_datapath(const Cdfg& g, const Binding& bind,
   for (int i = 0; i < g.num_outputs(); ++i) {
     const int r = bind.regs.reg_of_value[value_id(g, g.output(i).value)];
     std::uint64_t word = 0;
-    for (int j = 0; j < dp.width; ++j) {
+    for (int j = 0; j < plan.width; ++j) {
       const NetId q =
           net.find_net("r" + std::to_string(r) + "_q" + std::to_string(j));
       HLP_CHECK(q != kNoNet, "register net missing");
@@ -141,7 +142,7 @@ TEST(Datapath, FrameDimensions) {
   const Schedule s = list_schedule(g, rc);
   const Binding bind = bind_lopass(g, s, rc);
   const Datapath dp = elaborate_datapath(g, s, bind, DatapathParams{4});
-  const auto frames = make_frames(dp, {{1, 2, 3}, {4, 5, 6}});
+  const auto frames = make_frames(dp.netlist, dp, {{1, 2, 3}, {4, 5, 6}});
   EXPECT_EQ(frames.size(), static_cast<std::size_t>(2 * dp.num_phases));
   for (const auto& f : frames)
     EXPECT_EQ(f.size(), dp.netlist.inputs().size());
@@ -153,7 +154,7 @@ TEST(Datapath, SampleArityChecked) {
   const Schedule s = list_schedule(g, rc);
   const Binding bind = bind_lopass(g, s, rc);
   const Datapath dp = elaborate_datapath(g, s, bind, DatapathParams{4});
-  EXPECT_THROW(dp.frames_for_sample({1, 2}), Error);
+  EXPECT_THROW(make_frames(dp.netlist, dp, {{1, 2}}), Error);
 }
 
 TEST(Vhdl, ContainsExpectedStructure) {

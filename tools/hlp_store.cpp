@@ -8,7 +8,7 @@
 //   hlp_store stats <root>
 //
 // fsck validates every object through the store's strict parse (magic,
-// checksum, footer, both netlists) plus the filename-matches-address
+// checksum, footer, the mapped netlist) plus the filename-matches-address
 // check that catches renamed or planted files, and reports each defect.
 // With --repair, invalid objects are deleted — the next probe recomputes
 // them, which is the store's documented corruption contract — and stale
