@@ -2,7 +2,6 @@
 
 #include <map>
 #include <mutex>
-#include <optional>
 
 #include "common/error.hpp"
 
@@ -41,15 +40,10 @@ int bench_vectors() {
 
 int bench_jobs() { return flow::jobs_from_env(2); }
 
-SaCache& sa_cache() {
-  // Resolved from HLP_SA_MODE once: every bench shares the same backend,
-  // and contexts with a deferred Job::sa agree with this cache's mode.
-  static SaCache cache(bench_width(), effective_sa_mode(std::nullopt));
-  return cache;
-}
+SaCache& sa_cache() { return runner().sa_cache(bench_width()); }
 
 flow::ExperimentRunner& runner() {
-  static flow::ExperimentRunner r(bench_jobs(), {}, &sa_cache());
+  static flow::ExperimentRunner r(bench_jobs());
   return r;
 }
 

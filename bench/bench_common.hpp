@@ -66,8 +66,8 @@ int bench_vectors();
 /// Worker threads for the experiment grids (HLP_JOBS override, default 2).
 int bench_jobs();
 
-/// The process-wide SA cache (width = bench_width()), shared with the
-/// runner's contexts.
+/// The runner's SA cache at bench_width() in the HLP_SA_MODE-resolved mode:
+/// the one every bench context reads.
 SaCache& sa_cache();
 
 /// The process-wide runner every bench fans its jobs through.

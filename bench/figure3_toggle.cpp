@@ -7,15 +7,28 @@
 
 #include <chrono>
 #include <iostream>
+#include <memory>
+#include <string>
 
 #include "bench_common.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
-#include "rtl/datapath.hpp"
 #include "rtl/lane_sim.hpp"
 #include "sim/vectors.hpp"
 
 namespace {
+
+// The span comparison() published for `name`'s HLPower a=0.5 run: the
+// control plan and depth-mapped LUT netlist its `simulate` stage read.
+std::shared_ptr<const hlp::flow::StageCache::Entry> published_span(
+    const std::string& name) {
+  using namespace hlp;
+  bench::comparison(name);
+  flow::FlowContext& ctx = bench::context(name);
+  auto span = ctx.stage_cache().find(ctx.binding_hash(flow::BinderSpec{}));
+  HLP_CHECK(span, "no published span for '" << name << "'");
+  return span;
+}
 
 void print_figure3() {
   using namespace hlp;
@@ -47,9 +60,10 @@ void print_figure3() {
             << "%  (paper: a=1 -8.4%, a=0.5 -21.9%)\n\n";
 }
 
-// Scalar vs batched simulation of the paper's toggle runs, the batched
-// side being the engine and word width the pipeline's `simulate` stage
-// runs: identical stimulus, bit-identical counts, wall-clock side by side.
+// Scalar vs batched simulation of the paper's toggle runs, on the span the
+// pipeline's `simulate` stage read, the batched side being the engine and
+// word width that stage runs: identical stimulus, bit-identical counts,
+// wall-clock side by side.
 void print_batch_comparison() {
   using namespace hlp;
   using namespace hlp::bench;
@@ -60,23 +74,19 @@ void print_batch_comparison() {
       SimdMode::kAuto, static_cast<std::size_t>(bench_vectors()));
   double total_scalar = 0.0, total_batched = 0.0;
   for (const auto& name : names()) {
-    flow::FlowContext& ctx = context(name);
-    const Comparison& cmp = comparison(name);
-    const Datapath dp = elaborate_datapath(
-        ctx.cdfg(), ctx.schedule(), Binding{ctx.regs(), cmp.hlp_half.fus},
-        DatapathParams{bench_width()});
-    const MapResult mapped = tech_map(dp.netlist);
+    const auto span = published_span(name);
+    const Netlist& luts = span->mapped.lut_netlist;
     // The pipeline's stimulus (RunSpec's default seed).
     const auto samples = random_samples(
-        bench_vectors(), ctx.cdfg().num_inputs(), bench_width(),
+        bench_vectors(), context(name).cdfg().num_inputs(), bench_width(),
         hlp::flow::RunSpec{}.seed);
 
     const auto t0 = Clock::now();
-    const CycleSimStats scalar = simulate_frames(
-        mapped.lut_netlist, make_frames(mapped.lut_netlist, dp, samples));
+    const CycleSimStats scalar =
+        simulate_frames(luts, make_frames(luts, span->plan, samples));
     const auto t1 = Clock::now();
     const CycleSimStats batched =
-        simulate_sample_lanes(mapped.lut_netlist, dp, samples, simd);
+        simulate_sample_lanes(luts, span->plan, samples, simd);
     const auto t2 = Clock::now();
     const double s = std::chrono::duration<double>(t1 - t0).count();
     const double b = std::chrono::duration<double>(t2 - t1).count();
@@ -104,35 +114,26 @@ void print_batch_comparison() {
 void BM_SimulatePr(benchmark::State& state) {
   using namespace hlp;
   using namespace hlp::bench;
-  flow::FlowContext& ctx = context("pr");
-  const Comparison& cmp = comparison("pr");
-  const Datapath dp = elaborate_datapath(ctx.cdfg(), ctx.schedule(),
-                                         Binding{ctx.regs(), cmp.hlp_half.fus},
-                                         DatapathParams{bench_width()});
-  const MapResult mapped = tech_map(dp.netlist);
+  const auto span = published_span("pr");
+  const Netlist& luts = span->mapped.lut_netlist;
   const auto samples = std::vector<std::vector<std::uint64_t>>(
-      10, std::vector<std::uint64_t>(ctx.cdfg().num_inputs(), 0x5a));
-  const auto frames = make_frames(mapped.lut_netlist, dp, samples);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(simulate_frames(mapped.lut_netlist, frames));
+      10, std::vector<std::uint64_t>(context("pr").cdfg().num_inputs(), 0x5a));
+  const auto frames = make_frames(luts, span->plan, samples);
+  for (auto _ : state) benchmark::DoNotOptimize(simulate_frames(luts, frames));
 }
 BENCHMARK(BM_SimulatePr)->Unit(benchmark::kMillisecond);
 
 void BM_SimulateBatchedPr(benchmark::State& state) {
   using namespace hlp;
   using namespace hlp::bench;
-  flow::FlowContext& ctx = context("pr");
-  const Comparison& cmp = comparison("pr");
-  const Datapath dp = elaborate_datapath(ctx.cdfg(), ctx.schedule(),
-                                         Binding{ctx.regs(), cmp.hlp_half.fus},
-                                         DatapathParams{bench_width()});
-  const MapResult mapped = tech_map(dp.netlist);
+  const auto span = published_span("pr");
+  const Netlist& luts = span->mapped.lut_netlist;
   const auto samples = std::vector<std::vector<std::uint64_t>>(
-      10, std::vector<std::uint64_t>(ctx.cdfg().num_inputs(), 0x5a));
+      10, std::vector<std::uint64_t>(context("pr").cdfg().num_inputs(), 0x5a));
   const SimdMode simd = effective_simd_mode(SimdMode::kAuto, samples.size());
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        simulate_sample_lanes(mapped.lut_netlist, dp, samples, simd));
+        simulate_sample_lanes(luts, span->plan, samples, simd));
 }
 BENCHMARK(BM_SimulateBatchedPr)->Unit(benchmark::kMillisecond);
 

@@ -104,7 +104,7 @@ std::string decode_token(std::string_view s) {
 }
 
 std::uint64_t fnv1a64(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t h = 14695981039346656037ull;
   for (const unsigned char c : s) {
     h ^= c;
     h *= 1099511628211ull;

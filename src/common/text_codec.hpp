@@ -1,7 +1,8 @@
 // Line-record text codec: the primitives shared by the library's two text
 // formats, the distributed runner's job frames (flow/job_io.hpp) and the
-// artifact store's objects (store/artifact_store.hpp). Each format keeps
-// its own record layout; this module owns what they have in common:
+// artifact store's objects (store/artifact_store.hpp). The records both
+// formats carry (a binding, a map summary) have one writer and one reader
+// in flow/job_io.hpp; this module owns the primitives beneath them:
 //  - whole-token strict number parsers, and hexfloat doubles, which
 //    parse_double reads back bit for bit;
 //  - %XX escapes, so any string travels as one whitespace-free token;

@@ -48,8 +48,8 @@ class DistributedRunner {
   /// `threads_per_worker` threads. workers <= 1 (the default, unless
   /// HLP_WORKERS says otherwise) degrades gracefully to the in-process
   /// threaded runner — same results, no processes spawned. The
-  /// constructor reads HLP_STORE and HLP_COALESCE (via the local runner)
-  /// as the store and coalescing defaults.
+  /// constructor reads HLP_STORE (via the local runner) as the store
+  /// default.
   ///
   /// Jobs are resolved by benchmark *name* in the worker process (the
   /// default make_paper_benchmark provider) — a custom GraphProvider
@@ -90,8 +90,8 @@ class DistributedRunner {
   void set_store_dir(std::string dir) { local_.set_store_dir(std::move(dir)); }
 
   /// The in-process runner behind the workers <= 1 fallback. Its
-  /// coalescing setting (HLP_COALESCE by default) also decides how run()
-  /// plans the grid into units; a worker runs each unit it is handed as
+  /// coalescing setting (on by default) also decides how run() plans the
+  /// grid into units; a worker runs each unit it is handed as
   /// it is.
   ExperimentRunner& local() { return local_; }
 

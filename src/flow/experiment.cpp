@@ -17,15 +17,6 @@ namespace hlp::flow {
 
 int jobs_from_env(int fallback) { return env_int("HLP_JOBS", fallback); }
 
-bool coalesce_from_env(bool fallback) {
-  const char* env = std::getenv("HLP_COALESCE");
-  if (!env || *env == '\0') return fallback;
-  const std::string v = env;
-  HLP_REQUIRE(v == "0" || v == "1",
-              "HLP_COALESCE='" << v << "' must be 0 or 1");
-  return v == "1";
-}
-
 std::string store_dir_from_env(std::string fallback) {
   const char* env = std::getenv("HLP_STORE");
   if (!env || *env == '\0') return fallback;
@@ -108,15 +99,12 @@ std::vector<WorkUnit> plan_units(const std::vector<Job>& jobs, bool coalesce) {
   return units;
 }
 
-ExperimentRunner::ExperimentRunner(int num_threads, GraphProvider provider,
-                                   SaCache* shared_cache)
+ExperimentRunner::ExperimentRunner(int num_threads, GraphProvider provider)
     : num_threads_(std::max(1, num_threads)),
       provider_(provider ? std::move(provider)
                          : [](const std::string& name) {
                              return make_paper_benchmark(name);
-                           }),
-      external_cache_(shared_cache),
-      coalesce_(coalesce_from_env(true)) {
+                           }) {
   store_dir_ = store_dir_from_env("");
   store_from_env_ = !store_dir_.empty();
 }
@@ -159,9 +147,6 @@ store::ArtifactStore* ExperimentRunner::artifact_store() {
 }
 
 SaCache& ExperimentRunner::sa_cache(int width, SaMode mode) {
-  if (external_cache_ && external_cache_->width() == width &&
-      external_cache_->mode() == mode)
-    return *external_cache_;
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = caches_[{width, mode}];
   if (!slot) slot = std::make_unique<SaCache>(width, mode);

@@ -43,10 +43,6 @@ namespace hlp::flow {
 /// parsed like vectors_from_env: garbage or non-positive values throw.
 int jobs_from_env(int fallback);
 
-/// Seed-coalescing toggle from the HLP_COALESCE env var, else `fallback`.
-/// Strict like the other env parsers: only "0" and "1" are accepted.
-bool coalesce_from_env(bool fallback);
-
 /// Artifact-store directory from the HLP_STORE env var, else `fallback`.
 /// The value is a path, so there is nothing to parse — validation is
 /// deferred to opening the store (ExperimentRunner::artifact_store throws
@@ -130,11 +126,8 @@ class ExperimentRunner {
   using GraphProvider = std::function<Cdfg(const std::string&)>;
 
   /// `num_threads` <= 1 runs inline on the calling thread. The default
-  /// provider resolves names via make_paper_benchmark. `shared_cache`
-  /// (optional, non-owning) is used for every context whose width matches;
-  /// other widths get runner-owned per-width caches.
-  explicit ExperimentRunner(int num_threads = 1, GraphProvider provider = {},
-                            SaCache* shared_cache = nullptr);
+  /// provider resolves names via make_paper_benchmark.
+  explicit ExperimentRunner(int num_threads = 1, GraphProvider provider = {});
   ~ExperimentRunner();  // out of line: ArtifactStore is incomplete here
 
   /// Run all jobs; results in job order.
@@ -164,8 +157,7 @@ class ExperimentRunner {
   /// resolving rc may run the context's probe schedule.
   store::ArtifactKey artifact_key_for(const Job& job);
 
-  /// The cache contexts of (`width`, `mode`) share: the external cache
-  /// when both its width and mode match, else the runner-owned one. The
+  /// The runner-owned cache contexts of (`width`, `mode`) share. The
   /// one-argument overload resolves the mode from the environment
   /// (effective_sa_mode with no explicit request) — what a job with an
   /// absent `sa` field uses.
@@ -192,9 +184,8 @@ class ExperimentRunner {
 
   /// Coalesce jobs that differ only in stimulus seed into one
   /// Pipeline::run_batch call (one seed per simulator lane, chunked to
-  /// the job's resolved word width). On by default; the HLP_COALESCE env
-  /// var sets the constructor default. Results are bit-identical either
-  /// way (tests/experiment_batch_test).
+  /// the job's resolved word width). On by default. Results are
+  /// bit-identical either way (tests/experiment_batch_test).
   void set_coalescing(bool on) { coalesce_ = on; }
   bool coalescing() const { return coalesce_; }
 
@@ -214,7 +205,6 @@ class ExperimentRunner {
 
   int num_threads_;
   GraphProvider provider_;
-  SaCache* external_cache_;
   ResultCallback result_cb_;
   bool coalesce_ = true;
   std::string store_dir_;

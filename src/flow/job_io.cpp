@@ -28,6 +28,12 @@ SimEngine parse_engine(const std::string& s) {
   HLP_REQUIRE(false, "unknown sim engine '" << s << "'");
 }
 
+// A boolean field or a `flipped` flag: "0" or "1", nothing else.
+char parse_flag(const std::string& s) {
+  HLP_REQUIRE(s == "0" || s == "1", "flag '" << s << "' must be 0 or 1");
+  return s == "1" ? 1 : 0;
+}
+
 // key=value fields of one record line (everything after the leading
 // keyword). Strict, so a frame from a different writer fails instead of
 // being half-read: a key given twice, a missing key, a malformed value
@@ -74,12 +80,7 @@ class Fields {
   std::size_t z(const std::string& key) const {
     return static_cast<std::size_t>(u(key));
   }
-  bool b(const std::string& key) const {
-    const std::string& v = at(key);
-    HLP_REQUIRE(v == "0" || v == "1", where_ << ": field '" << key << "="
-                                             << v << "' must be 0 or 1");
-    return v == "1";
-  }
+  bool b(const std::string& key) const { return as(key, parse_flag) == 1; }
   std::string s(const std::string& key) const {
     return as(key, decode_token);
   }
@@ -165,9 +166,6 @@ std::vector<ManifestJob> read_manifest(LineReader& r) {
   return out;
 }
 
-// A `flipped` flag travels as 0 or 1; any nonzero integer reads as 1.
-char flag_char(const std::string& s) { return parse_int(s) != 0 ? 1 : 0; }
-
 std::vector<ManifestResult> read_results(LineReader& r) {
   const std::size_t n = read_header(r, kResultsMagic);
   std::vector<ManifestResult> out;
@@ -187,21 +185,7 @@ std::vector<ManifestResult> read_results(LineReader& r) {
       continue;
     }
     PipelineOutcome& o = res.outcome;
-    o.fus.fu_of_op = r.counted_line("fus", parse_int);
-    o.fus.kind_of_fu = r.counted_line("kinds", op_kind_from_name);
-    o.fus.flipped = r.counted_line("flipped", flag_char);
-    {
-      const Fields f(r.line("refine"));
-      o.refined = f.b("refined");
-      o.refine.flips_applied = f.i("flips");
-      o.refine.passes = f.i("passes");
-      o.refine.cost_before = f.d("cost_before");
-      o.refine.cost_after = f.d("cost_after");
-      f.finish();
-      // The pipeline publishes the refined binding as out.fus too, so
-      // the record does not duplicate it.
-      if (o.refined) o.refine.fus = o.fus;
-    }
+    read_binding(r, o.fus, o.refined, o.refine);
     {
       const Fields f(r.line("mux"));
       DatapathStats& m = o.flow.mux_stats;
@@ -215,13 +199,7 @@ std::vector<ManifestResult> read_results(LineReader& r) {
     o.flow.mux_stats.mux_size_a = r.counted_line("muxa", parse_int);
     o.flow.mux_stats.mux_size_b = r.counted_line("muxb", parse_int);
     o.flow.mux_stats.muxdiff = r.counted_line("muxdiff", parse_int);
-    {
-      const Fields f(r.line("map"));
-      o.flow.mapped.num_luts = f.i("luts");
-      o.flow.mapped.depth = f.i("depth");
-      o.flow.clock_period_ns = f.d("clock");
-      f.finish();
-    }
+    read_map(r, o.flow.mapped, o.flow.clock_period_ns);
     {
       const Fields f(r.line("sim"));
       o.flow.sim.num_cycles = f.u("cycles");
@@ -269,6 +247,50 @@ std::vector<ManifestResult> read_results(LineReader& r) {
 }
 
 }  // namespace
+
+// ---- records shared with the artifact store ------------------------------
+
+void write_binding(std::ostream& os, const FuBinding& fus, bool refined,
+                   const PortRefineResult& refine) {
+  write_counted_line(os, "fus", fus.fu_of_op);
+  write_counted_line(os, "kinds", fus.kind_of_fu,
+                     [](OpKind k) { return to_string(k); });
+  write_counted_line(os, "flipped", fus.flipped,
+                     [](char c) { return c != 0 ? 1 : 0; });
+  os << "refine refined=" << (refined ? 1 : 0)
+     << " flips=" << refine.flips_applied << " passes=" << refine.passes
+     << " cost_before=" << fmt_double(refine.cost_before)
+     << " cost_after=" << fmt_double(refine.cost_after) << "\n";
+}
+
+void read_binding(LineReader& r, FuBinding& fus, bool& refined,
+                  PortRefineResult& refine) {
+  fus.fu_of_op = r.counted_line("fus", parse_int);
+  fus.kind_of_fu = r.counted_line("kinds", op_kind_from_name);
+  fus.flipped = r.counted_line("flipped", parse_flag);
+  const Fields f(r.line("refine"));
+  refined = f.b("refined");
+  refine.flips_applied = f.i("flips");
+  refine.passes = f.i("passes");
+  refine.cost_before = f.d("cost_before");
+  refine.cost_after = f.d("cost_after");
+  f.finish();
+  if (refined) refine.fus = fus;
+}
+
+void write_map(std::ostream& os, const MapResult& mapped,
+               double clock_period_ns) {
+  os << "map luts=" << mapped.num_luts << " depth=" << mapped.depth
+     << " clock=" << fmt_double(clock_period_ns) << "\n";
+}
+
+void read_map(LineReader& r, MapResult& mapped, double& clock_period_ns) {
+  const Fields f(r.line("map"));
+  mapped.num_luts = f.i("luts");
+  mapped.depth = f.i("depth");
+  clock_period_ns = f.d("clock");
+  f.finish();
+}
 
 // ---- manifest ------------------------------------------------------------
 
@@ -325,16 +347,7 @@ void save_results(std::ostream& os,
        << " group_size=" << r.group_size << "\n";
     if (r.ok) {
       const PipelineOutcome& o = r.outcome;
-      write_counted_line(os, "fus", o.fus.fu_of_op);
-      write_counted_line(os, "kinds", o.fus.kind_of_fu,
-                         [](OpKind k) { return to_string(k); });
-      write_counted_line(os, "flipped", o.fus.flipped,
-                         [](char c) { return c != 0 ? 1 : 0; });
-      os << "refine refined=" << (o.refined ? 1 : 0)
-         << " flips=" << o.refine.flips_applied
-         << " passes=" << o.refine.passes
-         << " cost_before=" << fmt_double(o.refine.cost_before)
-         << " cost_after=" << fmt_double(o.refine.cost_after) << "\n";
+      write_binding(os, o.fus, o.refined, o.refine);
       const DatapathStats& m = o.flow.mux_stats;
       os << "mux largest=" << m.largest_mux << " length=" << m.mux_length
          << " fus=" << m.num_fus << " mean=" << fmt_double(m.muxdiff_mean)
@@ -342,9 +355,7 @@ void save_results(std::ostream& os,
       write_counted_line(os, "muxa", m.mux_size_a);
       write_counted_line(os, "muxb", m.mux_size_b);
       write_counted_line(os, "muxdiff", m.muxdiff);
-      os << "map luts=" << o.flow.mapped.num_luts
-         << " depth=" << o.flow.mapped.depth
-         << " clock=" << fmt_double(o.flow.clock_period_ns) << "\n";
+      write_map(os, o.flow.mapped, o.flow.clock_period_ns);
       const CycleSimStats& s = o.flow.sim;
       os << "sim cycles=" << s.num_cycles << " total=" << s.total_transitions
          << " functional=" << s.functional_transitions << "\n";

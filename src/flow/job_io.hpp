@@ -38,6 +38,10 @@
 
 #include "flow/experiment.hpp"
 
+namespace hlp {
+class LineReader;  // common/text_codec.hpp
+}
+
 namespace hlp::flow {
 
 /// A job tagged with its position in the parent's grid.
@@ -51,6 +55,31 @@ struct ManifestResult {
   std::size_t index = 0;
   JobResult result;
 };
+
+/// ---- records shared with the artifact store ------------------------------
+///
+/// A results record and a store object (store/artifact_store.hpp) both
+/// carry a span's binding and its map summary, and both write and read
+/// them through these four functions:
+///
+///   fus <n> <fu of op>...                   write_binding / read_binding
+///   kinds <n> <kind of fu>...
+///   flipped <n> <0|1>...
+///   refine refined=<0|1> flips=<n> passes=<n> cost_before=<d> cost_after=<d>
+///   map luts=<n> depth=<n> clock=<d>          write_map / read_map
+///
+/// The readers are strict: a flip flag other than 0 or 1, like any other
+/// malformed line, throws hlp::Error naming the line. A refined binding is
+/// the binding itself, so read_binding sets `refine.fus` from `fus` when
+/// `refined` instead of reading it twice. read_map sets the summary
+/// (`num_luts`, `depth`) of `mapped`, not its netlist.
+void write_binding(std::ostream& os, const FuBinding& fus, bool refined,
+                   const PortRefineResult& refine);
+void read_binding(LineReader& r, FuBinding& fus, bool& refined,
+                  PortRefineResult& refine);
+void write_map(std::ostream& os, const MapResult& mapped,
+               double clock_period_ns);
+void read_map(LineReader& r, MapResult& mapped, double& clock_period_ns);
 
 /// Manifest: "manifest v1" header, one `job` line per entry, `end` footer.
 void save_manifest(std::ostream& os, const std::vector<ManifestJob>& jobs);

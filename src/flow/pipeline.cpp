@@ -112,7 +112,6 @@ std::shared_ptr<const StageCache::Entry> run_head(FlowContext& ctx,
       timed(out, "elaborate", [&] {
         dp = elaborate_datapath(ctx.cdfg(), *schedule, Binding{*regs, e.fus},
                                 DatapathParams{ctx.width()});
-        e.mux_stats = compute_datapath_stats(ctx.cdfg(), *regs, e.fus);
       });
       timed(out, "map", [&] { e.mapped = tech_map(dp.netlist, kEvalMap); });
       // The entry keeps the plan; the elaborated netlist dies here.
@@ -127,7 +126,9 @@ std::shared_ptr<const StageCache::Entry> run_head(FlowContext& ctx,
   out.fus = span->fus;
   out.refine = span->refine;
   out.refined = span->refined;
-  out.flow.mux_stats = span->mux_stats;
+  // A function of the CDFG, the register binding and the span's FUs, so
+  // the span does not carry it, computed or loaded.
+  out.flow.mux_stats = compute_datapath_stats(ctx.cdfg(), *regs, span->fus);
   out.flow.mapped.num_luts = span->mapped.num_luts;
   out.flow.mapped.depth = span->mapped.depth;
   out.flow.clock_period_ns = span->clock_period_ns;

@@ -83,7 +83,6 @@ class StageCache {
     FuBinding fus;  // post-refine when `refined`
     PortRefineResult refine;
     bool refined = false;
-    DatapathStats mux_stats;
     /// The control plan `simulate` drives the mapped netlist with; the
     /// elaborated netlist is not kept once `map` has read it.
     DatapathPlan plan;

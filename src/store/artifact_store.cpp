@@ -13,6 +13,7 @@
 
 #include "common/error.hpp"
 #include "common/text_codec.hpp"
+#include "flow/job_io.hpp"
 
 namespace hlp::store {
 
@@ -24,7 +25,7 @@ constexpr const char* kMagic = "hlp-artifact";
 // Bump whenever the key or payload layout changes: an object written in an
 // older layout is then rejected by its version line (and recomputed)
 // instead of failing on whichever field moved.
-constexpr const char* kVersion = "v5";
+constexpr const char* kVersion = "v6";
 // Objects are canonical (publish compares bytes), so a blank line is a
 // defect, not padding.
 constexpr auto kRejectBlank = LineReader::Blank::kReject;
@@ -35,26 +36,6 @@ std::string hex64(std::uint64_t v) {
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
   return buf;
-}
-
-// --- FuBinding -----------------------------------------------------------
-
-void save_fus(std::ostream& os, const FuBinding& fus) {
-  write_counted_line(os, "fus", fus.fu_of_op);
-  write_counted_line(os, "kinds", fus.kind_of_fu,
-                     [](OpKind k) { return to_string(k); });
-  write_counted_line(os, "flips", fus.flipped,
-                     [](char c) { return static_cast<int>(c); });
-}
-
-FuBinding load_fus(LineReader& r) {
-  FuBinding fus;
-  fus.fu_of_op = r.counted_line("fus", parse_int);
-  fus.kind_of_fu = r.counted_line("kinds", op_kind_from_name);
-  fus.flipped = r.counted_line("flips", [](const std::string& s) {
-    return static_cast<char>(parse_int(s));
-  });
-  return fus;
 }
 
 // --- Netlist -------------------------------------------------------------
@@ -123,19 +104,10 @@ Netlist load_netlist(LineReader& r) {
 
 // --- Entry payload -------------------------------------------------------
 
+// The binding and map records are the job frame's (flow/job_io.hpp).
 void save_entry(std::ostream& os, const ArtifactStore::Entry& e) {
-  save_fus(os, e.fus);
-  os << "refine " << (e.refined ? 1 : 0) << ' ' << e.refine.flips_applied
-     << ' ' << e.refine.passes << ' ' << fmt_double(e.refine.cost_before)
-     << ' ' << fmt_double(e.refine.cost_after) << '\n';
-  os << "mux " << e.mux_stats.largest_mux << ' ' << e.mux_stats.mux_length
-     << ' ' << e.mux_stats.num_fus << ' ' << fmt_double(e.mux_stats.muxdiff_mean)
-     << ' ' << fmt_double(e.mux_stats.muxdiff_variance) << '\n';
-  write_counted_line(os, "muxa", e.mux_stats.mux_size_a);
-  write_counted_line(os, "muxb", e.mux_stats.mux_size_b);
-  write_counted_line(os, "muxdiff", e.mux_stats.muxdiff);
-  os << "clock " << fmt_double(e.clock_period_ns) << '\n';
-  os << "map " << e.mapped.num_luts << ' ' << e.mapped.depth << '\n';
+  flow::write_binding(os, e.fus, e.refined, e.refine);
+  flow::write_map(os, e.mapped, e.clock_period_ns);
   os << "datapath " << e.plan.width << ' ' << e.plan.num_phases << '\n';
   write_counted_line(os, "datapos", e.plan.data_input_pos);
   os << "controls " << e.plan.controls.size() << '\n';
@@ -182,42 +154,8 @@ void check_plan_fits(const std::string& what, const ArtifactStore::Entry& e) {
 
 ArtifactStore::Entry load_entry(LineReader& r) {
   ArtifactStore::Entry e;
-  e.fus = load_fus(r);
-  {
-    LineRecord l = r.line("refine");
-    e.refined = l.take(parse_int) != 0;
-    e.refine.flips_applied = l.take(parse_int);
-    e.refine.passes = l.take(parse_int);
-    e.refine.cost_before = l.take(parse_double);
-    e.refine.cost_after = l.take(parse_double);
-    l.finish();
-  }
-  // A refined span's binding is its refined binding, so the object holds
-  // it once, as the job-frame loader does.
-  if (e.refined) e.refine.fus = e.fus;
-  {
-    LineRecord l = r.line("mux");
-    e.mux_stats.largest_mux = l.take(parse_int);
-    e.mux_stats.mux_length = l.take(parse_int);
-    e.mux_stats.num_fus = l.take(parse_int);
-    e.mux_stats.muxdiff_mean = l.take(parse_double);
-    e.mux_stats.muxdiff_variance = l.take(parse_double);
-    l.finish();
-  }
-  e.mux_stats.mux_size_a = r.counted_line("muxa", parse_int);
-  e.mux_stats.mux_size_b = r.counted_line("muxb", parse_int);
-  e.mux_stats.muxdiff = r.counted_line("muxdiff", parse_int);
-  {
-    LineRecord l = r.line("clock");
-    e.clock_period_ns = l.take(parse_double);
-    l.finish();
-  }
-  {
-    LineRecord l = r.line("map");
-    e.mapped.num_luts = l.take(parse_int);
-    e.mapped.depth = l.take(parse_int);
-    l.finish();
-  }
+  flow::read_binding(r, e.fus, e.refined, e.refine);
+  flow::read_map(r, e.mapped, e.clock_period_ns);
   {
     LineRecord l = r.line("datapath");
     e.plan.width = l.take(parse_int);

@@ -10,10 +10,12 @@
 // name for different graphs can never alias.
 //
 // One entry = one file, `objects/<fnv1a64(key)>.art`, in the line format
-// of common/text_codec.hpp: a `hlp-artifact v5` magic header, the key
+// of common/text_codec.hpp: a `hlp-artifact v6` magic header, the key
 // line, and an `end hlp-artifact <count>` footer so truncation is
 // detectable, plus an FNV-1a checksum over the payload so bit flips are
-// too. Unlike the job wire format the payload carries the datapath's
+// too. The payload opens with the binding and map records of a job
+// frame's result, written and read by the same functions
+// (flow/job_io.hpp); unlike a result it then carries the datapath's
 // control plan and the FULL mapped netlist — what `simulate` and `power`
 // read, so a hit skips elaborate/map/time.
 //

@@ -80,14 +80,6 @@ ArtifactStore::Entry make_entry(double clock = 1.5) {
   e.refine.passes = 3;
   e.refine.cost_before = 1.25;
   e.refine.cost_after = 0.625;
-  e.mux_stats.largest_mux = 3;
-  e.mux_stats.mux_length = 5;
-  e.mux_stats.num_fus = 2;
-  e.mux_stats.muxdiff_mean = 0.5;
-  e.mux_stats.muxdiff_variance = 0.25;
-  e.mux_stats.mux_size_a = {2, 3};
-  e.mux_stats.mux_size_b = {1, 2};
-  e.mux_stats.muxdiff = {1, 1};
   // A plan that fits the 2-input mapped netlist (the loader checks it): a
   // 1-bit data bus on input 0 and a select on input 1.
   e.plan.width = 1;
@@ -120,14 +112,6 @@ void expect_entry_eq(const ArtifactStore::Entry& a,
   EXPECT_EQ(a.refine.passes, b.refine.passes);
   EXPECT_EQ(a.refine.cost_before, b.refine.cost_before);
   EXPECT_EQ(a.refine.cost_after, b.refine.cost_after);
-  EXPECT_EQ(a.mux_stats.largest_mux, b.mux_stats.largest_mux);
-  EXPECT_EQ(a.mux_stats.mux_length, b.mux_stats.mux_length);
-  EXPECT_EQ(a.mux_stats.num_fus, b.mux_stats.num_fus);
-  EXPECT_EQ(a.mux_stats.muxdiff_mean, b.mux_stats.muxdiff_mean);
-  EXPECT_EQ(a.mux_stats.muxdiff_variance, b.mux_stats.muxdiff_variance);
-  EXPECT_EQ(a.mux_stats.mux_size_a, b.mux_stats.mux_size_a);
-  EXPECT_EQ(a.mux_stats.mux_size_b, b.mux_stats.mux_size_b);
-  EXPECT_EQ(a.mux_stats.muxdiff, b.mux_stats.muxdiff);
   EXPECT_EQ(a.clock_period_ns, b.clock_period_ns);
   EXPECT_EQ(a.mapped.num_luts, b.mapped.num_luts);
   EXPECT_EQ(a.mapped.depth, b.mapped.depth);
@@ -214,26 +198,23 @@ TEST(ArtifactStoreFormat, SerializeParseRoundTripIsExact) {
   EXPECT_EQ(ArtifactStore::serialize(art.key, art.entry), bytes);
 }
 
-// The exact bytes of the fixture object. Every `hlp-artifact v5` object
-// already on disk (and the CI cache keyed `hlp-store-v5`) is read by
+// The exact bytes of the fixture object. Every `hlp-artifact v6` object
+// already on disk (and the CI cache keyed `hlp-store-v6`) is read by
 // today's parser, so a writer change that moves a byte is a format
 // change: it bumps the version and replaces this literal with the new
-// version's bytes in the same commit.
+// version's bytes in the same commit. The `sum` line is FNV-1a 64 of the
+// payload computed outside the library, so a wrong hash cannot pin itself.
 TEST(ArtifactStoreFormat, FixtureBytesArePinned) {
   const std::string pinned =
-      "hlp-artifact v5\n"
+      "hlp-artifact v6\n"
       "key list|2x2|4|42|estimate|binder|0x1p-1|4|gcafe\n"
-      "payload 24\n"
+      "payload 19\n"
       "fus 3 0 1 0\n"
       "kinds 2 add mult\n"
-      "flips 3 0 1 0\n"
-      "refine 1 2 3 0x1.4p+0 0x1.4p-1\n"
-      "mux 3 5 2 0x1p-1 0x1p-2\n"
-      "muxa 2 2 3\n"
-      "muxb 2 1 2\n"
-      "muxdiff 2 1 1\n"
-      "clock 0x1.8p+0\n"
-      "map 2 2\n"
+      "flipped 3 0 1 0\n"
+      "refine refined=1 flips=2 passes=3 cost_before=0x1.4p+0 "
+      "cost_after=0x1.4p-1\n"
+      "map luts=2 depth=2 clock=0x1.8p+0\n"
       "datapath 1 3\n"
       "datapos 1 0\n"
       "controls 1\n"
@@ -248,8 +229,8 @@ TEST(ArtifactStoreFormat, FixtureBytesArePinned) {
       "gate 4 2 6 2 3 0\n"
       "latch 3 2\n"
       "outs 1 4\n"
-      "sum ba8c89474bc6dfd3\n"
-      "end hlp-artifact 24\n";
+      "sum db0dd0eeabc4ac18\n"
+      "end hlp-artifact 19\n";
   EXPECT_EQ(ArtifactStore::serialize(make_key(), make_entry()), pinned);
 }
 
@@ -311,6 +292,27 @@ TEST(ArtifactStoreFormat, MutatedPayloadsThrowOrRoundTrip) {
   // Some edits are harmless (a 0 where a 0 was), so the loop also walks
   // the accepting path.
   EXPECT_GT(loaded, 0);
+}
+
+// A flip flag is 0 or 1. Any other integer, 256 included (which a cast
+// to char would read as an unflipped operand), fails the parse naming the
+// `flipped` line: line 6, after the three header lines and two payload
+// lines.
+TEST(ArtifactStoreFormat, FlipFlagsOtherThanZeroOrOneAreRejected) {
+  const std::string blob = ArtifactStore::serialize(make_key(), make_entry());
+  std::vector<std::string> payload = payload_of(blob);
+  ASSERT_EQ(payload[2], "flipped 3 0 1 0");
+  for (const std::string bad : {"2", "256", "-1"}) {
+    payload[2] = "flipped 3 0 " + bad + " 0";
+    try {
+      ArtifactStore::parse(with_payload(blob, payload), "flags");
+      ADD_FAILURE() << "flip flag " << bad << " accepted";
+    } catch (const Error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("artifact flags line 6"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("'" + bad + "'"), std::string::npos) << msg;
+    }
+  }
 }
 
 TEST(ArtifactStore, PublishFindRoundTripAcrossHandles) {
@@ -548,18 +550,20 @@ TEST_F(ArtifactStoreFaults, HugeCtlCountIsRejectedNotOverrun) {
 
 TEST_F(ArtifactStoreFaults, OlderVersionObjectsAreRejectedByVersion) {
   // Objects in each older layout planted at this key's address: they must
-  // fail on their version line, not on the lines the v5 parser no longer
+  // fail on their version line, not on the lines the v6 parser no longer
   // expects. v1 to v3 keyed an object by a scope, a binding and an sa line
-  // where v4 and v5 have one key line; v1 also carried the settle and simd
+  // where v4 to v6 have one key line; v1 also carried the settle and simd
   // tags after the sa line, v2 only the simd tag. v4's payload also held
   // the refined binding again (rfus, rkinds, rflips) and the elaborated
-  // netlist before the mapped one.
+  // netlist before the mapped one. v5's held the mux statistics (mux,
+  // muxa, muxb, muxdiff) and spelled the binding and map in records of
+  // its own (flips, and positional refine, clock and map lines).
   struct Layout {
     std::string version;
     std::string tags;
   };
   const std::string key_line = "key " + encode_token(key_.binding) + "\n";
-  const std::string header = "hlp-artifact v5\n" + key_line;
+  const std::string header = "hlp-artifact v6\n" + key_line;
   ASSERT_EQ(blob_.rfind(header, 0), 0u);
   const std::string v3_tags =
       "scope pr|list|2x2|4|42|estimate|gcafe\nbinding binder|0x1p-1|4\n"
@@ -567,7 +571,7 @@ TEST_F(ArtifactStoreFaults, OlderVersionObjectsAreRejectedByVersion) {
   for (const Layout& old :
        {Layout{"v1", v3_tags + "settle auto\nsimd auto\n"},
         Layout{"v2", v3_tags + "simd auto\n"}, Layout{"v3", v3_tags},
-        Layout{"v4", key_line}}) {
+        Layout{"v4", key_line}, Layout{"v5", key_line}}) {
     std::string bytes = blob_;
     bytes.replace(0, header.size(),
                   "hlp-artifact " + old.version + "\n" + old.tags);

@@ -1,5 +1,5 @@
 // Tests for the common substrate: error handling, deterministic RNG,
-// string utilities, ASCII tables.
+// string utilities, ASCII tables, the text codec's hash.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +9,7 @@
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
+#include "common/text_codec.hpp"
 
 namespace hlp {
 namespace {
@@ -164,6 +165,14 @@ TEST(Table, RejectsTooManyCells) {
 TEST(Table, RejectsAddBeforeRow) {
   AsciiTable t({"c"});
   EXPECT_THROW(t.add("x"), Error);
+}
+
+// Published FNV-1a 64 test vectors: the store's content addresses and
+// checksums are FNV-1a, not a near miss of it.
+TEST(TextCodec, Fnv1a64MatchesPublishedVectors) {
+  EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ull);
 }
 
 }  // namespace

@@ -339,6 +339,12 @@ TEST(JobIo, TruncatedAndCorruptResultsRejected) {
   std::istringstream bad(corrupt);
   EXPECT_THROW(flow::load_results(bad), Error);
 
+  // A flip flag is 0 or 1, not any nonzero integer.
+  std::string flag = full;
+  flag.replace(flag.find("flipped 4 0 1"), 13, "flipped 4 0 2");
+  std::istringstream bad_flag(flag);
+  EXPECT_THROW(flow::load_results(bad_flag), Error);
+
   std::istringstream not_results("hlp-manifest v1\ncount 0\n");
   EXPECT_THROW(flow::load_results(not_results), Error);
 

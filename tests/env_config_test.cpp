@@ -1,8 +1,7 @@
 // Dedicated coverage for the strict env-var parsers: HLP_JOBS
-// (flow::jobs_from_env), HLP_VECTORS (vectors_from_env), HLP_COALESCE
-// (flow::coalesce_from_env), HLP_SA_MODE (sa_mode_from_env /
-// effective_sa_mode) and HLP_STORE (flow::store_dir_from_env plus the
-// runner's artifact-store wiring).
+// (flow::jobs_from_env), HLP_VECTORS (vectors_from_env), HLP_SA_MODE
+// (sa_mode_from_env / effective_sa_mode) and HLP_STORE
+// (flow::store_dir_from_env plus the runner's artifact-store wiring).
 // Garbage, negative, zero, overflow and unset inputs each have a pinned
 // behaviour: unset/empty falls back, everything invalid throws — a
 // sweep must die loudly, not run with a silently defaulted
@@ -113,27 +112,6 @@ TEST(EnvConfig, VectorsRejectsGarbageNegativeAndOverflow) {
   for (const char* bad : kOverflow) {
     env.set(bad);
     EXPECT_THROW(vectors_from_env(123), Error) << "input '" << bad << "'";
-  }
-}
-
-TEST(EnvConfig, CoalesceUnsetAndEmptyFallBack) {
-  ScopedUnsetEnv env("HLP_COALESCE");
-  EXPECT_TRUE(flow::coalesce_from_env(true));
-  EXPECT_FALSE(flow::coalesce_from_env(false));
-  env.set("");
-  EXPECT_TRUE(flow::coalesce_from_env(true));
-}
-
-TEST(EnvConfig, CoalesceParsesZeroAndOneOnly) {
-  ScopedUnsetEnv env("HLP_COALESCE");
-  env.set("0");
-  EXPECT_FALSE(flow::coalesce_from_env(true));
-  env.set("1");
-  EXPECT_TRUE(flow::coalesce_from_env(false));
-  for (const char* bad : {"true", "false", "2", "on", "yes", "-1"}) {
-    env.set(bad);
-    EXPECT_THROW(flow::coalesce_from_env(true), Error)
-        << "input '" << bad << "'";
   }
 }
 
@@ -264,16 +242,6 @@ TEST(EnvConfig, StoreGarbagePathErrorNamesTheVariableAndValue) {
     EXPECT_EQ(what.find("HLP_STORE"), std::string::npos) << what;
     EXPECT_NE(what.find("/dev/null/nope"), std::string::npos);
   }
-}
-
-TEST(EnvConfig, CoalesceEnvSetsTheRunnerDefault) {
-  ScopedUnsetEnv env("HLP_COALESCE");
-  env.set("0");
-  flow::ExperimentRunner off(1);
-  EXPECT_FALSE(off.coalescing());
-  env.set("1");
-  flow::ExperimentRunner on(1);
-  EXPECT_TRUE(on.coalescing());
 }
 
 }  // namespace

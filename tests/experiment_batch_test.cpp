@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <random>
 #include <set>
@@ -494,7 +493,6 @@ TEST(SeedChunkPartitions, AHelpersErrorReachesTheCaller) {
 }
 
 TEST(ExperimentBatch, CoalescingDefaultsOnAndToggles) {
-  unsetenv("HLP_COALESCE");  // isolate from the CI env override
   flow::ExperimentRunner runner(1);
   EXPECT_TRUE(runner.coalescing());  // default on
   runner.set_coalescing(false);

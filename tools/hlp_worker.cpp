@@ -6,7 +6,7 @@
 // A long-lived loop that reads framed unit requests from stdin and writes
 // framed unit responses to stdout (flow/job_io.hpp) until a `quit` line or
 // EOF. Each unit runs through the ordinary in-process ExperimentRunner
-// (word-parallel simulation included). Coalescing is always on here: the
+// (word-parallel simulation included), whose coalescing is on: the
 // parent's plan_units already cut the grid into units — one job, or one
 // word-sized chunk of a seed group — and replanning a unit with
 // coalescing on gives that same unit back, whatever the parent's own
@@ -83,7 +83,6 @@ Options parse_args(int argc, char** argv) {
 int run_serve(const Options& opt) {
   using namespace hlp;
   flow::ExperimentRunner runner(opt.jobs);
-  runner.set_coalescing(true);
   // The store is the parent's call: always override the environment with
   // the flag (empty = none), so a worker never opens its own HLP_STORE.
   runner.set_store_dir(opt.store);
